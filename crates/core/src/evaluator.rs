@@ -13,6 +13,8 @@
 //! Local types keep the classical per-block force, and precedence-implied
 //! frame changes are priced exactly like in the unmodified algorithm.
 
+use std::cell::Cell;
+
 use tcms_fds::{FdsConfig, ForceEvaluator};
 use tcms_ir::{BlockId, FrameTable, OpId, ResourceTypeId, System, TimeFrame};
 use tcms_obs::{Recorder, TimelinePoint};
@@ -239,7 +241,11 @@ impl<'a> ModuloEvaluator<'a> {
                 }
                 g.uses += 1;
                 if g.uses > 2 && g.tables.is_none() {
-                    g.tables = Some(crate::kernel::modulo_boundary_max_tables(plan.dist, g.rho));
+                    let (mut pre, mut suf) = scratch.spare_tables.pop().unwrap_or_default();
+                    crate::kernel::modulo_boundary_max_tables_into(
+                        plan.dist, g.rho, &mut pre, &mut suf,
+                    );
+                    g.tables = Some((pre, suf));
                 }
                 if let Some((pre, suf)) = &g.tables {
                     crate::kernel::modulo_max_delta_span_into(
@@ -301,9 +307,6 @@ impl<'a> ModuloEvaluator<'a> {
         state: &mut DeltaBufs,
     ) {
         state.keys.clear();
-        if state.cache_removals && state.removals.len() != self.op_meta.len() {
-            state.removals.resize(self.op_meta.len(), None);
-        }
         for &(o, nf) in changed {
             let (block, rtype, occ, range) = self.op_meta[o.index()];
             let key = (block, rtype);
@@ -339,28 +342,24 @@ impl<'a> ModuloEvaluator<'a> {
                 continue;
             }
             let len = state.bufs[i].len();
-            let (removal, rspan) = state.removals[o.index()].get_or_insert_with(|| {
-                let mut r = vec![0.0; len];
-                let span = tcms_fds::prob::accumulate(&mut r, frames.get(o), occ, -1.0);
-                (r, span)
-            });
+            let (removal, rspan) = state.ops.removal(o, frames.get(o), occ, len);
             let buf = &mut state.bufs[i];
-            let (rlo, rhi) = *rspan;
+            let (rlo, rhi) = rspan;
             if state.spans[i].0 >= state.spans[i].1 {
                 // Fresh buffer: land the removal term by copy, then add
                 // the placement term on top.
-                buf[rlo..rhi].copy_from_slice(&removal[rlo..rhi]);
-                state.spans[i] = *rspan;
+                buf[rlo..rhi].copy_from_slice(removal);
+                state.spans[i] = rspan;
                 let a = tcms_fds::prob::accumulate(buf, nf, occ, 1.0);
                 state.spans[i] = span_union(state.spans[i], a);
             } else {
                 // Dirty buffer: keep the seed's exact term order —
                 // placement first, then the removal terms.
                 let a = tcms_fds::prob::accumulate(buf, nf, occ, 1.0);
-                for (b, &r) in buf[rlo..rhi].iter_mut().zip(&removal[rlo..rhi]) {
+                for (b, &r) in buf[rlo..rhi].iter_mut().zip(removal) {
                     *b += r;
                 }
-                state.spans[i] = span_union(state.spans[i], span_union(a, *rspan));
+                state.spans[i] = span_union(state.spans[i], span_union(a, rspan));
             }
         }
     }
@@ -369,7 +368,7 @@ impl<'a> ModuloEvaluator<'a> {
     /// one op moved onto a global type. The removal term *and* the
     /// committed distribution are candidate-independent, so their sum is
     /// folded into per-op modulo boundary tables
-    /// ([`crate::kernel::modulo_boundary_max_tables`] over
+    /// ([`crate::kernel::modulo_boundary_max_tables_into`] over
     /// `D_{b,k} - removal`) once per batch; each candidate then only
     /// scans its placement span — `occ` steps for the width-1 frames the
     /// engine sweeps — instead of the whole removal span.
@@ -401,41 +400,38 @@ impl<'a> ModuloEvaluator<'a> {
         let pos = scratch.plan_pos(self, field, block, rtype);
         let plan = &scratch.plans[pos];
         let g = plan.global.as_ref()?;
-        if state.removals.len() != self.op_meta.len() {
-            state.removals.resize(self.op_meta.len(), None);
-        }
-        if state.op_tables.len() != self.op_meta.len() {
-            state.op_tables.resize(self.op_meta.len(), None);
-            state.op_uses.resize(self.op_meta.len(), 0);
-        }
         // The tables only pay off once an op is scored against more than
         // one slot (the build walks the whole block range); the op's
         // first candidate takes the generic span fold instead.
-        if state.op_uses[o.index()] == 0 && state.op_tables[o.index()].is_none() {
-            state.op_uses[o.index()] = 1;
+        if state.op_table_of != Some(o) && !state.ops.seen_single(o) {
             return None;
         }
-        let (rbuf, rspan) = state.removals[o.index()].get_or_insert_with(|| {
-            let mut r = vec![0.0; len];
-            let span = tcms_fds::prob::accumulate(&mut r, frames.get(o), occ, -1.0);
-            (r, span)
-        });
-        let (rlo, rhi) = *rspan;
-        let (pre, suf) = state.op_tables[o.index()].get_or_insert_with(|| {
-            let mut combined = plan.dist.to_vec();
-            for (c, &r) in combined[rlo..rhi].iter_mut().zip(&rbuf[rlo..rhi]) {
-                *c += r;
-            }
-            crate::kernel::modulo_boundary_max_tables(&combined, g.rho)
-        });
+        let (rbuf, (rlo, rhi)) = state.ops.removal(o, frames.get(o), occ, len);
         // Placement span, clamped exactly like
-        // [`tcms_fds::prob::accumulate`] clamps its writes.
+        // [`tcms_fds::prob::accumulate`] clamps its writes. A placement
+        // inside the current frame lies inside the removal span; anything
+        // else takes the generic path.
         let last = (nf.alap + occ - 1).min(range - 1);
         let (plo, phi) = if nf.asap > last {
             (0, 0)
         } else {
             (nf.asap as usize, last as usize + 1)
         };
+        if plo < rlo || phi > rhi {
+            return None;
+        }
+        if state.op_table_of != Some(o) {
+            let combined = &mut state.op_combined;
+            combined.clear();
+            combined.extend_from_slice(plan.dist);
+            for (c, &r) in combined[rlo..rhi].iter_mut().zip(rbuf) {
+                *c += r;
+            }
+            let (pre, suf) = &mut state.op_table;
+            crate::kernel::modulo_boundary_max_tables_into(combined, g.rho, pre, suf);
+            state.op_table_of = Some(o);
+        }
+        let (pre, suf) = &state.op_table;
         let gdelta = &mut scratch.gdelta;
         if gdelta.len() != g.rho {
             gdelta.resize(g.rho, 0.0);
@@ -452,7 +448,8 @@ impl<'a> ModuloEvaluator<'a> {
         let mut count_cached = 0u32;
         let mut term = 0.0f64;
         let mut slot = plo % g.rho;
-        for ((t, &d), &r) in (plo..).zip(&plan.dist[plo..phi]).zip(&rbuf[plo..phi]) {
+        let rplace = &rbuf[plo - rlo..phi - rlo];
+        for ((t, &d), &r) in (plo..).zip(&plan.dist[plo..phi]).zip(rplace) {
             let t32 = t as u32;
             let lo = nf.asap.max(t32.saturating_sub(occ - 1));
             let hi = nf.alap.min(t32);
@@ -501,23 +498,137 @@ struct DeltaBufs {
     keys: Vec<(BlockId, ResourceTypeId)>,
     bufs: Vec<Vec<f64>>,
     spans: Vec<(usize, usize)>,
-    removals: Vec<Option<Removal>>,
-    /// Per-op modulo boundary tables over `D_{b,k} + removal` — the
-    /// candidate-independent part of the single-op tentative fold,
-    /// pre-reduced so [`ModuloEvaluator::force_single_fast`] only scans
-    /// the placement span. Sized together with `removals`.
-    op_tables: Vec<Option<(Vec<f64>, Vec<f64>)>>,
-    /// Per-op single-op candidate counts — the lazy-build trigger for
-    /// `op_tables`.
-    op_uses: Vec<u32>,
-    /// Whether the removal terms are cached in `removals`. Only worth the
-    /// per-op table for batches, where an op's removal is replayed for
-    /// many candidate frames; one-shot evaluations accumulate directly.
+    ops: OpCache,
+    /// Modulo boundary tables over `D_{b,k} + removal` of the op
+    /// `op_table_of` — the candidate-independent part of the single-op
+    /// tentative fold, pre-reduced so
+    /// [`ModuloEvaluator::force_single_fast`] only scans the placement
+    /// span. One op at a time: the engine's sweep scores each op's
+    /// candidates back to back, so keeping every op's tables would only
+    /// hold memory without adding hits.
+    op_table: (Vec<f64>, Vec<f64>),
+    op_table_of: Option<OpId>,
+    /// Scratch for `D_{b,k} + removal` while `op_table` is built.
+    op_combined: Vec<f64>,
+    /// Whether the removal terms are cached in `ops`. Only worth it for
+    /// batches, where an op's removal is replayed for many candidate
+    /// frames; one-shot evaluations accumulate directly.
     cache_removals: bool,
 }
 
-/// One cached removal term: the accumulated buffer and its dirty span.
-type Removal = (Vec<f64>, (usize, usize));
+impl DeltaBufs {
+    /// Readies retired (or fresh) state for a batch over a system of
+    /// `num_ops` operations.
+    fn prepare(&mut self, num_ops: usize) {
+        self.ops.removal_at.resize(num_ops, None);
+        self.ops.single_seen.resize(num_ops, false);
+        self.cache_removals = true;
+    }
+
+    /// Forgets every per-op cache entry (removal terms, single-op flags,
+    /// the op table), keeping the allocations for the next block.
+    fn retire_ops(&mut self) {
+        self.ops.retire();
+        self.op_table_of = None;
+    }
+}
+
+/// The allocations of one batch's [`DeltaBufs`] and [`EvalScratch`],
+/// retired (every cache entry dropped) and kept for the next batch.
+#[derive(Default)]
+struct KeptBufs {
+    state: DeltaBufs,
+    gdelta: Vec<f64>,
+    plan_idx: Vec<u32>,
+    spare_tables: Vec<(Vec<f64>, Vec<f64>)>,
+}
+
+thread_local! {
+    /// The buffers of the last [`ForceEvaluator::force_batch`] call on
+    /// this thread. The engine scores a batch every iteration on every
+    /// sweep thread; allocating the batch state afresh each time left each
+    /// thread's heap fragmented, with a peak resident set far above the
+    /// live data. Taken for the duration of a batch, so a batch that
+    /// unwinds simply leaves the next one to start fresh.
+    static KEPT_BUFS: Cell<Option<KeptBufs>> = const { Cell::new(None) };
+}
+
+/// Per-op intermediates of a batch. The removal terms live back to back
+/// in one slab, each stored over its dirty span only, so retiring them
+/// frees nothing and the next block reuses the memory.
+#[derive(Default)]
+struct OpCache {
+    /// `removal_at[op]`: offset of the op's removal term in `slab` and its
+    /// dirty span `(lo, hi)`; the term occupies `slab[at..at + hi - lo]`.
+    removal_at: Vec<Option<(usize, (usize, usize))>>,
+    slab: Vec<f64>,
+    /// Per-op "already scored as a single-op candidate" flags — the
+    /// lazy-build trigger for [`DeltaBufs::op_table`].
+    single_seen: Vec<bool>,
+    /// Ops with an entry in `removal_at` or `single_seen`.
+    touched: Vec<OpId>,
+}
+
+impl OpCache {
+    /// The removal term of `o` — its occupancy over its `current` frame,
+    /// subtracted, in a block of `len` steps — over its dirty span
+    /// `(lo, hi)` (the term is exactly `+0.0` elsewhere), computed on
+    /// first use.
+    ///
+    /// The span is accumulated on its own, with the frame shifted to start
+    /// at 0: [`tcms_fds::prob::accumulate`]'s per-step overlap counts only
+    /// depend on the distance to the frame ends, and the shortened buffer
+    /// ends exactly where the block range clamps the full one, so every
+    /// value is bitwise the one the full-length accumulation writes.
+    fn removal(
+        &mut self,
+        o: OpId,
+        current: TimeFrame,
+        occ: u32,
+        len: usize,
+    ) -> (&[f64], (usize, usize)) {
+        let (at, span) = match self.removal_at[o.index()] {
+            Some(entry) => entry,
+            None => {
+                let lo = current.asap as usize;
+                let hi = (current.alap + occ).min(len as u32) as usize;
+                let at = self.slab.len();
+                let span = if lo < hi {
+                    self.slab.resize(at + hi - lo, 0.0);
+                    let shifted = TimeFrame::new(0, current.alap - current.asap);
+                    let (slo, shi) =
+                        tcms_fds::prob::accumulate(&mut self.slab[at..], shifted, occ, -1.0);
+                    (slo + lo, shi + lo)
+                } else {
+                    (0, 0)
+                };
+                self.removal_at[o.index()] = Some((at, span));
+                self.touched.push(o);
+                (at, span)
+            }
+        };
+        (&self.slab[at..at + span.1 - span.0], span)
+    }
+
+    /// Marks `o` as scored as a single-op candidate; `true` if it already
+    /// was.
+    fn seen_single(&mut self, o: OpId) -> bool {
+        let seen = std::mem::replace(&mut self.single_seen[o.index()], true);
+        if !seen {
+            self.touched.push(o);
+        }
+        seen
+    }
+
+    /// Forgets every entry.
+    fn retire(&mut self) {
+        for o in self.touched.drain(..) {
+            self.removal_at[o.index()] = None;
+            self.single_seen[o.index()] = false;
+        }
+        self.slab.clear();
+    }
+}
 
 /// Union of two half-open spans, treating empty spans as neutral.
 fn span_union(a: (usize, usize), b: (usize, usize)) -> (usize, usize) {
@@ -544,6 +655,8 @@ struct EvalScratch<'f> {
     /// one, `0` for "not built yet" — a direct-indexed lookup so the hot
     /// loop never scans.
     plan_idx: Vec<u32>,
+    /// Boundary table buffers of dropped plans, reused by new ones.
+    spare_tables: Vec<(Vec<f64>, Vec<f64>)>,
 }
 
 /// Candidate-independent inputs of one `(block, type)` force term,
@@ -577,7 +690,7 @@ struct GlobalPlan<'f> {
     /// trigger for `tables`.
     uses: u32,
     /// Prefix/suffix boundary tables of the committed distribution
-    /// ([`crate::kernel::modulo_boundary_max_tables`]), built once a pair
+    /// ([`crate::kernel::modulo_boundary_max_tables_into`]), built once a pair
     /// proves hot (3rd use): they turn the fused fold from a full scan
     /// into a span scan, which only pays off when the build cost is
     /// amortized over many candidates. Either fold variant is bitwise
@@ -586,6 +699,17 @@ struct GlobalPlan<'f> {
 }
 
 impl<'f> EvalScratch<'f> {
+    /// Drops every plan, keeping the slot scratch and the plans' boundary
+    /// table buffers for the next block's plans.
+    fn reset(&mut self) {
+        for plan in self.plans.drain(..) {
+            if let Some(tables) = plan.global.and_then(|g| g.tables) {
+                self.spare_tables.push(tables);
+            }
+        }
+        self.plan_idx.fill(0);
+    }
+
     /// Position of the plan of `(block, rtype)` in `self.plans`, computed
     /// on first use and shared afterwards. Returns an index rather than a
     /// reference so callers can borrow `gdelta` alongside.
@@ -648,15 +772,38 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
     /// and the sibling slot-max profiles — which depend only on committed
     /// state, not on the candidate — are computed once per `(block, type)`
     /// and shared across the whole batch.
+    ///
+    /// Every shared intermediate belongs to one `(block, type)` pair or one
+    /// op, and implied changes never leave the block of the op they start
+    /// from, so the intermediates are dropped whenever the block of the
+    /// candidates changes. The engine sweeps a block's candidates back to
+    /// back, so this loses no reuse and holds one block's worth of tables
+    /// at a time. (Dropping a cache never changes a value, only what is
+    /// recomputed.)
+    ///
+    /// The batch's buffers are taken from (and returned to) this thread's
+    /// [`KEPT_BUFS`], so a sweep that scores a batch every iteration stops
+    /// allocating once the buffers have grown to fit.
     fn force_batch(&self, frames: &FrameTable, candidates: &[&[(OpId, TimeFrame)]]) -> Vec<f64> {
-        let mut scratch = EvalScratch::default();
-        let mut state = DeltaBufs {
-            cache_removals: true,
-            ..DeltaBufs::default()
+        let kept = KEPT_BUFS.take().unwrap_or_default();
+        let mut state = kept.state;
+        state.prepare(self.op_meta.len());
+        let mut scratch = EvalScratch {
+            gdelta: kept.gdelta,
+            plans: Vec::new(),
+            plan_idx: kept.plan_idx,
+            spare_tables: kept.spare_tables,
         };
-        candidates
+        let mut block = None;
+        let forces = candidates
             .iter()
             .map(|changed| {
+                let first = changed.first().map(|&(o, _)| self.op_meta[o.index()].0);
+                if first != block {
+                    scratch.reset();
+                    state.retire_ops();
+                    block = first;
+                }
                 if let [(o, nf)] = **changed {
                     if let Some(f) =
                         self.force_single_fast(&self.field, o, nf, frames, &mut state, &mut scratch)
@@ -667,7 +814,16 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
                 self.deltas_into(frames, changed, &mut state);
                 self.force_from_deltas(&self.field, &state, &mut scratch)
             })
-            .collect()
+            .collect();
+        scratch.reset();
+        state.retire_ops();
+        KEPT_BUFS.set(Some(KeptBufs {
+            state,
+            gdelta: scratch.gdelta,
+            plan_idx: scratch.plan_idx,
+            spare_tables: scratch.spare_tables,
+        }));
+        forces
     }
 
     fn commit(&mut self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) {

@@ -94,9 +94,10 @@ pub fn modulo_max_delta_into(dist: &[f64], delta: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Prefix/suffix modulo-max tables of `dist`: row `j` of `pre` holds the
-/// zero-seeded per-slot maximum over `t < j`, row `j` of `suf` over
-/// `t >= j` (rows are `period` wide, `dist.len() + 1` rows each).
+/// Prefix/suffix modulo-max tables of `dist`, into reused buffers (resized
+/// to fit): row `j` of `pre` holds the zero-seeded per-slot maximum over
+/// `t < j`, row `j` of `suf` over `t >= j` (rows are `period` wide,
+/// `dist.len() + 1` rows each).
 ///
 /// With the tables, the fused fold of a delta that is zero outside
 /// `[lo, hi)` only has to scan the span:
@@ -108,10 +109,16 @@ pub fn modulo_max_delta_into(dist: &[f64], delta: &[f64], out: &mut [f64]) {
 /// # Panics
 ///
 /// Panics if `period` is zero.
-pub fn modulo_boundary_max_tables(dist: &[f64], period: usize) -> (Vec<f64>, Vec<f64>) {
+pub fn modulo_boundary_max_tables_into(
+    dist: &[f64],
+    period: usize,
+    pre: &mut Vec<f64>,
+    suf: &mut Vec<f64>,
+) {
     assert!(period > 0, "period must be at least 1");
     let rows = dist.len() + 1;
-    let mut pre = vec![0.0f64; rows * period];
+    pre.clear();
+    pre.resize(rows * period, 0.0);
     for (j, &v) in dist.iter().enumerate() {
         let (prev, cur) = pre.split_at_mut((j + 1) * period);
         let prev = &prev[j * period..];
@@ -119,7 +126,8 @@ pub fn modulo_boundary_max_tables(dist: &[f64], period: usize) -> (Vec<f64>, Vec
         let slot = j % period;
         cur[slot] = cur[slot].max(v);
     }
-    let mut suf = vec![0.0f64; rows * period];
+    suf.clear();
+    suf.resize(rows * period, 0.0);
     for (j, &v) in dist.iter().enumerate().rev() {
         let (cur, next) = suf.split_at_mut((j + 1) * period);
         let cur = &mut cur[j * period..];
@@ -127,13 +135,12 @@ pub fn modulo_boundary_max_tables(dist: &[f64], period: usize) -> (Vec<f64>, Vec
         let slot = j % period;
         cur[slot] = cur[slot].max(v);
     }
-    (pre, suf)
 }
 
 /// Span-limited fused fold: [`modulo_max_delta_into`] over
 /// `dist + delta` where `delta` (starting at time `start`) is the only
 /// non-zero stretch, with everything outside the span taken from the
-/// [`modulo_boundary_max_tables`] of `dist`. Bitwise identical to the
+/// [`modulo_boundary_max_tables_into`] of `dist`. Bitwise identical to the
 /// full fused fold — same per-slot value multisets, and the zero-seeded
 /// max is order-insensitive over never-`NaN`/`-0.0` profiles.
 ///

@@ -30,18 +30,29 @@
 //! # Parallel evaluation
 //!
 //! The candidate sweep of one iteration splits into three passes: a
-//! sequential cache consultation, a (possibly parallel) evaluation of the
-//! missing force pairs, and a sequential selection fold in scope order.
-//! [`ForceEvaluator::force`] takes `&self`, so pass 2 may compute pairs in
-//! any order on any thread and still produce bit-identical values; the
-//! epsilon tie-break of the selection (`diff > best + 1e-12`) is
-//! *non-associative*, which is why pass 3 stays a sequential index-ordered
-//! fold. The schedule is therefore bit-identical at every thread count —
-//! the determinism suite and the `run_naive` oracle pin this down.
+//! sequential cache consultation, an evaluation of the missing force
+//! pairs, and a sequential selection fold in scope order. Pass 2 has one
+//! path at every thread count: the pending pairs are cut into contiguous
+//! chunks and each chunk is scored by one [`ForceEvaluator::force_batch`]
+//! call — a single chunk inline at one thread, one chunk per pool thread
+//! when the sweep is large enough. `force_batch` takes `&self` and returns
+//! per candidate exactly what a lone `force` call would, so the chunking
+//! never changes a value; the epsilon tie-break of the selection
+//! (`diff > best + 1e-12`) is *non-associative*, which is why pass 3 stays
+//! a sequential index-ordered fold. The schedule is therefore bit-identical
+//! at every thread count — the determinism suite and the `run_naive`
+//! oracle pin this down.
+//!
+//! # Implied changes
+//!
+//! Every candidate pins an op to one end of its frame, and the force prices
+//! the frame changes that pin implies for the op's ancestors or
+//! descendants. [`narrowing_changes`] computes them by walking only the
+//! ops the pin reaches, instead of re-solving the whole block.
 
 use std::time::{Duration, Instant};
 
-use tcms_ir::frames::constrained_frames;
+use tcms_ir::frames::{narrowing_changes, narrowing_changes_into};
 use tcms_ir::{BlockId, FrameTable, OpId, System, TimeFrame};
 use tcms_obs::{span, NoopRecorder, Recorder, TimelinePoint};
 
@@ -66,12 +77,14 @@ pub struct IfdsStats {
     /// was enabled (stamp moved). `ops_evaluated - cache_misses` pairs were
     /// computed with caching unavailable or disabled.
     pub cache_misses: u64,
-    /// Candidate force pairs evaluated inside a parallel fan-out (a subset
-    /// of `ops_evaluated`; the rest ran inline on the calling thread).
+    /// Candidate force pairs evaluated in sweeps split over several pool
+    /// threads (a subset of `batched_evals`; the rest ran inline on the
+    /// calling thread).
     pub parallel_evals: u64,
     /// Candidate force pairs evaluated through the evaluator's batched
     /// entry point ([`ForceEvaluator::force_batch`]) instead of one
-    /// `force` call per placement. A subset of `ops_evaluated`.
+    /// `force` call per placement. Equal to `ops_evaluated` except in the
+    /// scalar oracle run, where it is 0.
     pub batched_evals: u64,
     /// Wall time spent in the candidate-evaluation phase.
     pub eval_time: Duration,
@@ -161,6 +174,19 @@ enum CandSource {
 /// incremental cache is on.
 type PendingEval = (OpId, TimeFrame, Option<(u64, u64)>);
 
+/// Buffers of one sweep chunk: the placements it scores, their change
+/// sets back to back (`ends[i]` closes the i-th), and the resulting force
+/// pairs. Kept across iterations, so once they fit the first (largest)
+/// sweep the candidate sweep stops reallocating them — allocating them
+/// afresh every iteration left the threads' heaps fragmented.
+#[derive(Default)]
+struct ChunkBufs {
+    placements: Vec<(OpId, u32)>,
+    changes: Vec<(OpId, TimeFrame)>,
+    ends: Vec<usize>,
+    forces: Vec<(f64, f64)>,
+}
+
 /// Improved-FDS scheduling engine over a set of blocks.
 pub struct IfdsEngine<'a> {
     system: &'a System,
@@ -203,31 +229,16 @@ impl<'a> IfdsEngine<'a> {
     }
 
     /// Frame changes implied by constraining `op` to `frame`, including
-    /// `op` itself. Only actually-changing frames are listed.
+    /// `op` itself. Only actually-changing frames are listed, in the
+    /// block's topological order; only the ops the change reaches are
+    /// visited (see [`narrowing_changes`]).
     ///
     /// # Panics
     ///
     /// Panics if `frame` is not a sub-range of `op`'s current frame (such a
     /// pin could be infeasible).
     pub fn implied_changes(&self, op: OpId, frame: TimeFrame) -> Vec<(OpId, TimeFrame)> {
-        let current = self.frames.get(op);
-        assert!(
-            current.intersect(frame) == Some(frame),
-            "pinned frame must be within the current frame"
-        );
-        let block = self.system.op(op).block();
-        let solved = constrained_frames(self.system, block, |q| {
-            if q == op {
-                frame
-            } else {
-                self.frames.get(q)
-            }
-        })
-        .expect("pinning inside a consistent frame stays feasible");
-        solved
-            .into_iter()
-            .filter(|&(q, f)| f != self.frames.get(q))
-            .collect()
+        narrowing_changes(self.system, &self.frames, op, frame)
     }
 
     /// Applies committed frame changes to the engine's table. Drivers that
@@ -239,26 +250,68 @@ impl<'a> IfdsEngine<'a> {
         }
     }
 
-    /// Force of tentatively placing `op` at start time `t`.
-    pub fn placement_force<E: ForceEvaluator>(&self, eval: &E, op: OpId, t: u32) -> f64 {
-        let changes = self.implied_changes(op, TimeFrame::new(t, t));
-        eval.force(&self.frames, &changes)
-    }
-
-    /// Forces of the two extreme placements of `op` in frame `fr`,
-    /// evaluated as one batch so the evaluator can share state-dependent
-    /// intermediates between them. Bit-identical to two
-    /// [`IfdsEngine::placement_force`] calls.
-    pub fn placement_force_pair<E: ForceEvaluator>(
+    /// Forces of placing each `(op, t)` at its start time, scored in one
+    /// [`ForceEvaluator::force_batch`] call against the current frames.
+    pub fn placement_forces<E: ForceEvaluator>(
         &self,
         eval: &E,
-        op: OpId,
-        fr: TimeFrame,
-    ) -> (f64, f64) {
-        let lo = self.implied_changes(op, TimeFrame::new(fr.asap, fr.asap));
-        let hi = self.implied_changes(op, TimeFrame::new(fr.alap, fr.alap));
-        let f = eval.force_batch(&self.frames, &[&lo, &hi]);
-        (f[0], f[1])
+        placements: &[(OpId, u32)],
+    ) -> Vec<f64> {
+        let mut bufs = ChunkBufs::default();
+        bufs.placements.extend_from_slice(placements);
+        self.score(eval, &mut bufs)
+    }
+
+    /// Scores `bufs.placements` through one [`ForceEvaluator::force_batch`]
+    /// call, collecting their change sets back to back in `bufs`.
+    fn score<E: ForceEvaluator>(&self, eval: &E, bufs: &mut ChunkBufs) -> Vec<f64> {
+        bufs.changes.clear();
+        bufs.ends.clear();
+        for &(o, t) in &bufs.placements {
+            let pin = TimeFrame::new(t, t);
+            narrowing_changes_into(self.system, &self.frames, o, pin, &mut bufs.changes);
+            bufs.ends.push(bufs.changes.len());
+        }
+        let views: Vec<&[(OpId, TimeFrame)]> = bufs
+            .ends
+            .iter()
+            .scan(0, |start, &end| {
+                Some(&bufs.changes[std::mem::replace(start, end)..end])
+            })
+            .collect();
+        eval.force_batch(&self.frames, &views)
+    }
+
+    /// Forces of the two extreme placements `(f_lo, f_hi)` of every
+    /// pending candidate, into `forces`: one batch per contiguous chunk of
+    /// `pending`, chunk `c` scored with `bufs[c]`. One chunk runs inline on
+    /// the calling thread; more run one per pool thread.
+    /// [`ForceEvaluator::force_batch`] returns what a lone `force` call
+    /// would for every candidate whatever the batch holds, so the chunking
+    /// never changes a value.
+    fn pair_forces<E: ForceEvaluator + Sync>(
+        &self,
+        eval: &E,
+        pending: &[PendingEval],
+        bufs: &mut [ChunkBufs],
+        forces: &mut Vec<(f64, f64)>,
+    ) {
+        let per = pending.len().div_ceil(bufs.len()).max(1);
+        let chunks = pending.len().div_ceil(per);
+        rayon::par_chunks_mut(&mut bufs[..chunks], 1, |c, b| {
+            let b = &mut b[0];
+            b.placements.clear();
+            for &(o, fr, _) in &pending[c * per..pending.len().min((c + 1) * per)] {
+                b.placements.extend([(o, fr.asap), (o, fr.alap)]);
+            }
+            let f = self.score(eval, b);
+            b.forces.clear();
+            b.forces.extend(f.chunks_exact(2).map(|p| (p[0], p[1])));
+        });
+        forces.clear();
+        for b in &bufs[..chunks] {
+            forces.extend_from_slice(&b.forces);
+        }
     }
 
     /// Runs gradual time-frame reduction to completion and extracts the
@@ -294,11 +347,12 @@ impl<'a> IfdsEngine<'a> {
         self.run_impl(eval, true, true, rec)
     }
 
-    /// Reference run without the candidate-force cache and without batched
-    /// evaluation: every candidate placement is re-evaluated with its own
-    /// [`ForceEvaluator::force`] call each iteration, exactly like the
-    /// pre-incremental engine. Kept as the equivalence oracle for tests
-    /// and benches — matching it pins both the cache and the batched path.
+    /// Reference run without the candidate-force cache, without batched
+    /// evaluation and without parallelism: every candidate placement is
+    /// re-evaluated inline with its own [`ForceEvaluator::force`] call each
+    /// iteration, exactly like the pre-incremental engine. Kept as the
+    /// equivalence oracle for tests and benches — matching it pins the
+    /// cache, the batched sweep and its chunking in one comparison.
     ///
     /// # Errors
     ///
@@ -338,10 +392,12 @@ impl<'a> IfdsEngine<'a> {
         let _reduce_span = span!(rec, "ifds.reduce", ops = self.scope_ops.len());
         let mut stats = IfdsStats::default();
         // Thread count is resolved once per run; 1 keeps the whole sweep
-        // inline. Fanning out fewer pairs than this is slower than just
-        // computing them (a broadcast costs a few microseconds).
+        // inline. A chunk gets at least this many pairs: handing a thread
+        // fewer is slower than computing them on the caller (a broadcast
+        // costs a few microseconds, and each chunk rebuilds the
+        // evaluator's batch-wide intermediates).
         let threads = rayon::current_num_threads();
-        const PAR_MIN_PAIRS: usize = 4;
+        const PAR_MIN_PAIRS: usize = 16;
         if rec.enabled() {
             rec.gauge_set("ifds.threads", threads as f64);
         }
@@ -363,6 +419,8 @@ impl<'a> IfdsEngine<'a> {
         // cache is on).
         let mut cands: Vec<(OpId, CandSource)> = Vec::new();
         let mut to_eval: Vec<PendingEval> = Vec::new();
+        let mut forces: Vec<(f64, f64)> = Vec::new();
+        let mut chunk_bufs: Vec<ChunkBufs> = (0..threads).map(|_| ChunkBufs::default()).collect();
         let mut iterations = 0;
         let watchdog_armed = !self.budget.is_unlimited();
         loop {
@@ -444,63 +502,30 @@ impl<'a> IfdsEngine<'a> {
                 };
                 cands.push((o, src));
             }
-            // Pass 2: compute the missing pairs — on the worker pool when
-            // there is one and the batch is worth the fan-out. `force` is
-            // a pure `&self` read of the evaluator, so computing pairs out
-            // of order yields bit-identical values; only the *fold* order
-            // below matters for the tie-break.
-            let forces: Vec<(f64, f64)> = if threads > 1 && to_eval.len() >= PAR_MIN_PAIRS {
-                stats.parallel_evals += to_eval.len() as u64;
-                if use_batch {
-                    stats.batched_evals += to_eval.len() as u64;
-                }
-                let eval_ref: &E = eval;
-                let batch = &to_eval;
-                let this = &self;
-                rayon::par_map_indexed(batch.len(), |j| {
-                    let (o, fr, _) = batch[j];
-                    if use_batch {
-                        // Workers batch per pair: the two extreme
-                        // placements share the evaluator's candidate-
-                        // independent intermediates.
-                        this.placement_force_pair(eval_ref, o, fr)
-                    } else {
-                        (
-                            this.placement_force(eval_ref, o, fr.asap),
-                            this.placement_force(eval_ref, o, fr.alap),
-                        )
-                    }
-                })
-            } else if use_batch && !to_eval.is_empty() {
-                // Sequential batched sweep: score every extreme placement
-                // of the iteration in one `force_batch` call, so the
-                // evaluator shares candidate-independent intermediates
-                // (delta scratch, sibling profiles) across the whole sweep.
+            // Pass 2: compute the missing pairs. Production runs score them
+            // through `force_batch`, so the evaluator shares candidate-
+            // independent intermediates (delta scratch, sibling profiles,
+            // per-op removal tables) across a whole chunk: one chunk at one
+            // thread, one chunk per thread when the sweep is big enough to
+            // pay for the fan-out. Only the *fold* order below matters for
+            // the tie-break, and it does not depend on the chunking.
+            if use_batch {
+                let chunks = threads.min(to_eval.len() / PAR_MIN_PAIRS).max(1);
                 stats.batched_evals += to_eval.len() as u64;
-                let changesets: Vec<Vec<(OpId, TimeFrame)>> = to_eval
-                    .iter()
-                    .flat_map(|&(o, fr, _)| {
-                        [
-                            self.implied_changes(o, TimeFrame::new(fr.asap, fr.asap)),
-                            self.implied_changes(o, TimeFrame::new(fr.alap, fr.alap)),
-                        ]
-                    })
-                    .collect();
-                let views: Vec<&[(OpId, TimeFrame)]> =
-                    changesets.iter().map(|c| c.as_slice()).collect();
-                let flat = eval.force_batch(&self.frames, &views);
-                flat.chunks_exact(2).map(|c| (c[0], c[1])).collect()
+                if chunks > 1 {
+                    stats.parallel_evals += to_eval.len() as u64;
+                }
+                self.pair_forces(&*eval, &to_eval, &mut chunk_bufs[..chunks], &mut forces);
             } else {
-                to_eval
-                    .iter()
-                    .map(|&(o, fr, _)| {
-                        (
-                            self.placement_force(eval, o, fr.asap),
-                            self.placement_force(eval, o, fr.alap),
-                        )
-                    })
-                    .collect()
-            };
+                // The oracle: one scalar `force` per placement, inline.
+                forces.clear();
+                forces.extend(to_eval.iter().map(|&(o, fr, _)| {
+                    let at = |t| {
+                        eval.force(&self.frames, &self.implied_changes(o, TimeFrame::new(t, t)))
+                    };
+                    (at(fr.asap), at(fr.alap))
+                }));
+            }
             // Pass 3 (sequential, scope order): cache write-back and the
             // selection fold. The epsilon tie-break is non-associative, so
             // this fold must run in scope order on one thread — that is
@@ -726,6 +751,38 @@ mod tests {
             "the oracle run must stay on the scalar force path"
         );
         assert!(cached.stats.ops_evaluated < naive.stats.ops_evaluated);
+    }
+
+    #[test]
+    fn chunked_sweep_is_bit_identical_at_every_thread_count() {
+        let (lib, types) = paper_library();
+        let mut b = SystemBuilder::new(lib);
+        let (_, b1) = add_ewf_process(&mut b, "P1", 20, types).unwrap();
+        let (_, b2) = add_ewf_process(&mut b, "P2", 22, types).unwrap();
+        let sys = b.build().unwrap();
+        let scope = vec![b1, b2];
+        let run = |threads| {
+            rayon::set_num_threads(threads);
+            let mut eval = ClassicEvaluator::new(&sys, &scope, FdsConfig::default());
+            let out = IfdsEngine::new(&sys, scope.clone()).run(&mut eval).unwrap();
+            rayon::set_num_threads(0);
+            out
+        };
+        let reference = run(1);
+        assert_eq!(
+            reference.stats.parallel_evals, 0,
+            "one thread never fans out"
+        );
+        for threads in [2, 3, 4] {
+            let out = run(threads);
+            assert_eq!(out, reference, "threads = {threads}");
+            assert_eq!(out.schedule.starts(), reference.schedule.starts());
+            assert!(
+                out.stats.parallel_evals > 0,
+                "threads = {threads}: the 68-op sweep must be split over the pool"
+            );
+            assert_eq!(out.stats.batched_evals, out.stats.ops_evaluated);
+        }
     }
 
     #[test]

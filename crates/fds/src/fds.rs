@@ -38,19 +38,23 @@ impl FdsDriver<'_> {
         let ops: Vec<_> = self.system.block(self.block).ops().to_vec();
         let mut iterations = 0;
         let mut ops_evaluated = 0;
+        let mut placements = Vec::new();
         loop {
-            let mut best: Option<(f64, tcms_ir::OpId, u32)> = None;
+            // Every feasible placement of every unfixed op, scored as one
+            // batch, then folded in the same order.
+            placements.clear();
             for &o in &ops {
                 let fr = self.inner.frames().get(o);
-                if fr.is_fixed() {
-                    continue;
+                if !fr.is_fixed() {
+                    placements.extend((fr.asap..=fr.alap).map(|t| (o, t)));
                 }
-                for t in fr.asap..=fr.alap {
-                    ops_evaluated += 1;
-                    let f = self.inner.placement_force(eval, o, t);
-                    if best.as_ref().is_none_or(|b| f < b.0 - 1e-12) {
-                        best = Some((f, o, t));
-                    }
+            }
+            ops_evaluated += placements.len() as u64;
+            let forces = self.inner.placement_forces(eval, &placements);
+            let mut best: Option<(f64, tcms_ir::OpId, u32)> = None;
+            for (&(o, t), &f) in placements.iter().zip(&forces) {
+                if best.as_ref().is_none_or(|b| f < b.0 - 1e-12) {
+                    best = Some((f, o, t));
                 }
             }
             let Some((_, o, t)) = best else { break };

@@ -3,7 +3,8 @@
 //! A *time frame* is the inclusive range of start times an operation may
 //! still take. Force-directed schedulers work by gradually shrinking frames;
 //! every shrink is propagated through the precedence constraints with
-//! [`constrained_frames`].
+//! [`narrowing_changes`], which visits only the ops the shrink reaches.
+//! [`constrained_frames`] re-solves a whole block from arbitrary bounds.
 
 use crate::block::BlockId;
 use crate::op::OpId;
@@ -205,6 +206,130 @@ impl FrameTable {
     }
 }
 
+/// Frame changes implied by narrowing `op` to `frame` on top of the
+/// precedence-consistent table `frames`, including `op` itself. Only
+/// frames that actually change are listed, in the topological order of
+/// `op`'s block.
+///
+/// The result equals [`constrained_frames`] run with `op` bounded by
+/// `frame` and every other op by its current frame, filtered to the
+/// changed entries — but only the ops the narrowing reaches are visited.
+/// Raising `op`'s earliest start can only raise the earliest starts of
+/// its descendants, and lowering its latest start can only lower the
+/// latest starts of its ancestors; each walk stops at the ops whose frame
+/// absorbs the change. Ops are relaxed in topological order (forward) or
+/// its reverse (backward), so each one is settled before it propagates,
+/// exactly like one pass of [`constrained_frames`].
+///
+/// `frames` must be a fixpoint of [`constrained_frames`], which
+/// [`FrameTable::initial`] is and every update made of these changes
+/// keeps.
+///
+/// # Panics
+///
+/// Panics if `frame` is not a sub-range of `op`'s current frame (such a
+/// narrowing could be infeasible).
+pub fn narrowing_changes(
+    system: &System,
+    frames: &FrameTable,
+    op: OpId,
+    frame: TimeFrame,
+) -> Vec<(OpId, TimeFrame)> {
+    let mut changes = Vec::new();
+    narrowing_changes_into(system, frames, op, frame, &mut changes);
+    changes
+}
+
+/// [`narrowing_changes`] appended to `out` (entries already in `out` are
+/// kept and ignored), so callers collecting many change sets can keep
+/// them in one buffer.
+///
+/// # Panics
+///
+/// Same as [`narrowing_changes`].
+pub fn narrowing_changes_into(
+    system: &System,
+    frames: &FrameTable,
+    op: OpId,
+    frame: TimeFrame,
+    out: &mut Vec<(OpId, TimeFrame)>,
+) {
+    let current = frames.get(op);
+    assert!(
+        current.intersect(frame) == Some(frame),
+        "pinned frame must be within the current frame"
+    );
+    if frame == current {
+        return;
+    }
+    let start = out.len();
+    out.push((op, frame));
+    let mut pending = Vec::new();
+    if frame.asap > current.asap {
+        pending.push(op);
+        while let Some(q) = pop_extreme(system, &mut pending, true) {
+            let earliest = frame_in(frames, &out[start..], q).asap + system.delay(q);
+            for &s in system.succs(q) {
+                let f = frame_in(frames, &out[start..], s);
+                if earliest > f.asap {
+                    set_in(out, start, s, TimeFrame::new(earliest, f.alap));
+                    if !pending.contains(&s) {
+                        pending.push(s);
+                    }
+                }
+            }
+        }
+    }
+    if frame.alap < current.alap {
+        pending.push(op);
+        while let Some(q) = pop_extreme(system, &mut pending, false) {
+            let bound = frame_in(frames, &out[start..], q).alap;
+            for &p in system.preds(q) {
+                let f = frame_in(frames, &out[start..], p);
+                let latest = bound
+                    .checked_sub(system.delay(p))
+                    .expect("narrowing a consistent frame stays feasible");
+                if latest < f.alap {
+                    set_in(out, start, p, TimeFrame::new(f.asap, latest));
+                    if !pending.contains(&p) {
+                        pending.push(p);
+                    }
+                }
+            }
+        }
+    }
+    out[start..].sort_unstable_by_key(|&(q, _)| system.topo_position(q));
+}
+
+/// The frame of `q` with the changes collected so far applied.
+fn frame_in(frames: &FrameTable, changes: &[(OpId, TimeFrame)], q: OpId) -> TimeFrame {
+    changes
+        .iter()
+        .find(|c| c.0 == q)
+        .map_or_else(|| frames.get(q), |c| c.1)
+}
+
+/// Records `q`'s new frame in the changes `out[start..]`, replacing an
+/// earlier change of `q`.
+fn set_in(out: &mut Vec<(OpId, TimeFrame)>, start: usize, q: OpId, f: TimeFrame) {
+    match out[start..].iter_mut().find(|c| c.0 == q) {
+        Some(c) => c.1 = f,
+        None => out.push((q, f)),
+    }
+}
+
+/// Removes and returns the pending op first (`earliest`) or last in
+/// topological order.
+fn pop_extreme(system: &System, pending: &mut Vec<OpId>, earliest: bool) -> Option<OpId> {
+    let key = |q: &OpId| system.topo_position(*q);
+    let at = if earliest {
+        (0..pending.len()).min_by_key(|&i| key(&pending[i]))?
+    } else {
+        (0..pending.len()).max_by_key(|&i| key(&pending[i]))?
+    };
+    Some(pending.swap_remove(at))
+}
+
 /// Recomputes consistent frames for all operations of `block`, treating
 /// `bounds(op)` as hard start-time bounds.
 ///
@@ -331,6 +456,52 @@ mod tests {
         assert_eq!(find(ops[1]), TimeFrame::new(5, 5));
         assert_eq!(find(ops[2]), TimeFrame::new(7, 7));
         assert_eq!(find(ops[3]), TimeFrame::new(0, 7));
+    }
+
+    /// `narrowing_changes` against `constrained_frames` + filter for every
+    /// narrowing of every op of the chain system, order included.
+    #[test]
+    fn narrowing_matches_full_propagation() {
+        let (sys, blk, ops) = chain_system();
+        let ft = FrameTable::initial(&sys);
+        for &o in &ops {
+            let cur = ft.get(o);
+            for asap in cur.asap..=cur.alap {
+                for alap in asap..=cur.alap {
+                    let nf = TimeFrame::new(asap, alap);
+                    let full: Vec<_> =
+                        constrained_frames(&sys, blk, |q| if q == o { nf } else { ft.get(q) })
+                            .unwrap()
+                            .into_iter()
+                            .filter(|&(q, f)| f != ft.get(q))
+                            .collect();
+                    assert_eq!(narrowing_changes(&sys, &ft, o, nf), full, "{o:?} -> {nf:?}");
+                }
+            }
+        }
+        // Pinning m late pushes c; pinning it early pulls a.
+        assert_eq!(
+            narrowing_changes(&sys, &ft, ops[1], TimeFrame::new(5, 5)),
+            vec![
+                (ops[1], TimeFrame::new(5, 5)),
+                (ops[2], TimeFrame::new(7, 7))
+            ]
+        );
+        assert_eq!(
+            narrowing_changes(&sys, &ft, ops[1], TimeFrame::new(1, 1)),
+            vec![
+                (ops[0], TimeFrame::new(0, 0)),
+                (ops[1], TimeFrame::new(1, 1))
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "within the current frame")]
+    fn narrowing_outside_frame_panics() {
+        let (sys, _, ops) = chain_system();
+        let ft = FrameTable::initial(&sys);
+        let _ = narrowing_changes(&sys, &ft, ops[0], TimeFrame::new(5, 5));
     }
 
     #[test]

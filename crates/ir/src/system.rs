@@ -25,6 +25,8 @@ pub struct System {
     /// Per-block topological orders, precomputed at build time (the
     /// system is immutable and schedulers request them on hot paths).
     topo: Vec<Vec<OpId>>,
+    /// `topo_pos[op]`: position of `op` in its block's topological order.
+    topo_pos: Vec<u32>,
 }
 
 impl System {
@@ -141,6 +143,13 @@ impl System {
         &self.topo[block.index()]
     }
 
+    /// Position of `op` in [`System::topo_order`] of its block: every
+    /// predecessor of `op` has a smaller position, every successor a
+    /// larger one.
+    pub fn topo_position(&self, op: OpId) -> usize {
+        self.topo_pos[op.index()] as usize
+    }
+
     /// Length of the longest dependency chain of `block` in control steps
     /// (the minimum feasible time range).
     pub fn critical_path(&self, block: BlockId) -> u32 {
@@ -163,7 +172,14 @@ impl System {
                 })?;
             topo.push(order);
         }
+        let mut topo_pos = vec![0; self.ops.len()];
+        for order in &topo {
+            for (pos, o) in order.iter().enumerate() {
+                topo_pos[o.index()] = pos as u32;
+            }
+        }
         self.topo = topo;
+        self.topo_pos = topo_pos;
         Ok(())
     }
 
@@ -469,6 +485,7 @@ impl SystemBuilder {
             succs: self.succs,
             preds: self.preds,
             topo: Vec::new(),
+            topo_pos: Vec::new(),
         };
         sys.compute_topo_orders()?;
         for (bid, block) in sys.blocks() {

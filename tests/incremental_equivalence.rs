@@ -5,7 +5,9 @@
 //! Three layers are pinned down, mirroring the refactor:
 //!
 //! 1. `DistributionSet::apply_op_change` sequences vs a from-scratch
-//!    `DistributionSet::build` of the final frame table.
+//!    `DistributionSet::build` of the final frame table, and the
+//!    affected-ops walk of `narrowing_changes` vs re-solving the whole
+//!    block with `constrained_frames`.
 //! 2. Incremental `force()` vs `force_naive()` for both the classic
 //!    per-block evaluator and the modulo evaluator, after arbitrary
 //!    commit sequences on random systems.
@@ -109,6 +111,50 @@ proptest! {
                         block.name()
                     );
                 }
+            }
+        }
+    }
+
+    /// Layer 1b: implied-change propagation that walks only the ops a
+    /// narrowing reaches lists exactly what re-solving the whole block
+    /// with `constrained_frames` changes, in the same (topological) order
+    /// — the order fixes the summation order of the force, so it must
+    /// match too. Checked after random commit sequences, for every op,
+    /// pinned at both frame ends and shrunk by one step on either side.
+    #[test]
+    fn narrowing_changes_match_full_block_propagation(
+        seed in 0u64..500,
+        shrinks in prop::collection::vec((0usize..64, 0u32..4), 0..12),
+    ) {
+        let config = RandomSystemConfig { blocks_per_process: 2, ..small_config() };
+        let (system, _) = random_system(&config, seed).unwrap();
+        let mut frames = FrameTable::initial(&system);
+        for (op_pick, side) in shrinks {
+            for (q, f) in random_shrink(&system, &frames, op_pick, side) {
+                frames.set(q, f);
+            }
+        }
+        for o in system.op_ids() {
+            let fr = frames.get(o);
+            let mut narrowings = vec![
+                TimeFrame::new(fr.asap, fr.asap),
+                TimeFrame::new(fr.alap, fr.alap),
+            ];
+            if !fr.is_fixed() {
+                narrowings.push(TimeFrame::new(fr.asap + 1, fr.alap));
+                narrowings.push(TimeFrame::new(fr.asap, fr.alap - 1));
+            }
+            for nf in narrowings {
+                let block = system.op(o).block();
+                let full: Vec<_> = tcms::ir::frames::constrained_frames(&system, block, |q| {
+                    if q == o { nf } else { frames.get(q) }
+                })
+                .expect("narrowing a consistent frame stays feasible")
+                .into_iter()
+                .filter(|&(q, f)| f != frames.get(q))
+                .collect();
+                let walked = tcms::ir::frames::narrowing_changes(&system, &frames, o, nf);
+                prop_assert_eq!(walked, full, "seed {}: {:?} -> {:?}", seed, o, nf);
             }
         }
     }
