@@ -99,7 +99,7 @@ fn run_seed(seed: u64, requests_per_client: usize) -> (Tally, BTreeMap<String, J
     .expect("daemon starts");
     let upstream = server.local_addr();
     let proxy =
-        tcms_serve::ChaosProxy::start(upstream, NetFaultPlan::moderate(seed)).expect("proxy");
+        tcms_bench::ChaosProxy::start(upstream, NetFaultPlan::moderate(seed)).expect("proxy");
     let proxy_addr = proxy.local_addr();
 
     // Workload: two clean designs plus one carrying the panic marker

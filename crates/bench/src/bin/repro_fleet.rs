@@ -30,12 +30,13 @@ use std::net::TcpListener;
 use std::time::Instant;
 
 use tcms_bench::workload::{draw, make_design, zipf_cdf};
+use tcms_bench::ChaosProxy;
 use tcms_obs::json::{self, JsonValue};
 use tcms_obs::NoopRecorder;
 use tcms_serve::fleet::sync;
 use tcms_serve::{
-    schedule_request, ChaosProxy, Client, ExecContext, FleetConfig, RetryPolicy, ScheduleOptions,
-    ServeClient, ServeConfig, Server, DEFAULT_AUTO_PARTITION_OPS,
+    schedule_request, Client, ExecContext, FleetConfig, RetryPolicy, ScheduleOptions, ServeClient,
+    ServeConfig, Server, DEFAULT_AUTO_PARTITION_OPS,
 };
 use tcms_sim::NetFaultPlan;
 

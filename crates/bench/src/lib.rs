@@ -3,6 +3,9 @@
 //!
 //! * [`experiments`] — reusable runners for Table 1, Figure 1 and Figure 2
 //!   plus the render functions the `repro_*` binaries print,
+//! * [`chaos`] — a seeded in-process TCP fault proxy (resets, latency
+//!   spikes, truncation, mid-write kills) that `repro_chaos` and
+//!   `repro_fleet` put in front of a daemon,
 //! * [`table`] — fixed-width text tables,
 //! * [`workload`] — seeded synthetic request streams (LCG + Zipf) shared
 //!   by the serve-facing benchmarks.
@@ -22,11 +25,13 @@
 //! runtimes the paper reports alongside Table 1, the FDS-vs-IFDS baseline
 //! gap and scaling with system size.
 
+pub mod chaos;
 pub mod experiments;
 pub mod obs;
 pub mod table;
 pub mod workload;
 
+pub use chaos::{ChaosProxy, ChaosStats};
 pub use experiments::{
     paper_spec, render_stats, render_table1, run_figure1, run_figure1_recorded, run_figure2,
     run_figure2_recorded, run_table1, run_table1_recorded, stats_requested, Figure1Data,

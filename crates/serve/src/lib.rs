@@ -24,14 +24,12 @@
 //! * [`journal`] — the append-only workload journal (`--journal-dir`):
 //!   per-request capture off the hot path, crash-tolerant load, the
 //!   substrate for deterministic replay,
-//! * [`server`] — accept loop, bounded queue, worker pool, deadlines
-//!   and backpressure,
+//! * [`server`] — blocking accept loops, one admission path for NDJSON
+//!   and HTTP, bounded queue, worker pool, deadlines and backpressure,
+//!   fleet proxying and sync,
 //! * [`client`] — a blocking, pipelining client (`tcms client`, the
 //!   load generator and the e2e tests) plus [`ServeClient`], the
 //!   retrying wrapper with deterministic jittered backoff,
-//! * [`chaos`] — a seeded in-process TCP fault proxy (resets, latency
-//!   spikes, truncation, mid-write kills) for exercising the failure
-//!   model end to end,
 //! * [`fleet`] — the distributed fleet: consistent-hash routing over a
 //!   static peer list, digest-based snapshot anti-entropy, and the
 //!   hand-rolled HTTP/1.1 front-end,
@@ -44,7 +42,6 @@
 //! build constraint.
 
 pub mod cache;
-pub mod chaos;
 pub mod client;
 pub mod error;
 pub mod fleet;
@@ -56,7 +53,6 @@ pub mod server;
 pub mod stats;
 
 pub use cache::{CacheKey, CacheStatsSnapshot, Disposition, SchedCache, ShardStats};
-pub use chaos::{ChaosProxy, ChaosStats};
 pub use client::{
     retryable_code, retryable_error, Client, RetryPolicy, ServeClient, DEFAULT_CONNECT_TIMEOUT,
 };

@@ -1,11 +1,13 @@
-//! The daemon: TCP accept loop, bounded job queue, worker pool.
+//! The daemon: accept loops, bounded job queue, worker pool.
 //!
 //! # Request lifecycle
 //!
-//! 1. A connection thread reads one NDJSON line and parses it.
-//!    Control actions (`ping`, `stats`, `shutdown`) are answered inline;
-//!    work actions (`schedule`, `simulate`) are pushed onto the bounded
-//!    job queue.
+//! 1. A connection thread reads one request — an NDJSON line, or the
+//!    body of an HTTP `POST /schedule` — and hands it to the one
+//!    admission function both front-ends share (`server/conn.rs`).
+//!    Control actions (`ping`, `stats`, `shutdown`) are answered
+//!    inline; work actions (`schedule`, `simulate`) are pushed onto the
+//!    bounded job queue.
 //! 2. If the queue is full the request is **shed immediately** with a
 //!    typed `overloaded` (429) error — backpressure is explicit, the
 //!    daemon never buffers unboundedly.
@@ -27,21 +29,23 @@
 //! # Fleet mode
 //!
 //! With a [`FleetConfig`], this daemon becomes one node of a
-//! distributed fleet (see [`crate::fleet`]): work requests are routed
-//! by consistent hash of their content address (non-owners proxy the
-//! raw line to the owner and relay the response verbatim, so any node
-//! answers byte-identically), fresh results are pushed to the key's
-//! replica set, and a background anti-entropy loop keeps peer caches
-//! convergent. An optional HTTP/1.1 listener (`http_listen`) serves
-//! the same objects over `POST /schedule`, `GET /stats` and
-//! `GET /healthz`.
+//! distributed fleet (see [`crate::fleet`] and `server/peer.rs`): work
+//! requests are routed by consistent hash of their content address
+//! (non-owners proxy the raw line to the owner and relay the response
+//! verbatim, so any node answers byte-identically), fresh results are
+//! pushed to the key's replica set, and a background anti-entropy loop
+//! keeps peer caches convergent. An optional HTTP/1.1 listener
+//! (`http_listen`) serves the same objects over `POST /schedule`,
+//! `GET /stats` and `GET /healthz`.
+
+mod conn;
+mod peer;
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs as _};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,18 +53,15 @@ use tcms_fds::RunBudget;
 use tcms_obs::json::JsonValue;
 use tcms_obs::{MetricsRegistry, NoopRecorder};
 
-use crate::cache::{CacheKey, Disposition, SchedCache};
+use crate::cache::{Disposition, SchedCache};
 use crate::error::ServeError;
-use crate::fleet::{http, sync, Fleet, FleetConfig, RouteMode};
+use crate::fleet::{Fleet, FleetConfig};
 use crate::journal::{JournalEntry, JournalStats, JournalWriter, DEFAULT_JOURNAL_BUFFER};
 use crate::persist;
-use crate::pipeline::{
-    request_cache_key, schedule_request, simulate_request, ExecContext, ScheduleOptions,
-};
-use crate::protocol::{
-    error_line, output_body, parse_request, parse_response, success_line, Action, Request,
-    RequestId,
-};
+use crate::pipeline::{schedule_request, simulate_request, ExecContext};
+use crate::protocol::{error_line, output_body, success_line, Action, RequestId};
+
+use conn::Responder;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -143,45 +144,6 @@ struct Job {
     raw: Option<String>,
 }
 
-/// Where a finished job's response line goes: straight onto an NDJSON
-/// connection, or through a channel to a caller waiting synchronously
-/// (the HTTP front-end).
-enum Responder {
-    /// The NDJSON connection the request arrived on.
-    Conn(Arc<ConnWriter>),
-    /// A rendezvous channel whose receiver blocks for the line.
-    Channel(mpsc::SyncSender<String>),
-}
-
-impl Responder {
-    /// Delivers one response line. Errors are swallowed in both arms: a
-    /// vanished client must not take a worker down.
-    fn send(&self, line: &str) {
-        match self {
-            Responder::Conn(conn) => conn.send(line),
-            Responder::Channel(tx) => {
-                let _ = tx.try_send(line.to_owned());
-            }
-        }
-    }
-}
-
-/// The write half of a connection; workers share it via `Arc`.
-struct ConnWriter {
-    stream: Mutex<TcpStream>,
-}
-
-impl ConnWriter {
-    /// Writes one response line. Errors are swallowed: a vanished client
-    /// must not take a worker down.
-    fn send(&self, line: &str) {
-        let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = stream.write_all(line.as_bytes());
-        let _ = stream.write_all(b"\n");
-        let _ = stream.flush();
-    }
-}
-
 struct Shared {
     config: ServeConfig,
     cache: SchedCache,
@@ -189,6 +151,12 @@ struct Shared {
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
+    /// Every bound listener, as a connectable address: shutdown dials
+    /// each one to wake its blocked `accept()`.
+    listeners: Vec<SocketAddr>,
+    /// Held shared by a connection thread from reading a frame to
+    /// writing its reply; see [`Shared::replying`].
+    replies: RwLock<()>,
     journal: Option<JournalWriter>,
     inflight: AtomicU64,
     /// Fleet routing/sync state, when this daemon is a fleet node.
@@ -211,13 +179,37 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Marks this connection thread as answering a frame. `Server::wait`
+    /// takes the lock exclusively after every other thread has exited,
+    /// so the process cannot end mid-reply — in particular not before a
+    /// `shutdown` requester has its answer.
+    fn replying(&self) -> RwLockReadGuard<'_, ()> {
+        self.replies.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Signals shutdown: raises the flag, wakes idle workers so they
+    /// drain the queue and exit, and wakes each accept loop blocked in
+    /// `accept()` by connecting to its listener. The accept loop sees
+    /// the flag and drops that connection unserved.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.queue_cv.notify_all();
+        for addr in &self.listeners {
+            // A refused connect means the loop already exited.
+            let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
+        }
+    }
+
     /// Pushes a job, shedding when the bounded queue is full.
     fn enqueue(&self, job: Job) -> Result<(), ServeError> {
-        if self.shutting_down() {
-            return Err(ServeError::ShuttingDown);
-        }
         let depth = {
             let mut queue = self.lock_queue();
+            // Checked under the queue lock, which the workers' final
+            // empty-and-stopping check also holds: a job is either
+            // drained by a worker or refused here, never stranded.
+            if self.shutting_down() {
+                return Err(ServeError::ShuttingDown);
+            }
             if queue.len() >= self.config.queue_capacity {
                 return Err(ServeError::Overloaded {
                     capacity: self.config.queue_capacity,
@@ -313,13 +305,6 @@ impl Shared {
             fault_marker: self.config.fault_marker,
             auto_partition_ops: self.config.auto_partition_ops,
         };
-        // Only work actions reach the queue; everything else is inline.
-        if !matches!(
-            job.action,
-            Action::Schedule { .. } | Action::Simulate { .. }
-        ) {
-            return;
-        }
         // Fleet routing: a non-owner in proxy mode forwards the raw line
         // to the key's owner and relays the answer verbatim, so the whole
         // fleet shares one logical cache with byte-identical responses.
@@ -358,8 +343,12 @@ impl Shared {
             #[allow(clippy::cast_precision_loss)]
             {
                 m.gauge_set("serve.inflight", inflight as f64);
-                m.histogram_record(exec_metric(disposition), exec_us as f64);
-                m.histogram_record(total_metric(disposition), total_us as f64);
+                // Split by cache disposition (`error` when the request
+                // failed): a hit's ~µs lookup and a miss's ~ms scheduler
+                // run must not share buckets.
+                let split = disposition.map_or("error", Disposition::as_str);
+                m.histogram_record(format!("serve.exec_us.{split}"), exec_us as f64);
+                m.histogram_record(format!("serve.total_us.{split}"), total_us as f64);
                 m.histogram_record("serve.latency_ms", total_us as f64 / 1_000.0);
             }
         }
@@ -367,7 +356,7 @@ impl Shared {
             Ok((output, disposition, fresh_iterations, key)) => {
                 {
                     let mut m = self.lock_metrics();
-                    m.counter_add(disposition_metric(disposition), 1);
+                    m.counter_add(format!("serve.cache.{}", disposition.as_str()), 1);
                     if disposition == Disposition::Miss {
                         m.counter_add("serve.scheduler.runs", 1);
                     }
@@ -417,203 +406,6 @@ impl Shared {
                 });
                 job.conn.send(&error_line(&job.id, &e));
             }
-        }
-    }
-
-    /// The content address a work request would execute under, when the
-    /// request is routable: cache enabled, not degrade-laddered, and the
-    /// design parses. Mirrors the executed key exactly (see
-    /// [`request_cache_key`]), which is what makes routing safe — a
-    /// mismatch would only cost a proxy hop, never a wrong answer.
-    fn work_cache_key(&self, action: &Action) -> Option<CacheKey> {
-        if self.config.cache_capacity == 0 {
-            return None;
-        }
-        let (design, opts) = match action {
-            Action::Schedule { design, opts } => (design, opts.clone()),
-            // Simulation caches only its embedded *schedule*; the key is
-            // built from the schedule-shaped slice of the options.
-            Action::Simulate { design, opts } => (
-                design,
-                ScheduleOptions {
-                    all_global: opts.all_global,
-                    globals: opts.globals.clone(),
-                    ..ScheduleOptions::default()
-                },
-            ),
-            _ => return None,
-        };
-        request_cache_key(design, &opts, self.config.auto_partition_ops)
-            .ok()
-            .flatten()
-    }
-
-    /// Proxies a job to its owner when this node is not in the key's
-    /// replica set. Returns the response line to relay (verbatim owner
-    /// bytes, or a typed `peer-unavailable` error); `None` means
-    /// "execute locally" — standalone daemon, local route mode, owned
-    /// key, unroutable request, or a dead owner (health gates effort,
-    /// never placement).
-    fn route_remote(
-        &self,
-        job: &Job,
-        action: &'static str,
-        queue_us: u64,
-        remaining: Option<Duration>,
-    ) -> Option<String> {
-        let fleet = self.fleet.as_ref()?;
-        if fleet.config.route != RouteMode::Proxy {
-            return None;
-        }
-        let raw = job.raw.as_deref()?;
-        let key = self.work_cache_key(&job.action)?;
-        if fleet.is_local(&key) {
-            return None;
-        }
-        let owner = fleet.owner(&key).to_owned();
-        if !fleet.membership.is_alive(&owner) {
-            // Dead owner: compute locally rather than fail the client —
-            // bit-identical by construction, just duplicated work that
-            // anti-entropy will reconcile.
-            self.lock_metrics()
-                .counter_add("serve.fleet.local_fallback", 1);
-            return None;
-        }
-        let read_timeout = remaining.map_or(PROXY_READ_TIMEOUT, |r| r.min(PROXY_READ_TIMEOUT));
-        let start = Instant::now();
-        match peer_request(&owner, raw, read_timeout) {
-            Ok(line) => {
-                let rtt = dur_us(start.elapsed());
-                fleet.membership.record_ok(&owner, rtt);
-                {
-                    let mut m = self.lock_metrics();
-                    m.counter_add("serve.fleet.proxied", 1);
-                    #[allow(clippy::cast_precision_loss)]
-                    m.histogram_record("serve.fleet.peer.rtt_us", rtt as f64);
-                }
-                self.journal_record(job.raw.clone(), |request| JournalEntry {
-                    action,
-                    key: Some(key),
-                    disposition: None,
-                    outcome: "proxied",
-                    code: 0,
-                    queue_us,
-                    exec_us: rtt,
-                    total_us: dur_us(job.enqueued.elapsed()),
-                    request,
-                });
-                Some(line)
-            }
-            Err(_) => {
-                fleet.membership.record_failure(&owner);
-                let err = ServeError::PeerUnavailable { peer: owner };
-                {
-                    let mut m = self.lock_metrics();
-                    m.counter_add("serve.errors", 1);
-                    m.counter_add("serve.fleet.proxy_failures", 1);
-                }
-                self.journal_record(job.raw.clone(), |request| JournalEntry {
-                    action,
-                    key: Some(key),
-                    disposition: None,
-                    outcome: err.class(),
-                    code: err.code(),
-                    queue_us,
-                    exec_us: dur_us(start.elapsed()),
-                    total_us: dur_us(job.enqueued.elapsed()),
-                    request,
-                });
-                Some(error_line(&job.id, &err))
-            }
-        }
-    }
-
-    /// Pushes one freshly computed entry to the key's other replicas.
-    /// Best effort: a failed push is counted and left to anti-entropy.
-    fn replicate_fresh(&self, key: CacheKey) {
-        let Some(fleet) = &self.fleet else { return };
-        let Some(value) = self.cache.peek(&key) else {
-            return;
-        };
-        let entry = [(key, value)];
-        let line = sync::push_request_line("repl", &entry);
-        for peer in fleet.replica_peers(&key) {
-            if !fleet.membership.is_alive(peer) {
-                continue; // sync catches the peer up when it rejoins
-            }
-            let start = Instant::now();
-            match peer_request(peer, &line, SYNC_READ_TIMEOUT) {
-                Ok(_) => {
-                    fleet.membership.record_ok(peer, dur_us(start.elapsed()));
-                    self.lock_metrics().counter_add("serve.fleet.pushed", 1);
-                }
-                Err(_) => {
-                    fleet.membership.record_failure(peer);
-                    self.lock_metrics()
-                        .counter_add("serve.fleet.push_failures", 1);
-                }
-            }
-        }
-    }
-
-    /// One anti-entropy exchange with one peer: digest comparison, then
-    /// a pull of every diverging shard over the same connection.
-    fn sync_with_peer(&self, peer: &str) -> std::io::Result<sync::SyncOutcome> {
-        let mut conn = PeerConn::connect(peer, PEER_CONNECT_TIMEOUT, SYNC_READ_TIMEOUT)?;
-        let line = conn.request(&sync::digest_request_line("sync-digest"))?;
-        let theirs = sync::parse_digests(&peer_body(&line)?)
-            .ok_or_else(|| invalid_peer("malformed digest response"))?;
-        sync::pull_round(&self.cache, &theirs, |shard| {
-            let line = conn.request(&sync::pull_shard_request_line("sync-pull", shard))?;
-            let (entries, rejected) = sync::parse_entries(&peer_body(&line)?)
-                .ok_or_else(|| invalid_peer("malformed entries response"))?;
-            if rejected > 0 {
-                self.lock_metrics()
-                    .counter_add("serve.fleet.sync.rejected", rejected as u64);
-            }
-            Ok(entries)
-        })
-    }
-
-    /// One full anti-entropy round against every peer. Doubles as the
-    /// failure detector: successful exchanges resurrect dead peers,
-    /// failed ones advance their death counters.
-    fn sync_all_peers(&self) {
-        let Some(fleet) = &self.fleet else { return };
-        let peers: Vec<String> = fleet.membership.addrs().map(str::to_owned).collect();
-        let mut all_ok = !peers.is_empty();
-        for peer in &peers {
-            if self.shutting_down() {
-                return;
-            }
-            let start = Instant::now();
-            match self.sync_with_peer(peer) {
-                Ok(outcome) => {
-                    let rtt = dur_us(start.elapsed());
-                    fleet.membership.record_ok(peer, rtt);
-                    let mut m = self.lock_metrics();
-                    m.counter_add("serve.fleet.sync.rounds", 1);
-                    m.counter_add(
-                        "serve.fleet.sync.shards_pulled",
-                        outcome.shards_pulled as u64,
-                    );
-                    m.counter_add("serve.fleet.sync.entries_applied", outcome.applied as u64);
-                    #[allow(clippy::cast_precision_loss)]
-                    m.histogram_record("serve.fleet.peer.rtt_us", rtt as f64);
-                }
-                Err(_) => {
-                    all_ok = false;
-                    fleet.membership.record_failure(peer);
-                    self.lock_metrics()
-                        .counter_add("serve.fleet.sync.failures", 1);
-                }
-            }
-        }
-        if all_ok {
-            *self
-                .last_sync
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(Instant::now());
         }
     }
 
@@ -778,85 +570,6 @@ fn dur_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Connect timeout for any peer dial.
-const PEER_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-/// Read timeout for sync/push exchanges (bounded, off the hot path).
-const SYNC_READ_TIMEOUT: Duration = Duration::from_secs(5);
-/// Read-timeout ceiling for proxied work (the request's own deadline
-/// tightens it further).
-const PROXY_READ_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// A short-lived NDJSON connection to a fleet peer.
-struct PeerConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl PeerConn {
-    fn connect(addr: &str, connect: Duration, read: Duration) -> std::io::Result<PeerConn> {
-        let mut last = None;
-        let mut stream = None;
-        for sock in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&sock, connect) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        let stream = stream.ok_or_else(|| {
-            last.unwrap_or_else(|| invalid_peer("peer address resolved to nothing"))
-        })?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(read))?;
-        stream.set_write_timeout(Some(read))?;
-        Ok(PeerConn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
-    }
-
-    /// One request/response exchange. Peers answer in order on a
-    /// connection, so a plain `read_line` pairs correctly.
-    fn request(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut out = String::new();
-        if self.reader.read_line(&mut out)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "peer closed the connection",
-            ));
-        }
-        while out.ends_with('\n') || out.ends_with('\r') {
-            out.pop();
-        }
-        Ok(out)
-    }
-}
-
-/// One-shot request to a peer on a fresh connection.
-fn peer_request(addr: &str, line: &str, read: Duration) -> std::io::Result<String> {
-    PeerConn::connect(addr, PEER_CONNECT_TIMEOUT, read)?.request(line)
-}
-
-fn invalid_peer(msg: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_owned())
-}
-
-/// Parses a peer's response line and extracts its body, converting
-/// protocol-level failures into I/O errors (the sync loop treats every
-/// failure mode uniformly: count it, mark the peer, move on).
-fn peer_body(line: &str) -> std::io::Result<JsonValue> {
-    let resp = parse_response(line).map_err(|e| invalid_peer(&e))?;
-    if let Some((class, code, msg)) = resp.error {
-        return Err(invalid_peer(&format!("peer error {class} ({code}): {msg}")));
-    }
-    Ok(resp.body)
-}
-
 fn action_label(action: &Action) -> &'static str {
     match action {
         Action::Schedule { .. } => "schedule",
@@ -870,515 +583,6 @@ fn action_label(action: &Action) -> &'static str {
     }
 }
 
-fn request_metric(action: &Action) -> &'static str {
-    match action {
-        Action::Schedule { .. } => "serve.requests.schedule",
-        Action::Simulate { .. } => "serve.requests.simulate",
-        Action::Stats => "serve.requests.stats",
-        Action::Ping => "serve.requests.ping",
-        Action::Shutdown => "serve.requests.shutdown",
-        Action::SyncDigest => "serve.requests.sync_digest",
-        Action::SyncPull { .. } => "serve.requests.sync_pull",
-        Action::SyncPush { .. } => "serve.requests.sync_push",
-    }
-}
-
-fn disposition_metric(d: Disposition) -> &'static str {
-    match d {
-        Disposition::Hit => "serve.cache.hit",
-        Disposition::Miss => "serve.cache.miss",
-        Disposition::Coalesced => "serve.cache.coalesced",
-    }
-}
-
-/// Execution-time histogram, split by cache disposition (`None` = the
-/// request errored): a hit's ~µs lookup and a miss's ~ms scheduler run
-/// must not share buckets.
-fn exec_metric(d: Option<Disposition>) -> &'static str {
-    match d {
-        Some(Disposition::Hit) => "serve.exec_us.hit",
-        Some(Disposition::Miss) => "serve.exec_us.miss",
-        Some(Disposition::Coalesced) => "serve.exec_us.coalesced",
-        None => "serve.exec_us.error",
-    }
-}
-
-/// Arrival-to-response histogram, split like [`exec_metric`].
-fn total_metric(d: Option<Disposition>) -> &'static str {
-    match d {
-        Some(Disposition::Hit) => "serve.total_us.hit",
-        Some(Disposition::Miss) => "serve.total_us.miss",
-        Some(Disposition::Coalesced) => "serve.total_us.coalesced",
-        None => "serve.total_us.error",
-    }
-}
-
-/// Answers every non-work action inline (control and sync actions never
-/// touch the job queue — a full queue must not stall health checks or
-/// anti-entropy). Returns `Err(action)` to hand work actions back to the
-/// caller for queueing.
-fn inline_response(shared: &Shared, id: &RequestId, action: Action) -> Result<String, Action> {
-    match action {
-        Action::Ping => {
-            let mut body = BTreeMap::new();
-            body.insert("pong".into(), JsonValue::Bool(true));
-            Ok(success_line(id, body))
-        }
-        Action::Stats => Ok(success_line(id, shared.stats_body())),
-        Action::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue_cv.notify_all();
-            Ok(success_line(id, BTreeMap::new()))
-        }
-        Action::SyncDigest => Ok(success_line(
-            id,
-            sync::digest_body(&sync::digests(&shared.cache)),
-        )),
-        Action::SyncPull { shard, key } => {
-            let entries = match (shard, key) {
-                (Some(s), _) => {
-                    if s >= sync::SYNC_SHARDS {
-                        let err = ServeError::BadRequest(format!(
-                            "`shard` must be below {}",
-                            sync::SYNC_SHARDS
-                        ));
-                        return Ok(error_line(id, &err));
-                    }
-                    sync::shard_entries(&shared.cache, s)
-                }
-                (None, Some(k)) => shared
-                    .cache
-                    .peek(&k)
-                    .map(|v| vec![(k, v)])
-                    .unwrap_or_default(),
-                // The parser enforces exactly one selector.
-                (None, None) => Vec::new(),
-            };
-            Ok(success_line(id, sync::entries_body(&entries)))
-        }
-        Action::SyncPush { entries, rejected } => {
-            let applied = sync::apply_entries(&shared.cache, entries);
-            {
-                let mut m = shared.lock_metrics();
-                m.counter_add("serve.fleet.sync.push_applied", applied as u64);
-                m.counter_add("serve.fleet.sync.push_rejected", rejected as u64);
-            }
-            let mut body = BTreeMap::new();
-            #[allow(clippy::cast_precision_loss)]
-            body.insert("applied".into(), JsonValue::Number(applied as f64));
-            #[allow(clippy::cast_precision_loss)]
-            body.insert("rejected".into(), JsonValue::Number(rejected as f64));
-            Ok(success_line(id, body))
-        }
-        work @ (Action::Schedule { .. } | Action::Simulate { .. }) => Err(work),
-    }
-}
-
-/// Serves one connection: read lines, answer control actions inline,
-/// queue work actions.
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    // The read timeout doubles as the shutdown poll interval. Nagle is
-    // off: a one-line response must not wait out the client's delayed
-    // ACK (a ~40 ms floor on every request without this).
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let writer = Arc::new(ConnWriter {
-        stream: Mutex::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        }),
-    });
-    let mut reader = BufReader::new(stream);
-    // Byte-level line assembly instead of `read_line`: the accumulator
-    // is capped at `max_request_bytes` (a longer line is a typed 413 and
-    // the connection closes), partial reads across timeout polls are
-    // never lost, and invalid UTF-8 is a typed error, not a dead
-    // connection.
-    let cap = shared.config.max_request_bytes.max(1);
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok([]) => return, // client closed
-            Ok(buf) => buf,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        let newline = buf.iter().position(|&b| b == b'\n');
-        let chunk = &buf[..newline.unwrap_or(buf.len())];
-        if line.len() + chunk.len() > cap {
-            // Reject and close: after an oversized line there is no
-            // trustworthy record boundary to resynchronise on, and
-            // discarding until the next newline would itself be
-            // unbounded work on attacker-controlled input.
-            shared.lock_metrics().counter_add("serve.requests", 1);
-            shared.lock_metrics().counter_add("serve.errors", 1);
-            writer.send(&error_line(
-                &JsonValue::Null,
-                &ServeError::TooLarge { limit: cap },
-            ));
-            return;
-        }
-        line.extend_from_slice(chunk);
-        let consumed = chunk.len() + usize::from(newline.is_some());
-        reader.consume(consumed);
-        if newline.is_none() {
-            continue; // line still incomplete; keep accumulating
-        }
-        let taken = std::mem::take(&mut line);
-        let Ok(text) = String::from_utf8(taken) else {
-            shared.lock_metrics().counter_add("serve.requests", 1);
-            shared.lock_metrics().counter_add("serve.errors", 1);
-            writer.send(&error_line(
-                &JsonValue::Null,
-                &ServeError::BadRequest("request line is not valid UTF-8".into()),
-            ));
-            continue;
-        };
-        if text.trim().is_empty() {
-            continue;
-        }
-        shared.lock_metrics().counter_add("serve.requests", 1);
-        let request = match parse_request(text.trim_end()) {
-            Ok(r) => r,
-            Err((id, e)) => {
-                shared.lock_metrics().counter_add("serve.errors", 1);
-                writer.send(&error_line(&id, &e));
-                continue;
-            }
-        };
-        let Request {
-            id,
-            action,
-            deadline_ms,
-        } = request;
-        shared
-            .lock_metrics()
-            .counter_add(request_metric(&action), 1);
-        match inline_response(shared, &id, action) {
-            Ok(line) => writer.send(&line),
-            Err(work) => {
-                let deadline = deadline_ms
-                    .or(shared.config.default_deadline_ms)
-                    .map(Duration::from_millis);
-                // Keep the raw bytes when journaling (the journal replays
-                // the request verbatim, not a re-serialisation) or in a
-                // fleet (proxying forwards the owner the same bytes).
-                let raw = (shared.journal.is_some() || shared.fleet.is_some())
-                    .then(|| text.trim_end().to_owned());
-                let action_name = action_label(&work);
-                let job = Job {
-                    id: id.clone(),
-                    action: work,
-                    enqueued: Instant::now(),
-                    deadline,
-                    conn: Responder::Conn(Arc::clone(&writer)),
-                    raw: raw.clone(),
-                };
-                if let Err(e) = shared.enqueue(job) {
-                    shared.lock_metrics().counter_add("serve.errors", 1);
-                    if matches!(e, ServeError::Overloaded { .. }) {
-                        shared.lock_metrics().counter_add("serve.shed", 1);
-                    }
-                    // Shed requests are journaled too (and before the
-                    // response goes out): a replay that omits them would
-                    // understate the offered load.
-                    shared.journal_record(raw, |request| JournalEntry {
-                        action: action_name,
-                        key: None,
-                        disposition: None,
-                        outcome: e.class(),
-                        code: e.code(),
-                        queue_us: 0,
-                        exec_us: 0,
-                        total_us: 0,
-                        request,
-                    });
-                    writer.send(&error_line(&id, &e));
-                }
-            }
-        }
-    }
-}
-
-/// Outcome of reading one HTTP request head off a connection.
-enum HeadRead {
-    /// The head text, up to and including the blank line.
-    Head(String),
-    /// Client went away (EOF, I/O error, or shutdown) — just close.
-    Closed,
-    /// The head outgrew `max_request_bytes`.
-    Oversized,
-}
-
-/// Reads bytes until the header-terminating blank line, leaving any
-/// body bytes unconsumed in the reader.
-fn read_http_head(shared: &Shared, reader: &mut BufReader<TcpStream>, cap: usize) -> HeadRead {
-    let mut head: Vec<u8> = Vec::new();
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok([]) => return HeadRead::Closed,
-            Ok(buf) => buf,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
-                    return HeadRead::Closed;
-                }
-                continue;
-            }
-            Err(_) => return HeadRead::Closed,
-        };
-        // Byte-wise scan so the terminator is found even when it
-        // straddles a read boundary, and body bytes are never consumed.
-        let mut consumed = 0;
-        let mut done = false;
-        for &b in buf {
-            consumed += 1;
-            head.push(b);
-            if head.len() > cap {
-                reader.consume(consumed);
-                return HeadRead::Oversized;
-            }
-            if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-                done = true;
-                break;
-            }
-        }
-        reader.consume(consumed);
-        if done {
-            match String::from_utf8(head) {
-                Ok(text) => return HeadRead::Head(text),
-                // Non-UTF-8 heads parse as malformed downstream.
-                Err(_) => return HeadRead::Head(String::new()),
-            }
-        }
-    }
-}
-
-/// Reads exactly `len` body bytes, tolerating timeout polls.
-fn read_http_body(
-    shared: &Shared,
-    reader: &mut BufReader<TcpStream>,
-    len: usize,
-) -> Option<Vec<u8>> {
-    let mut body = vec![0u8; len];
-    let mut got = 0;
-    while got < len {
-        match reader.read(&mut body[got..]) {
-            Ok(0) => return None,
-            Ok(n) => got += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down() {
-                    return None;
-                }
-            }
-            Err(_) => return None,
-        }
-    }
-    Some(body)
-}
-
-/// The `/schedule` route implies `"action":"schedule"` when the body
-/// omits it; anything else (including an unparseable body) passes
-/// through untouched and produces its typed error downstream.
-fn inject_default_action(line: &str) -> String {
-    let Ok(JsonValue::Object(mut map)) = tcms_obs::json::parse(line) else {
-        return line.to_owned();
-    };
-    map.entry("action".to_owned())
-        .or_insert_with(|| JsonValue::String("schedule".into()));
-    tcms_obs::json::to_string(&JsonValue::Object(map))
-}
-
-/// Runs one HTTP work request end to end: parse, answer inline or queue
-/// behind the same bounded queue as NDJSON work, and map the NDJSON
-/// response line onto an HTTP status. The body IS the NDJSON line — the
-/// fleet's bit-identicality guarantee carries over to HTTP verbatim.
-fn http_work(shared: &Arc<Shared>, body: &[u8]) -> (u16, String) {
-    let null = JsonValue::Null;
-    let Ok(text) = std::str::from_utf8(body) else {
-        let err = ServeError::BadRequest("request body is not valid UTF-8".into());
-        shared.lock_metrics().counter_add("serve.errors", 1);
-        return (http::status_of(&err), error_line(&null, &err) + "\n");
-    };
-    // NDJSON wants one line; JSON newlines only ever separate tokens,
-    // where a space is equivalent.
-    let line = inject_default_action(text.replace(['\r', '\n'], " ").trim());
-    let request = match parse_request(&line) {
-        Ok(r) => r,
-        Err((id, e)) => {
-            shared.lock_metrics().counter_add("serve.errors", 1);
-            return (http::status_of(&e), error_line(&id, &e) + "\n");
-        }
-    };
-    let Request {
-        id,
-        action,
-        deadline_ms,
-    } = request;
-    shared
-        .lock_metrics()
-        .counter_add(request_metric(&action), 1);
-    match inline_response(shared, &id, action) {
-        Ok(resp) => (http_status_of_line(&resp), resp + "\n"),
-        Err(work) => {
-            let deadline = deadline_ms
-                .or(shared.config.default_deadline_ms)
-                .map(Duration::from_millis);
-            let action_name = action_label(&work);
-            let raw = Some(line.clone());
-            // Rendezvous channel: the worker's `send` hands the line
-            // straight to this thread, which blocks like an NDJSON
-            // client would. Every queued job sends exactly one line
-            // (shutdown drains the queue through `execute`), so `recv`
-            // cannot wedge.
-            let (tx, rx) = mpsc::sync_channel(1);
-            let job = Job {
-                id: id.clone(),
-                action: work,
-                enqueued: Instant::now(),
-                deadline,
-                conn: Responder::Channel(tx),
-                raw: raw.clone(),
-            };
-            if let Err(e) = shared.enqueue(job) {
-                shared.lock_metrics().counter_add("serve.errors", 1);
-                if matches!(e, ServeError::Overloaded { .. }) {
-                    shared.lock_metrics().counter_add("serve.shed", 1);
-                }
-                shared.journal_record(raw, |request| JournalEntry {
-                    action: action_name,
-                    key: None,
-                    disposition: None,
-                    outcome: e.class(),
-                    code: e.code(),
-                    queue_us: 0,
-                    exec_us: 0,
-                    total_us: 0,
-                    request,
-                });
-                return (http::status_of(&e), error_line(&id, &e) + "\n");
-            }
-            match rx.recv() {
-                Ok(resp) => (http_status_of_line(&resp), resp + "\n"),
-                Err(_) => {
-                    let err = ServeError::Internal("worker dropped the response".into());
-                    (http::status_of(&err), error_line(&id, &err) + "\n")
-                }
-            }
-        }
-    }
-}
-
-/// The HTTP status an NDJSON response line maps onto: 200 for `ok`,
-/// otherwise the error's own HTTP-shaped code (see
-/// [`http::status_of`]).
-fn http_status_of_line(line: &str) -> u16 {
-    match parse_response(line) {
-        Ok(resp) => resp
-            .error
-            .map_or(200, |(_, code, _)| http::status_of_code(code)),
-        Err(_) => 200,
-    }
-}
-
-/// Routes one parsed HTTP request.
-fn http_dispatch(shared: &Arc<Shared>, head: &http::RequestHead, body: &[u8]) -> (u16, String) {
-    let null = JsonValue::Null;
-    {
-        let mut m = shared.lock_metrics();
-        m.counter_add("serve.requests", 1);
-        m.counter_add("serve.fleet.http.requests", 1);
-    }
-    match (head.method.as_str(), head.path.as_str()) {
-        ("GET", "/healthz") => {
-            if shared.shutting_down() {
-                (503, error_line(&null, &ServeError::ShuttingDown) + "\n")
-            } else {
-                (200, success_line(&null, BTreeMap::new()) + "\n")
-            }
-        }
-        ("GET", "/stats") => {
-            shared.lock_metrics().counter_add("serve.requests.stats", 1);
-            (200, success_line(&null, shared.stats_body()) + "\n")
-        }
-        ("POST", "/schedule") => http_work(shared, body),
-        (_, "/healthz" | "/stats" | "/schedule") => {
-            let err = ServeError::BadRequest(format!(
-                "method {} not allowed on {}",
-                head.method, head.path
-            ));
-            (405, error_line(&null, &err) + "\n")
-        }
-        (_, path) => (
-            404,
-            error_line(&null, &ServeError::UnknownAction(path.to_owned())) + "\n",
-        ),
-    }
-}
-
-/// Serves one HTTP connection: a loop of head → body → dispatch →
-/// response, honouring keep-alive. Pure parsing/rendering lives in
-/// [`crate::fleet::http`]; this is just the socket plumbing.
-fn serve_http_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut write = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let cap = shared.config.max_request_bytes.max(1);
-    loop {
-        let head_text = match read_http_head(shared, &mut reader, cap) {
-            HeadRead::Head(h) => h,
-            HeadRead::Closed => return,
-            HeadRead::Oversized => {
-                let err = ServeError::TooLarge { limit: cap };
-                let body = error_line(&JsonValue::Null, &err) + "\n";
-                let _ = write.write_all(&http::response_bytes(413, &body, false));
-                return;
-            }
-        };
-        let head = match http::parse_request_head(&head_text) {
-            Ok(h) => h,
-            Err(msg) => {
-                let err = ServeError::BadRequest(format!("malformed HTTP request: {msg}"));
-                let body = error_line(&JsonValue::Null, &err) + "\n";
-                let _ = write.write_all(&http::response_bytes(400, &body, false));
-                return;
-            }
-        };
-        if head.content_length > cap {
-            let err = ServeError::TooLarge { limit: cap };
-            let body = error_line(&JsonValue::Null, &err) + "\n";
-            let _ = write.write_all(&http::response_bytes(413, &body, false));
-            return;
-        }
-        let Some(body) = read_http_body(shared, &mut reader, head.content_length) else {
-            return;
-        };
-        let (status, line) = http_dispatch(shared, &head, &body);
-        let _ = write.write_all(&http::response_bytes(status, &line, head.keep_alive));
-        let _ = write.flush();
-        if !head.keep_alive {
-            return;
-        }
-    }
-}
-
 /// A running daemon. Dropping it without [`Server::wait`] leaves threads
 /// running; call [`Server::shutdown`] then [`Server::wait`] (or let a
 /// client's `shutdown` request trigger it) for a clean exit that also
@@ -1387,15 +591,15 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     http_addr: Option<SocketAddr>,
-    accept: Option<JoinHandle<()>>,
-    http_accept: Option<JoinHandle<()>>,
-    sync_loop: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Accept loops, the sync loop and the workers, joined by `wait`.
+    threads: Vec<JoinHandle<()>>,
 }
 
-/// Spawns a nonblocking accept loop that hands each connection to
-/// `handler` on a detached thread (connection threads exit on client
-/// EOF or the shutdown flag via their read timeout).
+/// Spawns an accept loop that hands each connection to `handler` on a
+/// detached thread (connection threads exit on client EOF or the
+/// shutdown flag via their read timeout). The loop blocks in `accept()`
+/// and returns on the first connection that arrives after shutdown
+/// began — normally the wake-up from [`Shared::begin_shutdown`].
 fn spawn_accept_loop(
     shared: &Arc<Shared>,
     listener: TcpListener,
@@ -1407,28 +611,35 @@ fn spawn_accept_loop(
     std::thread::Builder::new()
         .name(format!("{name}-accept"))
         .spawn(move || loop {
-            match listener.accept() {
+            let accepted = listener.accept();
+            if shared.shutting_down() {
+                return;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     let shared = Arc::clone(&shared);
                     let _ = std::thread::Builder::new()
                         .name(conn_name.clone())
                         .spawn(move || handler(&shared, stream));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if shared.shutting_down() {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => {
-                    if shared.shutting_down() {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                // A real accept error (e.g. out of file descriptors):
+                // back off so the loop cannot spin on it.
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         })
         .expect("spawn accept thread")
+}
+
+/// The address that reaches a bound listener from this host: an
+/// unspecified bind address (`0.0.0.0`, `::`) maps to loopback.
+fn connectable(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 impl Server {
@@ -1441,20 +652,16 @@ impl Server {
     /// Propagates bind and snapshot I/O failures.
     pub fn start(mut config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.listen)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let http_listener = match &config.http_listen {
-            Some(http) => {
-                let l = TcpListener::bind(http)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
-        };
-        let http_addr = match &http_listener {
-            Some(l) => Some(l.local_addr()?),
-            None => None,
-        };
+        let http_listener = config
+            .http_listen
+            .as_ref()
+            .map(TcpListener::bind)
+            .transpose()?;
+        let http_addr = http_listener
+            .as_ref()
+            .map(TcpListener::local_addr)
+            .transpose()?;
         if config.workers == 0 {
             config.workers = std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -1485,6 +692,11 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            replies: RwLock::new(()),
+            listeners: std::iter::once(addr)
+                .chain(http_addr)
+                .map(connectable)
+                .collect(),
             journal,
             inflight: AtomicU64::new(0),
             fleet,
@@ -1519,10 +731,10 @@ impl Server {
                     })
                     .expect("spawn worker thread")
             })
-            .collect();
-        let accept = spawn_accept_loop(&shared, listener, "tcms-serve", serve_connection);
+            .collect::<Vec<_>>();
+        let accept = spawn_accept_loop(&shared, listener, "tcms-serve", conn::serve_connection);
         let http_accept = http_listener
-            .map(|l| spawn_accept_loop(&shared, l, "tcms-serve-http", serve_http_connection));
+            .map(|l| spawn_accept_loop(&shared, l, "tcms-serve-http", conn::serve_http_connection));
         // The anti-entropy loop: sleep in short shutdown-checked steps,
         // then exchange digests with every peer.
         let sync_loop = shared
@@ -1547,14 +759,16 @@ impl Server {
                     })
                     .expect("spawn sync thread")
             });
+        let threads = std::iter::once(accept)
+            .chain(http_accept)
+            .chain(sync_loop)
+            .chain(workers)
+            .collect();
         Ok(Server {
             shared,
             addr,
             http_addr,
-            accept: Some(accept),
-            http_accept,
-            sync_loop,
-            workers,
+            threads,
         })
     }
 
@@ -1579,8 +793,7 @@ impl Server {
 
     /// Signals shutdown: stop accepting, drain the queue, then exit.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.begin_shutdown();
     }
 
     /// Whether a shutdown has been requested (by [`Server::shutdown`] or
@@ -1596,19 +809,16 @@ impl Server {
     /// # Errors
     ///
     /// Propagates snapshot write failures.
-    pub fn wait(mut self) -> std::io::Result<()> {
-        if let Some(h) = self.accept.take() {
+    pub fn wait(self) -> std::io::Result<()> {
+        for h in self.threads {
             let _ = h.join();
         }
-        if let Some(h) = self.http_accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sync_loop.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        drop(
+            self.shared
+                .replies
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         // Close the journal after the workers: every executed request
         // reaches the writer before the file is flushed and joined.
         if let Some(journal) = &self.shared.journal {
@@ -1642,7 +852,11 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheKey;
     use crate::fleet::HashRing;
+    use crate::pipeline::{request_cache_key, ScheduleOptions};
+    use crate::protocol::parse_response;
+    use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 
     const SAMPLE: &str = "resource add delay=1 area=1\nresource mul delay=2 area=4 pipelined\n\
         process A\nblock body time=8\nop m0 mul\nop a0 add\nedge m0 a0\n\
@@ -2182,5 +1396,192 @@ mod tests {
         server.shutdown();
         server.wait().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Both the API and the `shutdown` action must end a daemon whose
+    /// accept loops block in `accept()`, including listeners bound to an
+    /// unspecified address, which the wake-up reaches over loopback.
+    #[test]
+    fn shutdown_wakes_blocking_accept_loops() {
+        for by_action in [false, true] {
+            let server = Server::start(ServeConfig {
+                listen: "0.0.0.0:0".into(),
+                workers: 1,
+                http_listen: Some("0.0.0.0:0".into()),
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            if by_action {
+                let addr = connectable(server.local_addr());
+                let resp = roundtrip(addr, r#"{"id":"bye","action":"shutdown"}"#);
+                assert!(resp.is_ok());
+            } else {
+                server.shutdown();
+            }
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(server.wait().is_ok()));
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(2)),
+                Ok(true),
+                "wait() after shutdown (by action: {by_action})"
+            );
+        }
+    }
+
+    /// Reads one HTTP response: (status, body).
+    fn read_http_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
+        let mut len = 0;
+        loop {
+            let mut header = String::new();
+            reader.read_line(&mut header).unwrap();
+            match header.trim_end().split_once(':') {
+                Some((name, value)) if name.eq_ignore_ascii_case("content-length") => {
+                    len = value.trim().parse().unwrap();
+                }
+                Some(_) => {}
+                None => break,
+            }
+        }
+        let mut body = vec![0; len];
+        reader.read_exact(&mut body).unwrap();
+        let status = status.split_whitespace().nth(1).unwrap().parse().unwrap();
+        (status, String::from_utf8(body).unwrap())
+    }
+
+    /// Whether the daemon closed the connection (EOF or reset), as
+    /// opposed to leaving it open until the read timeout.
+    fn closed_by_peer(reader: &mut BufReader<TcpStream>) -> bool {
+        reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match reader.read(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        }
+    }
+
+    /// One rejection sent over both front-ends: the same wire class and
+    /// code, the same `serve.errors`/`serve.shed` deltas, and for 413 the
+    /// same close.
+    #[test]
+    fn ndjson_and_http_reject_identically() {
+        struct Case {
+            name: &'static str,
+            config: ServeConfig,
+            ndjson: Vec<u8>,
+            http: Vec<Vec<u8>>,
+            error: (&'static str, u16),
+            errors_and_shed: (u64, u64),
+            closes: bool,
+        }
+        let cap = 256;
+        let base = ServeConfig {
+            workers: 1,
+            http_listen: Some("127.0.0.1:0".into()),
+            ..ServeConfig::default()
+        };
+        let post = |headers: &str, body: &[u8]| {
+            let mut req = format!(
+                "POST /schedule HTTP/1.1\r\nHost: t\r\n{headers}Content-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .into_bytes();
+            req.extend_from_slice(body);
+            req
+        };
+        let design = SAMPLE.replace('\n', "\\n");
+        let cases = [
+            Case {
+                name: "oversized frame",
+                config: ServeConfig {
+                    max_request_bytes: cap,
+                    ..base.clone()
+                },
+                ndjson: format!("{{\"id\":\"big\",\"design\":\"{}\"}}\n", "x".repeat(1024))
+                    .into_bytes(),
+                http: vec![
+                    post(&format!("X-Pad: {}\r\n", "x".repeat(1024)), b""),
+                    b"POST /schedule HTTP/1.1\r\nHost: t\r\nContent-Length: 1024\r\n\r\n".to_vec(),
+                ],
+                error: ("too-large", 413),
+                errors_and_shed: (1, 0),
+                closes: true,
+            },
+            Case {
+                name: "invalid UTF-8",
+                config: base.clone(),
+                ndjson: b"\xff\xfe{\"id\":1}\n".to_vec(),
+                http: vec![post("", b"\xff\xfe{\"id\":1}")],
+                error: ("bad-request", 2),
+                errors_and_shed: (1, 0),
+                closes: false,
+            },
+            Case {
+                name: "full queue",
+                config: ServeConfig {
+                    queue_capacity: 0,
+                    ..base.clone()
+                },
+                ndjson: (schedule_req("q") + "\n").into_bytes(),
+                http: vec![post(
+                    "",
+                    format!(r#"{{"id":"q","design":"{design}","all_global":4}}"#).as_bytes(),
+                )],
+                error: ("overloaded", 429),
+                errors_and_shed: (1, 1),
+                closes: false,
+            },
+        ];
+        for case in cases {
+            let server = Server::start(case.config).unwrap();
+            let http_addr = server.local_http_addr().unwrap();
+            let sends = std::iter::once((false, case.ndjson))
+                .chain(case.http.into_iter().map(|req| (true, req)));
+            for (is_http, bytes) in sends {
+                let wire = if is_http { "HTTP" } else { "NDJSON" };
+                let counters = || (server.counter("serve.errors"), server.counter("serve.shed"));
+                let before = counters();
+                let addr = if is_http {
+                    http_addr
+                } else {
+                    server.local_addr()
+                };
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.write_all(&bytes).unwrap();
+                let mut reader = BufReader::new(stream);
+                let (status, line) = if is_http {
+                    read_http_response(&mut reader)
+                } else {
+                    let mut line = String::new();
+                    reader.read_line(&mut line).unwrap();
+                    (0, line)
+                };
+                let (class, code, _) = parse_response(line.trim_end()).unwrap().error.unwrap();
+                assert_eq!(
+                    (class.as_str(), code),
+                    case.error,
+                    "{} over {wire}",
+                    case.name
+                );
+                if is_http {
+                    assert_eq!(status, crate::fleet::http::status_of_code(code));
+                }
+                let after = counters();
+                assert_eq!(
+                    (after.0 - before.0, after.1 - before.1),
+                    case.errors_and_shed,
+                    "{} over {wire}: serve.errors/serve.shed deltas",
+                    case.name
+                );
+                if case.closes {
+                    assert!(closed_by_peer(&mut reader), "{} over {wire}", case.name);
+                }
+            }
+            server.shutdown();
+            server.wait().unwrap();
+        }
     }
 }
