@@ -49,10 +49,11 @@ pub fn stats_requested() -> bool {
 /// `repro_*` binaries.
 pub fn render_stats(label: &str, stats: &IfdsStats) -> String {
     format!(
-        "{label}: {} iterations, {} forces evaluated, {} cache hits / {} misses ({:.1}% hit rate), eval {:.2?}, commit {:.2?}, total {:.2?}\n",
+        "{label}: {} iterations, {} forces evaluated, {} cache hits ({} re-summed) / {} misses ({:.1}% hit rate), eval {:.2?}, commit {:.2?}, total {:.2?}\n",
         stats.iterations,
         stats.ops_evaluated,
         stats.cache_hits,
+        stats.resums,
         stats.cache_misses,
         100.0 * stats.hit_rate(),
         stats.eval_time,

@@ -15,7 +15,8 @@
 
 use std::cell::Cell;
 
-use tcms_fds::{FdsConfig, ForceEvaluator};
+use tcms_fds::slab::force_sum;
+use tcms_fds::{FdsConfig, ForceEvaluator, TermLog, Terms};
 use tcms_ir::{BlockId, FrameTable, OpId, ResourceTypeId, System, TimeFrame};
 use tcms_obs::{Recorder, TimelinePoint};
 
@@ -25,22 +26,26 @@ use crate::field::{ExternalOccupancy, ModuloField};
 /// Force evaluator implementing the two-part modification of the IFDS
 /// algorithm. Plugs into [`tcms_fds::IfdsEngine`].
 ///
-/// # Context stamps
+/// # Context stamps and re-summed forces
 ///
 /// The evaluator supports the engine's candidate-force cache through
-/// [`ForceEvaluator::context_stamp`], maintained at three granularities
+/// [`ForceEvaluator::context_stamp`], maintained at two granularities
 /// mirroring the field's layers:
 ///
 /// * per block — the classical distribution `D_{b,k}` moved,
 /// * per process — some block's modulo-max `D̂` moved, which sibling
-///   blocks of the same process read through `M_p`,
-/// * per type — the group profile `G_k` moved, which every process of the
-///   sharing group reads.
+///   blocks of the same process read through `M_p`.
 ///
-/// Commits hidden under the slot maximum (the modulo-hiding effect) stop
-/// at the block or process level, so cached forces of the *other*
-/// processes in the group survive — the main source of incremental reuse
-/// under all-global sharing.
+/// The stamp covers every input of a force except the group profile
+/// `G_k`, which the other processes of the sharing group move. What a
+/// global term prices on `G_k` is the displacement `x = M̃_p − M_p`, and
+/// that depends only on the candidate's own block and process. So
+/// [`ForceEvaluator::force_batch_logged`] records the fold of every
+/// candidate with a global term — `(G_k, x)` per global key and
+/// `(D_{b,k}, lo, x)` per local key, in fold order — and
+/// [`ForceEvaluator::resum`] replays it against the live profiles. A
+/// commit in one process therefore leaves the cached forces of the other
+/// processes in its group valid at the price of a re-sum.
 #[derive(Debug, Clone)]
 pub struct ModuloEvaluator<'a> {
     system: &'a System,
@@ -52,10 +57,6 @@ pub struct ModuloEvaluator<'a> {
     block_epoch: Vec<u64>,
     /// Last mutation of any `D̂` profile of the process's blocks.
     proc_epoch: Vec<u64>,
-    /// Last mutation of the group profile `G_k`.
-    type_epoch: Vec<u64>,
-    /// `proc_global_types[p]`: global types process `p` shares in.
-    proc_global_types: Vec<Vec<ResourceTypeId>>,
     /// Per-op `(block, type, occupancy, block time range)` resolved once
     /// at construction — the delta path reads one flat entry per change
     /// instead of chasing the op, block and library tables per candidate.
@@ -84,16 +85,6 @@ impl<'a> ModuloEvaluator<'a> {
         frames: &FrameTable,
         external: ExternalOccupancy,
     ) -> Self {
-        let proc_global_types = system
-            .process_ids()
-            .map(|p| {
-                system
-                    .library()
-                    .ids()
-                    .filter(|&k| spec.is_global_for(k, p))
-                    .collect()
-            })
-            .collect();
         let op_meta = system
             .op_ids()
             .map(|o| {
@@ -109,8 +100,6 @@ impl<'a> ModuloEvaluator<'a> {
             counter: 0,
             block_epoch: vec![0; system.num_blocks()],
             proc_epoch: vec![0; system.num_processes()],
-            type_epoch: vec![0; system.library().len()],
-            proc_global_types,
             op_meta,
         }
     }
@@ -203,7 +192,7 @@ impl<'a> ModuloEvaluator<'a> {
         let mut scratch = EvalScratch::default();
         let mut state = DeltaBufs::default();
         self.deltas_into(frames, changed, &mut state);
-        self.force_from_deltas(field, &state, &mut scratch)
+        self.force_from_deltas(field, &state, &mut scratch, None)
     }
 
     /// Force of one candidate given its per-`(block, type)` deltas,
@@ -218,13 +207,27 @@ impl<'a> ModuloEvaluator<'a> {
     /// span-limiting the local force sum are bitwise free: `d + 0.0 == d`
     /// for the never-`-0.0` distribution values, and a zero delta term
     /// contributes `±0.0`, which cannot move the running total.
+    ///
+    /// With a `log`, a candidate with a global key has every term of its
+    /// fold recorded there (see [`ModuloEvaluator::resum`]); a candidate
+    /// with local keys only records nothing, since its stamp covers all
+    /// it reads.
     fn force_from_deltas<'f>(
         &self,
         field: &'f ModuloField<'_>,
         state: &DeltaBufs,
         scratch: &mut EvalScratch<'f>,
+        mut log: Option<&mut TermLog>,
     ) -> f64 {
         let bufs = &state.bufs;
+        if log.is_some()
+            && !state.keys.iter().any(|&(b, k)| {
+                let pos = scratch.plan_pos(self, field, b, k);
+                scratch.plans[pos].global.is_some()
+            })
+        {
+            log = None;
+        }
         let mut total = 0.0;
         for (i, &(b, k)) in state.keys.iter().enumerate() {
             let pos = scratch.plan_pos(self, field, b, k);
@@ -263,22 +266,23 @@ impl<'a> ModuloEvaluator<'a> {
                     crate::kernel::slot_max_into(gdelta, sib);
                 }
                 crate::kernel::sub_into(gdelta, g.mold);
-                total = tcms_fds::slab::force_sum(
-                    total,
-                    g.gprof,
-                    gdelta,
-                    plan.weight,
-                    self.config.lookahead,
-                );
+                total = force_sum(total, g.gprof, gdelta, plan.weight, self.config.lookahead);
+                if let Some(log) = log.as_deref_mut() {
+                    log.push(global_term(k), 0, gdelta);
+                }
             } else {
                 // Classical force on the per-block distribution.
-                total = tcms_fds::slab::force_sum(
+                let x = &bufs[i][lo..hi];
+                total = force_sum(
                     total,
                     &plan.dist[lo..hi],
-                    &bufs[i][lo..hi],
+                    x,
                     plan.weight,
                     self.config.lookahead,
                 );
+                if let Some(log) = log.as_deref_mut() {
+                    log.push(self.local_term(b, k), lo, x);
+                }
             }
         }
         total
@@ -381,8 +385,10 @@ impl<'a> ModuloEvaluator<'a> {
     /// zero-seeded per-slot max is order-insensitive over the
     /// never-`NaN`/`-0.0` profile values.
     ///
-    /// Returns `None` (caller falls back to the generic path) for local
-    /// pairs and empty blocks.
+    /// Returns `None` (caller falls back to the generic path, and nothing
+    /// is recorded) for local pairs and empty blocks. Otherwise the one
+    /// global term is recorded in `log`, if given.
+    #[allow(clippy::too_many_arguments)]
     fn force_single_fast<'f>(
         &self,
         field: &'f ModuloField<'_>,
@@ -391,6 +397,7 @@ impl<'a> ModuloEvaluator<'a> {
         frames: &FrameTable,
         state: &mut DeltaBufs,
         scratch: &mut EvalScratch<'f>,
+        log: Option<&mut TermLog>,
     ) -> Option<f64> {
         let (block, rtype, occ, range) = self.op_meta[o.index()];
         let len = range as usize;
@@ -467,14 +474,97 @@ impl<'a> ModuloEvaluator<'a> {
         if let Some(sib) = &g.siblings {
             crate::kernel::slot_max_into(gdelta, sib);
         }
-        Some(tcms_fds::slab::force_sum_sub(
-            0.0,
-            g.gprof,
-            gdelta,
-            g.mold,
-            plan.weight,
-            self.config.lookahead,
-        ))
+        crate::kernel::sub_into(gdelta, g.mold);
+        let force = force_sum(0.0, g.gprof, gdelta, plan.weight, self.config.lookahead);
+        if let Some(log) = log {
+            log.push(global_term(rtype), 0, gdelta);
+        }
+        Some(force)
+    }
+
+    /// [`tcms_fds::ForceTerm::key`] of a local term: the pair number of
+    /// `D_{b,k}`.
+    fn local_term(&self, block: BlockId, rtype: ResourceTypeId) -> u32 {
+        let pair = block.index() * self.system.library().len() + rtype.index();
+        let key = u32::try_from(pair).expect("pair number fits u32");
+        assert_eq!(
+            key & GLOBAL_TERM,
+            0,
+            "pair number fits below the global flag"
+        );
+        key
+    }
+
+    /// Scores `candidates` against the committed field, recording their
+    /// fold terms in `log` if one is given.
+    ///
+    /// Every shared intermediate belongs to one `(block, type)` pair or one
+    /// op, and implied changes never leave the block of the op they start
+    /// from, so the intermediates are dropped whenever the block of the
+    /// candidates changes. The engine sweeps a block's candidates back to
+    /// back, so this loses no reuse and holds one block's worth of tables
+    /// at a time. (Dropping a cache never changes a value, only what is
+    /// recomputed.)
+    ///
+    /// The batch's buffers are taken from (and returned to) this thread's
+    /// [`KEPT_BUFS`], so a sweep that scores a batch every iteration stops
+    /// allocating once the buffers have grown to fit.
+    fn batch(
+        &self,
+        frames: &FrameTable,
+        candidates: &[&[(OpId, TimeFrame)]],
+        mut log: Option<&mut TermLog>,
+    ) -> Vec<f64> {
+        let kept = KEPT_BUFS.take().unwrap_or_default();
+        let mut state = kept.state;
+        state.prepare(self.op_meta.len());
+        let mut scratch = EvalScratch {
+            gdelta: kept.gdelta,
+            plans: Vec::new(),
+            plan_idx: kept.plan_idx,
+            spare_tables: kept.spare_tables,
+        };
+        let mut block = None;
+        let forces = candidates
+            .iter()
+            .map(|changed| {
+                let first = changed.first().map(|&(o, _)| self.op_meta[o.index()].0);
+                if first != block {
+                    scratch.reset();
+                    state.retire_ops();
+                    block = first;
+                }
+                let fast = match **changed {
+                    [(o, nf)] => self.force_single_fast(
+                        &self.field,
+                        o,
+                        nf,
+                        frames,
+                        &mut state,
+                        &mut scratch,
+                        log.as_deref_mut(),
+                    ),
+                    _ => None,
+                };
+                let force = fast.unwrap_or_else(|| {
+                    self.deltas_into(frames, changed, &mut state);
+                    self.force_from_deltas(&self.field, &state, &mut scratch, log.as_deref_mut())
+                });
+                if let Some(log) = log.as_deref_mut() {
+                    log.close();
+                }
+                force
+            })
+            .collect();
+        scratch.reset();
+        state.retire_ops();
+        KEPT_BUFS.set(Some(KeptBufs {
+            state,
+            gdelta: scratch.gdelta,
+            plan_idx: scratch.plan_idx,
+            spare_tables: scratch.spare_tables,
+        }));
+        forces
     }
 
     /// Probability deltas of `changed`, grouped per `(block, type)`.
@@ -488,6 +578,17 @@ impl<'a> ModuloEvaluator<'a> {
         state.bufs.truncate(state.keys.len());
         (state.keys, state.bufs)
     }
+}
+
+/// [`tcms_fds::ForceTerm::key`] flag of a term priced on the group profile
+/// `G_k`, whose type index fills the low bits; a key without it is the
+/// pair number of the distribution `D_{b,k}` (see
+/// [`ModuloEvaluator::local_term`]).
+const GLOBAL_TERM: u32 = 1 << 31;
+
+/// Term key of the group profile `G_k`.
+fn global_term(rtype: ResourceTypeId) -> u32 {
+    GLOBAL_TERM | u32::try_from(rtype.index()).expect("type index fits u32")
 }
 
 /// Reused delta-computation state of one batch: grouped keys, the delta
@@ -772,58 +873,46 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
     /// and the sibling slot-max profiles — which depend only on committed
     /// state, not on the candidate — are computed once per `(block, type)`
     /// and shared across the whole batch.
-    ///
-    /// Every shared intermediate belongs to one `(block, type)` pair or one
-    /// op, and implied changes never leave the block of the op they start
-    /// from, so the intermediates are dropped whenever the block of the
-    /// candidates changes. The engine sweeps a block's candidates back to
-    /// back, so this loses no reuse and holds one block's worth of tables
-    /// at a time. (Dropping a cache never changes a value, only what is
-    /// recomputed.)
-    ///
-    /// The batch's buffers are taken from (and returned to) this thread's
-    /// [`KEPT_BUFS`], so a sweep that scores a batch every iteration stops
-    /// allocating once the buffers have grown to fit.
     fn force_batch(&self, frames: &FrameTable, candidates: &[&[(OpId, TimeFrame)]]) -> Vec<f64> {
-        let kept = KEPT_BUFS.take().unwrap_or_default();
-        let mut state = kept.state;
-        state.prepare(self.op_meta.len());
-        let mut scratch = EvalScratch {
-            gdelta: kept.gdelta,
-            plans: Vec::new(),
-            plan_idx: kept.plan_idx,
-            spare_tables: kept.spare_tables,
-        };
-        let mut block = None;
-        let forces = candidates
-            .iter()
-            .map(|changed| {
-                let first = changed.first().map(|&(o, _)| self.op_meta[o.index()].0);
-                if first != block {
-                    scratch.reset();
-                    state.retire_ops();
-                    block = first;
-                }
-                if let [(o, nf)] = **changed {
-                    if let Some(f) =
-                        self.force_single_fast(&self.field, o, nf, frames, &mut state, &mut scratch)
-                    {
-                        return f;
-                    }
-                }
-                self.deltas_into(frames, changed, &mut state);
-                self.force_from_deltas(&self.field, &state, &mut scratch)
-            })
-            .collect();
-        scratch.reset();
-        state.retire_ops();
-        KEPT_BUFS.set(Some(KeptBufs {
-            state,
-            gdelta: scratch.gdelta,
-            plan_idx: scratch.plan_idx,
-            spare_tables: scratch.spare_tables,
-        }));
-        forces
+        self.batch(frames, candidates, None)
+    }
+
+    /// [`ModuloEvaluator::force_batch`], recording the fold of every
+    /// candidate with a global term: both fold paths record the exact
+    /// operands their last fold step reads.
+    fn force_batch_logged(
+        &self,
+        frames: &FrameTable,
+        candidates: &[&[(OpId, TimeFrame)]],
+        log: &mut TermLog,
+    ) -> Vec<f64> {
+        self.batch(frames, candidates, Some(log))
+    }
+
+    /// Replays a recorded fold against the live `G_k` and `D_{b,k}`:
+    /// `force_sum` over the same operands in the same order as the fold
+    /// that recorded it, threading one running total. While the stamp the
+    /// terms were recorded under holds, every displacement and every
+    /// `D_{b,k}` is bitwise what a fresh evaluation would compute, so the
+    /// result is bitwise that evaluation's force. (The single-op fast path
+    /// folds `force_sum(0, G, t − m)` like the generic path, so one replay
+    /// serves both.)
+    fn resum(&self, terms: Terms<'_>) -> f64 {
+        let lib = self.system.library();
+        let mut total = 0.0;
+        for (t, x) in terms.iter() {
+            let (k, profile) = if t.key & GLOBAL_TERM != 0 {
+                let k = ResourceTypeId::from_index((t.key & !GLOBAL_TERM) as usize);
+                (k, self.field.group_profile(k))
+            } else {
+                let (b, k) = (t.key as usize / lib.len(), t.key as usize % lib.len());
+                let (b, k) = (BlockId::from_index(b), ResourceTypeId::from_index(k));
+                (k, &self.field.distributions().get(b, k)[t.lo as usize..])
+            };
+            let w = self.config.spring_weights.weight(lib, k);
+            total = force_sum(total, profile, x, w, self.config.lookahead);
+        }
+        total
     }
 
     fn commit(&mut self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) {
@@ -844,10 +933,8 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
                 let p = self.system.block(b).process();
                 self.proc_epoch[p.index()] = self.counter;
             }
-            if effect.gdist_changed {
-                // Every process of the sharing group reads G_k.
-                self.type_epoch[k.index()] = self.counter;
-            }
+            // A moved G_k stamps nothing: the other processes' cached
+            // forces price it through recorded terms, re-summed live.
         }
     }
 
@@ -858,19 +945,12 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
             let p = self.system.block(b).process();
             self.block_epoch[b.index()] = self.counter;
             self.proc_epoch[p.index()] = self.counter;
-            for &k in &self.proc_global_types[p.index()] {
-                self.type_epoch[k.index()] = self.counter;
-            }
         }
     }
 
     fn context_stamp(&self, block: BlockId) -> Option<u64> {
         let p = self.system.block(block).process();
-        let mut stamp = self.block_epoch[block.index()].max(self.proc_epoch[p.index()]);
-        for &k in &self.proc_global_types[p.index()] {
-            stamp = stamp.max(self.type_epoch[k.index()]);
-        }
-        Some(stamp)
+        Some(self.block_epoch[block.index()].max(self.proc_epoch[p.index()]))
     }
 
     /// Samples the slot occupancy of every `M_p` and `G_k` profile — the
@@ -906,6 +986,7 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
 mod tests {
     use super::*;
     use tcms_fds::IfdsEngine;
+    use tcms_ir::frames::narrowing_changes;
     use tcms_ir::generators::{paper_library, paper_system};
     use tcms_ir::SystemBuilder;
 
@@ -1010,6 +1091,57 @@ mod tests {
         // A genuine move does bump the stamp.
         eval.commit(&frames, &[(a, TimeFrame::new(0, 0))]);
         assert_ne!(eval.context_stamp(blk), before);
+    }
+
+    #[test]
+    fn resum_after_other_process_commit_matches_fresh_force() {
+        // P2's candidate pins `z` (global add) to its ALAP end, which also
+        // narrows `m` (local mul): its fold has a global and a local term.
+        // A commit in P1 then moves G_add without touching P2's stamp; the
+        // re-sum of the recorded terms must equal a fresh force bitwise.
+        let (lib, types) = paper_library();
+        let mut b = SystemBuilder::new(lib);
+        let p1 = b.add_process("P1");
+        let blk1 = b.add_block(p1, "body", 4).unwrap();
+        let x = b.add_op(blk1, "x", types.add).unwrap();
+        let p2 = b.add_process("P2");
+        let blk2 = b.add_block(p2, "body", 6).unwrap();
+        let z = b.add_op(blk2, "z", types.add).unwrap();
+        let m = b.add_op(blk2, "m", types.mul).unwrap();
+        b.add_dep(z, m).unwrap();
+        let sys = b.build().unwrap();
+        let mut spec = SharingSpec::all_local(&sys);
+        spec.set_global(types.add, vec![p1, p2], 2);
+        spec.validate(&sys).unwrap();
+
+        let frames = FrameTable::initial(&sys);
+        let mut eval = ModuloEvaluator::new(&sys, spec, FdsConfig::default(), &frames);
+        let fz = frames.get(z);
+        let cand = narrowing_changes(&sys, &frames, z, TimeFrame::new(fz.alap, fz.alap));
+        assert_eq!(cand.len(), 2, "pinning z must narrow m too");
+        let mut log = TermLog::default();
+        let recorded = eval.force_batch_logged(&frames, &[&cand], &mut log)[0];
+        let terms = log.candidate(0);
+        assert_eq!(terms.terms.len(), 2, "one global and one local term");
+        let stamp = eval.context_stamp(blk2);
+        let g_before = eval.field().group_profile(types.add).to_vec();
+
+        let fx = frames.get(x);
+        let fixed = [(x, TimeFrame::new(fx.asap, fx.asap))];
+        eval.commit(&frames, &fixed);
+        let mut after = frames.clone();
+        after.set(x, fixed[0].1);
+        assert_ne!(
+            eval.field().group_profile(types.add),
+            &g_before[..],
+            "the P1 commit must move G_add"
+        );
+        assert_eq!(eval.context_stamp(blk2), stamp, "P2's stamp must hold");
+
+        let fresh = eval.force(&after, &cand);
+        assert_ne!(fresh.to_bits(), recorded.to_bits(), "P2's force must move");
+        assert_eq!(eval.resum(terms).to_bits(), fresh.to_bits());
+        assert_eq!(fresh.to_bits(), eval.force_naive(&after, &cand).to_bits());
     }
 
     #[test]

@@ -22,8 +22,15 @@
 //!   [`tcms_ir::FrameTable`] change tracking), and
 //! * the evaluator's [`ForceEvaluator::context_stamp`] for that block.
 //!
-//! When both stamps are unchanged since the pair was computed, the force
-//! would evaluate to bit-identical values, so the cached pair is reused.
+//! Next to each force the cache keeps the terms of its fold that the
+//! evaluator recorded ([`ForceEvaluator::force_batch_logged`]): the
+//! displacements priced on a profile the stamp does not cover — in the
+//! modulo evaluator, the group profile `G_k` that other processes move.
+//! When both keys are unchanged since the pair was computed, a force
+//! without terms is reused as it is, and a force with terms is re-summed
+//! ([`ForceEvaluator::resum`]) against the live profiles: the same fold
+//! over the same operands, so bit-identical to a fresh evaluation, at the
+//! cost of one multiply-add per recorded displacement value.
 //! [`IfdsEngine::run_naive`] runs the identical selection loop without the
 //! cache and serves as the oracle: its outcome must match `run` exactly.
 //!
@@ -58,7 +65,7 @@ use tcms_obs::{span, NoopRecorder, Recorder, TimelinePoint};
 
 use crate::config::RunBudget;
 use crate::error::{BudgetAxis, EngineError};
-use crate::evaluator::ForceEvaluator;
+use crate::evaluator::{ForceEvaluator, ForceTerm, TermLog, Terms};
 use crate::schedule::Schedule;
 
 /// Instrumentation counters of one engine run (or several merged ones).
@@ -73,6 +80,10 @@ pub struct IfdsStats {
     pub ops_evaluated: u64,
     /// Candidate force pairs served from the incremental cache.
     pub cache_hits: u64,
+    /// The subset of `cache_hits` served by re-summing recorded force terms
+    /// against the live profiles ([`ForceEvaluator::resum`]) rather than by
+    /// reusing the cached values.
+    pub resums: u64,
     /// Candidate force pairs that had to be recomputed although the cache
     /// was enabled (stamp moved). `ops_evaluated - cache_misses` pairs were
     /// computed with caching unavailable or disabled.
@@ -100,6 +111,7 @@ impl IfdsStats {
         self.iterations += other.iterations;
         self.ops_evaluated += other.ops_evaluated;
         self.cache_hits += other.cache_hits;
+        self.resums += other.resums;
         self.cache_misses += other.cache_misses;
         self.parallel_evals += other.parallel_evals;
         self.batched_evals += other.batched_evals;
@@ -128,6 +140,7 @@ impl IfdsStats {
         rec.counter_add("ifds.iterations", self.iterations);
         rec.counter_add("ifds.ops_evaluated", self.ops_evaluated);
         rec.counter_add("ifds.cache_hits", self.cache_hits);
+        rec.counter_add("ifds.resums", self.resums);
         rec.counter_add("ifds.cache_misses", self.cache_misses);
         rec.counter_add("ifds.parallel_evals", self.parallel_evals);
         rec.counter_add("ifds.batched_evals", self.batched_evals);
@@ -175,16 +188,117 @@ enum CandSource {
 type PendingEval = (OpId, TimeFrame, Option<(u64, u64)>);
 
 /// Buffers of one sweep chunk: the placements it scores, their change
-/// sets back to back (`ends[i]` closes the i-th), and the resulting force
-/// pairs. Kept across iterations, so once they fit the first (largest)
-/// sweep the candidate sweep stops reallocating them — allocating them
-/// afresh every iteration left the threads' heaps fragmented.
+/// sets back to back (`ends[i]` closes the i-th), the resulting force
+/// pairs and the fold terms the evaluator recorded for them. Kept across
+/// iterations, so once they fit the first (largest) sweep the candidate
+/// sweep stops reallocating them — allocating them afresh every iteration
+/// left the threads' heaps fragmented.
 #[derive(Default)]
 struct ChunkBufs {
     placements: Vec<(OpId, u32)>,
     changes: Vec<(OpId, TimeFrame)>,
     ends: Vec<usize>,
     forces: Vec<(f64, f64)>,
+    log: TermLog,
+}
+
+/// The candidate-force cache of one run. `entries[op]` holds the block
+/// frame generation and evaluator context stamp the pair was computed
+/// under, and the pair `(f_lo, f_hi)`; slots `2 * op` (ASAP end) and
+/// `2 * op + 1` (ALAP end) of `terms`/`xs` hold the fold terms recorded
+/// for each placement. The sentinel generation `u64::MAX` is unreachable
+/// (generations count frame mutations), so fresh entries never match.
+struct ForceCache {
+    entries: Vec<(u64, u64, f64, f64)>,
+    terms: Regions<ForceTerm>,
+    xs: Regions<f64>,
+}
+
+impl ForceCache {
+    fn new(num_ops: usize) -> Self {
+        ForceCache {
+            entries: vec![(u64::MAX, u64::MAX, 0.0, 0.0); num_ops],
+            terms: Regions::new(2 * num_ops),
+            xs: Regions::new(2 * num_ops),
+        }
+    }
+
+    /// The force of one placement of `op` (`side` 0: ASAP end, 1: ALAP
+    /// end) re-summed from its recorded terms, or `None` when none were
+    /// recorded and the cached value stands as it is.
+    fn resum<E: ForceEvaluator>(&self, eval: &E, op: OpId, side: usize) -> Option<f64> {
+        let slot = 2 * op.index() + side;
+        let terms = self.terms.get(slot);
+        (!terms.is_empty()).then(|| {
+            eval.resum(Terms {
+                terms,
+                xs: self.xs.get(slot),
+            })
+        })
+    }
+}
+
+/// Per-slot regions of one flat arena. A slot's contents are rewritten in
+/// place while they fit its region; contents that outgrow it move to the
+/// end of the arena, and the arena is compacted once the space left
+/// behind outweighs the live space. Everything lives in one allocation
+/// that grows with the largest contents, so rewriting a slot every
+/// iteration does not churn the heap.
+struct Regions<T> {
+    data: Vec<T>,
+    /// `(at, len, cap)` of each slot's region in `data`.
+    slots: Vec<(u32, u32, u32)>,
+    /// Sum of the slots' capacities — the part of `data` still in use.
+    live: usize,
+}
+
+impl<T: Copy> Regions<T> {
+    fn new(slots: usize) -> Self {
+        Regions {
+            data: Vec::new(),
+            slots: vec![(0, 0, 0); slots],
+            live: 0,
+        }
+    }
+
+    fn get(&self, slot: usize) -> &[T] {
+        let (at, len, _) = self.slots[slot];
+        &self.data[at as usize..(at + len) as usize]
+    }
+
+    fn set(&mut self, slot: usize, src: &[T]) {
+        let (at, _, cap) = self.slots[slot];
+        let len = u32::try_from(src.len()).expect("region fits u32");
+        if len <= cap {
+            self.data[at as usize..(at + len) as usize].copy_from_slice(src);
+            self.slots[slot].1 = len;
+            return;
+        }
+        if self.data.len() - self.live > self.live {
+            self.compact();
+        }
+        self.live += (len - cap) as usize;
+        let at = u32::try_from(self.data.len()).expect("arena fits u32");
+        self.slots[slot] = (at, len, len);
+        self.data.extend_from_slice(src);
+    }
+
+    /// Moves every region down over the space left behind, in arena order.
+    fn compact(&mut self) {
+        let mut order: Vec<usize> = (0..self.slots.len())
+            .filter(|&s| self.slots[s].2 > 0)
+            .collect();
+        order.sort_unstable_by_key(|&s| self.slots[s].0);
+        let mut to = 0;
+        for s in order {
+            let (at, _, cap) = self.slots[s];
+            self.data
+                .copy_within(at as usize..(at + cap) as usize, to as usize);
+            self.slots[s].0 = to;
+            to += cap;
+        }
+        self.data.truncate(to as usize);
+    }
 }
 
 /// Improved-FDS scheduling engine over a set of blocks.
@@ -262,8 +376,9 @@ impl<'a> IfdsEngine<'a> {
         self.score(eval, &mut bufs)
     }
 
-    /// Scores `bufs.placements` through one [`ForceEvaluator::force_batch`]
-    /// call, collecting their change sets back to back in `bufs`.
+    /// Scores `bufs.placements` through one
+    /// [`ForceEvaluator::force_batch_logged`] call, collecting their change
+    /// sets back to back and their fold terms in `bufs`.
     fn score<E: ForceEvaluator>(&self, eval: &E, bufs: &mut ChunkBufs) -> Vec<f64> {
         bufs.changes.clear();
         bufs.ends.clear();
@@ -279,7 +394,8 @@ impl<'a> IfdsEngine<'a> {
                 Some(&bufs.changes[std::mem::replace(start, end)..end])
             })
             .collect();
-        eval.force_batch(&self.frames, &views)
+        bufs.log.clear();
+        eval.force_batch_logged(&self.frames, &views, &mut bufs.log)
     }
 
     /// Forces of the two extreme placements `(f_lo, f_hi)` of every
@@ -288,14 +404,16 @@ impl<'a> IfdsEngine<'a> {
     /// the calling thread; more run one per pool thread.
     /// [`ForceEvaluator::force_batch`] returns what a lone `force` call
     /// would for every candidate whatever the batch holds, so the chunking
-    /// never changes a value.
+    /// never changes a value. Returns the pairs per chunk: pending pair `j`
+    /// was scored as pair `j % per` of chunk `j / per`, whose log holds
+    /// its terms.
     fn pair_forces<E: ForceEvaluator + Sync>(
         &self,
         eval: &E,
         pending: &[PendingEval],
         bufs: &mut [ChunkBufs],
         forces: &mut Vec<(f64, f64)>,
-    ) {
+    ) -> usize {
         let per = pending.len().div_ceil(bufs.len()).max(1);
         let chunks = pending.len().div_ceil(per);
         rayon::par_chunks_mut(&mut bufs[..chunks], 1, |c, b| {
@@ -312,6 +430,7 @@ impl<'a> IfdsEngine<'a> {
         for b in &bufs[..chunks] {
             forces.extend_from_slice(&b.forces);
         }
+        per
     }
 
     /// Runs gradual time-frame reduction to completion and extracts the
@@ -326,7 +445,7 @@ impl<'a> IfdsEngine<'a> {
     /// [`IfdsEngine::with_budget`] trips before every frame is fixed. With
     /// the default unlimited budget the run always succeeds.
     pub fn run<E: ForceEvaluator + Sync>(self, eval: &mut E) -> Result<IfdsOutcome, EngineError> {
-        self.run_impl(eval, true, true, &NoopRecorder)
+        self.run_impl(eval, true, &NoopRecorder)
     }
 
     /// [`IfdsEngine::run`] with observability: spans, per-iteration
@@ -344,7 +463,7 @@ impl<'a> IfdsEngine<'a> {
         eval: &mut E,
         rec: &dyn Recorder,
     ) -> Result<IfdsOutcome, EngineError> {
-        self.run_impl(eval, true, true, rec)
+        self.run_impl(eval, true, rec)
     }
 
     /// Reference run without the candidate-force cache, without batched
@@ -362,7 +481,7 @@ impl<'a> IfdsEngine<'a> {
         self,
         eval: &mut E,
     ) -> Result<IfdsOutcome, EngineError> {
-        self.run_impl(eval, false, false, &NoopRecorder)
+        self.run_impl(eval, false, &NoopRecorder)
     }
 
     /// Returns the budget axis that is exhausted given the loop counters,
@@ -384,8 +503,7 @@ impl<'a> IfdsEngine<'a> {
     fn run_impl<E: ForceEvaluator + Sync>(
         mut self,
         eval: &mut E,
-        use_cache: bool,
-        use_batch: bool,
+        incremental: bool,
         rec: &dyn Recorder,
     ) -> Result<IfdsOutcome, EngineError> {
         let run_started = Instant::now();
@@ -401,15 +519,13 @@ impl<'a> IfdsEngine<'a> {
         if rec.enabled() {
             rec.gauge_set("ifds.threads", threads as f64);
         }
-        // cache[op] = (block frame generation, evaluator context stamp,
-        // f_lo, f_hi) at computation time. The sentinel generation
-        // `u64::MAX` is unreachable (generations count frame mutations), so
-        // fresh entries never match.
-        let mut cache: Vec<(u64, u64, f64, f64)> = if use_cache {
-            vec![(u64::MAX, u64::MAX, 0.0, 0.0); self.system.num_ops()]
+        // `incremental` turns on the candidate cache and the batched sweep
+        // together; off, the run is the scalar, cache-free oracle.
+        let mut cache = ForceCache::new(if incremental {
+            self.system.num_ops()
         } else {
-            Vec::new()
-        };
+            0
+        });
         // Frame generation of the youngest change per block, mirrored off
         // the table's per-op stamps as commits are applied.
         let mut block_gen: Vec<u64> = vec![0; self.system.num_blocks()];
@@ -473,15 +589,20 @@ impl<'a> IfdsEngine<'a> {
                 if fr.is_fixed() {
                     continue;
                 }
-                let src = if use_cache {
+                let src = if incremental {
                     let block = self.system.op(o).block();
                     match eval.context_stamp(block) {
                         Some(ctx) => {
                             let gen = block_gen[block.index()];
-                            let entry = cache[o.index()];
-                            if entry.0 == gen && entry.1 == ctx {
+                            let (g, c, f_lo, f_hi) = cache.entries[o.index()];
+                            if g == gen && c == ctx {
                                 stats.cache_hits += 1;
-                                CandSource::Cached(entry.2, entry.3)
+                                let lo = cache.resum(&*eval, o, 0);
+                                let hi = cache.resum(&*eval, o, 1);
+                                if lo.is_some() || hi.is_some() {
+                                    stats.resums += 1;
+                                }
+                                CandSource::Cached(lo.unwrap_or(f_lo), hi.unwrap_or(f_hi))
                             } else {
                                 stats.cache_misses += 1;
                                 stats.ops_evaluated += 1;
@@ -509,13 +630,14 @@ impl<'a> IfdsEngine<'a> {
             // thread, one chunk per thread when the sweep is big enough to
             // pay for the fan-out. Only the *fold* order below matters for
             // the tie-break, and it does not depend on the chunking.
-            if use_batch {
+            let mut per = 0;
+            if incremental {
                 let chunks = threads.min(to_eval.len() / PAR_MIN_PAIRS).max(1);
                 stats.batched_evals += to_eval.len() as u64;
                 if chunks > 1 {
                     stats.parallel_evals += to_eval.len() as u64;
                 }
-                self.pair_forces(&*eval, &to_eval, &mut chunk_bufs[..chunks], &mut forces);
+                per = self.pair_forces(&*eval, &to_eval, &mut chunk_bufs[..chunks], &mut forces);
             } else {
                 // The oracle: one scalar `force` per placement, inline.
                 forces.clear();
@@ -530,7 +652,9 @@ impl<'a> IfdsEngine<'a> {
             // selection fold. The epsilon tie-break is non-associative, so
             // this fold must run in scope order on one thread — that is
             // what keeps the parallel run bit-identical to the sequential
-            // loop.
+            // loop. The write-back copies each pair's recorded terms out of
+            // its chunk's log into the cache's arenas, here on the engine
+            // thread.
             let mut best: Option<(f64, OpId, bool)> = None;
             for &(o, src) in &cands {
                 let (f_lo, f_hi) = match src {
@@ -538,7 +662,13 @@ impl<'a> IfdsEngine<'a> {
                     CandSource::Pending(j) => {
                         let (f_lo, f_hi) = forces[j];
                         if let Some((gen, ctx)) = to_eval[j].2 {
-                            cache[o.index()] = (gen, ctx, f_lo, f_hi);
+                            cache.entries[o.index()] = (gen, ctx, f_lo, f_hi);
+                            let log = &chunk_bufs[j / per].log;
+                            for side in 0..2 {
+                                let terms = log.candidate(2 * (j % per) + side);
+                                cache.terms.set(2 * o.index() + side, terms.terms);
+                                cache.xs.set(2 * o.index() + side, terms.xs);
+                            }
                         }
                         (f_lo, f_hi)
                     }
@@ -569,7 +699,7 @@ impl<'a> IfdsEngine<'a> {
             for &(q, f) in &changes {
                 self.frames.set(q, f);
             }
-            if use_cache {
+            if incremental {
                 for &(q, _) in &changes {
                     block_gen[self.system.op(q).block().index()] = self.frames.generation();
                 }
@@ -751,6 +881,33 @@ mod tests {
             "the oracle run must stay on the scalar force path"
         );
         assert!(cached.stats.ops_evaluated < naive.stats.ops_evaluated);
+    }
+
+    #[test]
+    fn regions_rewrite_in_place_and_compact_without_losing_contents() {
+        let mut r: Regions<u32> = Regions::new(3);
+        r.set(0, &[1, 2, 3]);
+        r.set(1, &[4]);
+        r.set(0, &[5, 6]);
+        assert_eq!(r.get(0), &[5, 6], "shorter contents rewrite in place");
+        assert_eq!(r.data.len(), 4);
+        // Growing slot 1 one value at a time moves it to the end each
+        // time; once the space left behind outweighs the live space, a
+        // move compacts the arena first.
+        for n in 2..=6 {
+            let grown: Vec<u32> = (0..n).collect();
+            r.set(1, &grown);
+            assert_eq!(r.get(1), &grown[..]);
+            assert_eq!(r.get(0), &[5, 6]);
+        }
+        assert!(
+            r.data.len() < 3 + (1..=6).sum::<usize>(),
+            "compaction reclaimed the moved-out space"
+        );
+        r.set(2, &[9]);
+        r.set(1, &[]);
+        assert!(r.get(1).is_empty());
+        assert_eq!(r.get(2), &[9]);
     }
 
     #[test]

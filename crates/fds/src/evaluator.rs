@@ -24,10 +24,13 @@ use crate::prob;
 /// [`ForceEvaluator::force`] must be a pure function of the committed
 /// state (frames plus whatever the evaluator maintains) and `changed`.
 /// [`ForceEvaluator::context_stamp`] summarizes that committed state per
-/// block: as long as the stamp of a block is unchanged, every force for a
-/// change rooted in that block would evaluate to bit-identical results, so
-/// the engine may reuse cached values. Evaluators that cannot provide this
-/// guarantee return `None` (the default), which disables caching.
+/// block, except for profiles a force reads through recorded terms. As
+/// long as the stamp of a block is unchanged, a force for a change rooted
+/// in that block is reproduced bit for bit either by its cached value —
+/// when [`ForceEvaluator::force_batch_logged`] recorded no terms for it —
+/// or by [`ForceEvaluator::resum`] over the terms it recorded. Evaluators
+/// that cannot provide this guarantee return `None` from `context_stamp`
+/// (the default), which disables caching.
 pub trait ForceEvaluator {
     /// Force of tentatively applying `changed` on top of `frames`.
     /// Lower is better; negative values reduce expected concurrency.
@@ -46,6 +49,42 @@ pub trait ForceEvaluator {
     /// default computes each candidate independently.
     fn force_batch(&self, frames: &FrameTable, candidates: &[&[(OpId, TimeFrame)]]) -> Vec<f64> {
         candidates.iter().map(|c| self.force(frames, c)).collect()
+    }
+
+    /// [`ForceEvaluator::force_batch`] that also records, per candidate and
+    /// in order, the terms of its force fold into `log` (one
+    /// [`TermLog::close`] per candidate, also for candidates with no
+    /// terms). The forces are exactly those of `force_batch`.
+    ///
+    /// Terms let a cached force be re-summed with [`ForceEvaluator::resum`]
+    /// when a profile outside the context stamp moved. The default records
+    /// no terms, so every cached force is reused as it is.
+    fn force_batch_logged(
+        &self,
+        frames: &FrameTable,
+        candidates: &[&[(OpId, TimeFrame)]],
+        log: &mut TermLog,
+    ) -> Vec<f64> {
+        let forces = self.force_batch(frames, candidates);
+        for _ in candidates {
+            log.close();
+        }
+        forces
+    }
+
+    /// Replays the recorded terms of one candidate against the live
+    /// profiles. Called only with non-empty terms this evaluator recorded,
+    /// and only while the candidate's frame generation and context stamp
+    /// are those it was recorded under; must then return exactly what
+    /// [`ForceEvaluator::force`] would.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: an evaluator that records no terms is never
+    /// asked to re-sum them.
+    fn resum(&self, terms: Terms<'_>) -> f64 {
+        let _ = terms;
+        unreachable!("this evaluator records no force terms")
     }
 
     /// Commits `changed`. `frames` is the state *before* the change; the
@@ -79,6 +118,89 @@ pub trait ForceEvaluator {
     /// [`Recorder::enabled`] is true; the default records nothing.
     fn record_iteration(&self, rec: &dyn Recorder, iteration: u64) {
         let _ = (rec, iteration);
+    }
+}
+
+/// One recorded term of a force fold. The evaluator that recorded it
+/// replays it as `force_sum(total, &profile[lo..], x, w_k, lookahead)`
+/// ([`crate::slab::force_sum`]), where `profile` is the live profile
+/// `key` names, `w_k` the spring weight of its type and `x` the `len`
+/// displacement values stored with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForceTerm {
+    /// Evaluator-defined name of the profile the term is priced on.
+    pub key: u32,
+    /// First profile step the displacement covers.
+    pub lo: u32,
+    /// Number of displacement values.
+    pub len: u32,
+}
+
+/// The fold terms of a sequence of candidates, back to back: each
+/// candidate's [`ForceTerm`]s in fold order, and their displacement
+/// values concatenated in the same order. Cleared and refilled per batch,
+/// so its buffers keep their capacity.
+#[derive(Debug, Clone, Default)]
+pub struct TermLog {
+    terms: Vec<ForceTerm>,
+    xs: Vec<f64>,
+    /// `ends[i]`: end of candidate `i` in `terms` and in `xs`.
+    ends: Vec<(usize, usize)>,
+}
+
+impl TermLog {
+    /// Forgets every candidate, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.terms.clear();
+        self.xs.clear();
+        self.ends.clear();
+    }
+
+    /// Appends a term with displacement `x` to the open candidate.
+    pub fn push(&mut self, key: u32, lo: usize, x: &[f64]) {
+        self.terms.push(ForceTerm {
+            key,
+            lo: u32::try_from(lo).expect("profile step fits u32"),
+            len: u32::try_from(x.len()).expect("displacement length fits u32"),
+        });
+        self.xs.extend_from_slice(x);
+    }
+
+    /// Closes the open candidate: the terms pushed since the last close.
+    pub fn close(&mut self) {
+        self.ends.push((self.terms.len(), self.xs.len()));
+    }
+
+    /// The terms of closed candidate `i`.
+    pub fn candidate(&self, i: usize) -> Terms<'_> {
+        let (t0, x0) = if i == 0 { (0, 0) } else { self.ends[i - 1] };
+        let (t1, x1) = self.ends[i];
+        Terms {
+            terms: &self.terms[t0..t1],
+            xs: &self.xs[x0..x1],
+        }
+    }
+}
+
+/// The recorded terms of one candidate: its [`ForceTerm`]s in fold order
+/// and their displacement values back to back.
+#[derive(Debug, Clone, Copy)]
+pub struct Terms<'a> {
+    /// The terms, in fold order.
+    pub terms: &'a [ForceTerm],
+    /// The displacement values of `terms`, concatenated.
+    pub xs: &'a [f64],
+}
+
+impl<'a> Terms<'a> {
+    /// Each term with its displacement values, in fold order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a ForceTerm, &'a [f64])> + 'a {
+        let xs = self.xs;
+        self.terms.iter().scan(0, move |at, t| {
+            let start = *at;
+            *at += t.len as usize;
+            Some((t, &xs[start..*at]))
+        })
     }
 }
 

@@ -124,34 +124,6 @@ pub fn force_sum(acc: f64, profile: &[f64], delta: &[f64], weight: f64, lookahea
     total
 }
 
-/// [`force_sum`] with the displacement subtraction fused in: the delta is
-/// `tentative[i] - committed[i]`, computed inline instead of via a
-/// separate subtraction pass. Bitwise identical to `sub_into` followed by
-/// [`force_sum`] — the exact same difference feeds the exact same
-/// accumulation.
-///
-/// # Panics
-///
-/// Panics in debug builds if the slice lengths disagree.
-#[inline]
-pub fn force_sum_sub(
-    acc: f64,
-    profile: &[f64],
-    tentative: &[f64],
-    committed: &[f64],
-    weight: f64,
-    lookahead: f64,
-) -> f64 {
-    debug_assert!(tentative.len() <= profile.len());
-    debug_assert_eq!(tentative.len(), committed.len());
-    let mut total = acc;
-    for ((&p, &t), &m) in profile.iter().zip(tentative).zip(committed) {
-        let x = t - m;
-        total += weight * (p + lookahead * x) * x;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,11 @@
 //! 3. The cached engine run vs the cache-free reference run — here the
 //!    requirement is *bit-identity* of the produced schedules, because
 //!    both paths fold the same incremental distribution and the cache
-//!    may only skip work, never change a value.
+//!    may only skip work, never change a value. Forces re-summed from
+//!    their recorded terms are covered here too: with all types global,
+//!    with one type local (local terms interleaved with global ones),
+//!    and with frozen external baselines seeding `G_k`, as the
+//!    partitioned scheduler runs the engine.
 //!
 //! Random systems come from `tcms::ir::generators::random_system`;
 //! commit sequences are random single-op frame shrinks propagated with
@@ -27,7 +31,7 @@ use tcms::fds::dist::DistributionSet;
 use tcms::fds::{ClassicEvaluator, FdsConfig, ForceEvaluator};
 use tcms::ir::generators::{random_system, RandomSystemConfig};
 use tcms::ir::{FrameTable, OpId, System, TimeFrame};
-use tcms::modulo::{ModuloEvaluator, ModuloScheduler, SharingSpec};
+use tcms::modulo::{ExternalOccupancy, ModuloEvaluator, ModuloScheduler, SharingSpec};
 
 const TOL: f64 = 1e-9;
 
@@ -282,40 +286,61 @@ proptest! {
 
     /// Layer 3: the cached scheduler run is bit-identical to the
     /// cache-free reference run — same start times, same iteration
-    /// count, same allocation — on random multi-process systems.
+    /// count, same allocation — on random multi-process systems. Three
+    /// specs per system: every type global; one type local, so cached
+    /// local terms are re-summed alongside the global ones; and every
+    /// type global with frozen external baselines seeding each `G_k`, as
+    /// in the feedback rounds of `schedule_partitioned`.
     #[test]
     fn cached_scheduler_run_is_bit_identical(
         seed in 0u64..200,
         period in 2u32..5,
+        local_pick in 0usize..3,
+        base in prop::collection::vec(0u32..4, 4),
     ) {
-        let (system, _) = random_system(&small_config(), seed).unwrap();
+        let (system, types) = random_system(&small_config(), seed).unwrap();
         let spec = SharingSpec::all_global(&system, period);
         prop_assume!(tcms::modulo::period::spacing_feasible(&system, &spec));
+        let mut mixed = spec.clone();
+        mixed.set_local([types.add, types.sub, types.mul][local_pick]);
+        let none = ExternalOccupancy::empty(system.library().len());
+        let mut external = none.clone();
+        for k in spec.global_types(&system) {
+            let profile = (0..period as usize)
+                .map(|slot| f64::from(base[slot % base.len()]) * 0.5)
+                .collect();
+            external.set(k, profile);
+        }
 
-        let cached = ModuloScheduler::new(&system, spec.clone())
-            .unwrap()
-            .run().unwrap();
-        let naive = ModuloScheduler::new(&system, spec)
-            .unwrap()
-            .run_naive().unwrap();
-
-        prop_assert_eq!(
-            cached.schedule.starts(),
-            naive.schedule.starts(),
-            "cached and naive runs must place every op identically"
-        );
-        prop_assert_eq!(cached.iterations, naive.iterations);
-        // The cache may only skip evaluations, never add them.
-        prop_assert!(cached.stats.ops_evaluated <= naive.stats.ops_evaluated);
-        prop_assert_eq!(naive.stats.cache_hits, 0);
+        for (spec, external) in [(spec.clone(), none.clone()), (mixed, none), (spec, external)] {
+            let run = |naive: bool| {
+                let scheduler = ModuloScheduler::new(&system, spec.clone())
+                    .unwrap()
+                    .with_external_occupancy(external.clone());
+                if naive { scheduler.run_naive() } else { scheduler.run() }.unwrap()
+            };
+            let (cached, naive) = (run(false), run(true));
+            prop_assert_eq!(
+                cached.schedule.starts(),
+                naive.schedule.starts(),
+                "cached and naive runs must place every op identically"
+            );
+            prop_assert_eq!(cached.iterations, naive.iterations);
+            // The cache may only skip evaluations, never add them.
+            prop_assert!(cached.stats.ops_evaluated <= naive.stats.ops_evaluated);
+            prop_assert!(cached.stats.resums <= cached.stats.cache_hits);
+            prop_assert_eq!(naive.stats.cache_hits, 0);
+        }
     }
 }
 
 /// The precise-dirtying commit path (distribution versions bump only when
-/// bits actually change; context stamps are gated on `dist_changed`) must
-/// keep the paper-system cache hit-rate at or above its measured level —
-/// a regression here silently degrades the incremental engine without
-/// failing any equivalence test.
+/// bits actually change; context stamps are gated on `dist_changed`) and
+/// the re-summed forces of other processes (a moved `G_k` stamps nothing)
+/// must keep the paper-system cache hit-rate at or above its measured
+/// level, and the fresh evaluations below theirs — a regression here
+/// silently degrades the incremental engine without failing any
+/// equivalence test.
 #[test]
 fn paper_system_cache_hit_rate_clears_floor() {
     let (sys, _) = tcms::ir::generators::paper_system().unwrap();
@@ -327,8 +352,17 @@ fn paper_system_cache_hit_rate_clears_floor() {
     );
     let rate = out.stats.hit_rate();
     assert!(
-        rate >= 0.12,
-        "paper-system hit rate regressed: {rate:.3} (measured 0.130 at the slab refactor)"
+        rate >= 0.70,
+        "paper-system hit rate regressed: {rate:.3} (measured 0.719 with re-summed forces)"
+    );
+    assert!(
+        out.stats.ops_evaluated <= 80_000,
+        "paper-system fresh evaluations regressed: {} (measured 66,044 with re-summed forces)",
+        out.stats.ops_evaluated
+    );
+    assert!(
+        out.stats.resums > 0 && out.stats.resums <= out.stats.cache_hits,
+        "re-sums are a non-empty subset of the cache hits"
     );
     assert_eq!(
         out.stats.batched_evals, out.stats.ops_evaluated,
