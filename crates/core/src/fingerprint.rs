@@ -154,13 +154,6 @@ impl CacheableResult {
         }
     }
 
-    /// Attaches a provenance note (builder style, for capture sites).
-    #[must_use]
-    pub fn with_note(mut self, note: impl Into<String>) -> Self {
-        self.note = Some(note.into());
-        self
-    }
-
     /// Replays the cached starts onto a system with the same canonical
     /// hash.
     ///
@@ -347,11 +340,15 @@ edge m0 a0
         b.starts[1] = 9;
         assert_ne!(a.integrity(), b.integrity());
         // A note changes the digest, and different notes differ.
-        let noted = a.clone().with_note("partitioned: 2 subgraphs");
+        let with_note = |note: &str| CacheableResult {
+            note: Some(note.to_owned()),
+            ..a.clone()
+        };
+        let noted = with_note("partitioned: 2 subgraphs");
         assert_ne!(a.integrity(), noted.integrity());
         assert_ne!(
             noted.integrity(),
-            a.clone().with_note("partitioned: 3 subgraphs").integrity()
+            with_note("partitioned: 3 subgraphs").integrity()
         );
     }
 

@@ -70,7 +70,7 @@ impl RouteMode {
 }
 
 /// Static fleet configuration, one per daemon.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// This node's advertised address — must appear in `peers` exactly
     /// as the other nodes list it, or the ring routes around us.
@@ -100,6 +100,30 @@ impl FleetConfig {
             sync_interval: Some(Duration::from_secs(2)),
         }
     }
+
+    /// Refuses a node whose own address is missing from `peers`. Every
+    /// node must build the same ring; a node that silently added itself
+    /// would route by a ring no other node has, and proxied lines could
+    /// bounce between nodes that each believe the other owns the key.
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::ErrorKind::InvalidInput`], naming the address and the
+    /// `--advertise` fix.
+    pub fn check_self_listed(&self) -> std::io::Result<()> {
+        if self.peers.contains(&self.self_addr) {
+            return Ok(());
+        }
+        Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "this node's address `{}` is not in --peers ({}); pass an --advertise \
+                 address matching this node's entry in --peers",
+                self.self_addr,
+                self.peers.join(",")
+            ),
+        ))
+    }
 }
 
 /// Runtime fleet state held by the server: the (immutable) ring plus
@@ -114,16 +138,12 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Builds the runtime state. The ring always includes `self_addr`
-    /// even if the peer list forgot it; membership tracks everyone
-    /// else.
+    /// Builds the runtime state: the ring over `peers` (which must list
+    /// `self_addr`, see [`FleetConfig::check_self_listed`]) and
+    /// membership for everyone else.
     #[must_use]
     pub fn new(config: FleetConfig) -> Fleet {
-        let mut ring_peers = config.peers.clone();
-        if !ring_peers.contains(&config.self_addr) {
-            ring_peers.push(config.self_addr.clone());
-        }
-        let ring = HashRing::new(&ring_peers, config.replicas);
+        let ring = HashRing::new(&config.peers, config.replicas);
         let others: Vec<String> = ring
             .peers()
             .iter()
@@ -204,10 +224,20 @@ mod tests {
     }
 
     #[test]
-    fn self_is_added_to_the_ring_when_omitted() {
-        let fleet = Fleet::new(FleetConfig::new("me:9", vec!["a:1".into(), "b:2".into()]));
-        assert!(fleet.ring.peers().contains(&"me:9".to_owned()));
-        assert_eq!(fleet.membership.addrs().count(), 2, "self not tracked");
+    fn a_node_missing_from_its_peer_list_is_refused() {
+        let peers = vec!["a:1".to_owned(), "b:2".to_owned()];
+        let err = FleetConfig::new("me:9", peers.clone())
+            .check_self_listed()
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("--advertise"), "{err}");
+        // Listed, the node builds the shared ring and tracks only the
+        // others.
+        let listed = FleetConfig::new("a:1", peers.clone());
+        listed.check_self_listed().unwrap();
+        let fleet = Fleet::new(listed);
+        assert_eq!(fleet.ring.peers(), peers.as_slice());
+        assert_eq!(fleet.membership.addrs().count(), 1, "self not tracked");
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The shared request pipeline: load → spec → schedule (optionally
 //! through the content-addressed cache) → render.
 //!
-//! Both the one-shot CLI (`tcms schedule` / `tcms simulate`) and every
-//! daemon worker execute **this** code, so their outputs are
+//! Every one-shot CLI command that schedules (`tcms schedule`,
+//! `tcms simulate` and `tcms vhdl`) and every daemon worker take their
+//! schedule from [`schedule_request`], so their outputs are
 //! bit-identical by construction — the daemon does not reimplement the
-//! report renderer, it shares it.
+//! scheduler invocation or the report renderer, it shares them. Only
+//! `tcms simulate --faults` adds a CLI-side tail after the shared
+//! simulation block.
 //!
 //! # Cache semantics
 //!
@@ -40,7 +43,7 @@ use tcms_ir::canon::Canonicalization;
 use tcms_ir::generators::paper_library;
 use tcms_ir::{display, frontend, parse, System};
 use tcms_obs::{NoopRecorder, Recorder};
-use tcms_sim::{SimConfig, Simulator, Trigger};
+use tcms_sim::{FaultMetrics, FaultPlan, SimConfig, Simulator, Trigger};
 
 use crate::cache::{CacheKey, Disposition, SchedCache};
 use crate::error::ServeError;
@@ -171,6 +174,40 @@ impl Default for ExecContext<'_> {
     }
 }
 
+/// Resolves the partition rule: an explicit `--partition` always wins;
+/// otherwise specs of at least `auto_partition_ops` operations route
+/// through the partitioner automatically (`0` disables that).
+fn partition_config(
+    system: &System,
+    opts: &ScheduleOptions,
+    auto_partition_ops: usize,
+) -> Option<PartitionConfig> {
+    opts.partition
+        .or_else(|| {
+            (auto_partition_ops > 0 && system.num_ops() >= auto_partition_ops)
+                .then_some(PartitionCount::Auto)
+        })
+        .map(|count| PartitionConfig {
+            count,
+            ..PartitionConfig::default()
+        })
+}
+
+/// The content address of a (non-degrade) request: the canonical design
+/// hash plus the configuration fingerprint, partition knobs included.
+fn content_address(
+    system: &System,
+    canon: &Canonicalization,
+    spec: &SharingSpec,
+    config: &FdsConfig,
+    pcfg: Option<&PartitionConfig>,
+) -> CacheKey {
+    CacheKey {
+        spec: canon.hash(),
+        config: config_fingerprint_with(system, canon, spec, config, pcfg),
+    }
+}
+
 /// Computes the content address a schedule request *would* use, without
 /// scheduling anything: parse, build the spec, canonicalize,
 /// fingerprint. This is what fleet routing keys on — every node derives
@@ -199,20 +236,15 @@ pub fn request_cache_key(
     }
     let system = load_system(source)?;
     let spec = build_spec(&system, opts.all_global, &opts.globals)?;
-    let partition = opts.partition.or_else(|| {
-        (auto_partition_ops > 0 && system.num_ops() >= auto_partition_ops)
-            .then_some(PartitionCount::Auto)
-    });
-    let pcfg = partition.map(|count| PartitionConfig {
-        count,
-        ..PartitionConfig::default()
-    });
-    let config = FdsConfig::default();
+    let pcfg = partition_config(&system, opts, auto_partition_ops);
     let canon = Canonicalization::of(&system);
-    Ok(Some(CacheKey {
-        spec: canon.hash(),
-        config: config_fingerprint_with(&system, &canon, &spec, &config, pcfg.as_ref()),
-    }))
+    Ok(Some(content_address(
+        &system,
+        &canon,
+        &spec,
+        &FdsConfig::default(),
+        pcfg.as_ref(),
+    )))
 }
 
 /// Everything a schedule request produced.
@@ -222,6 +254,9 @@ pub struct ScheduleArtifacts {
     pub text: String,
     /// The loaded system (for `--save` and binding follow-ups).
     pub system: System,
+    /// The sharing specification the schedule satisfies (the ladder's
+    /// relaxed one for `degrade` runs).
+    pub spec: SharingSpec,
     /// The finished schedule.
     pub schedule: Schedule,
     /// How the result was obtained; `Miss` for cache-less runs.
@@ -235,6 +270,40 @@ pub struct ScheduleArtifacts {
     /// workload journal records it so replays can be correlated without
     /// re-canonicalizing.
     pub cache_key: Option<CacheKey>,
+}
+
+/// One fresh, verified scheduler run — monolithic, or partitioned when
+/// `pcfg` is set — returning the schedule, its iteration count and the
+/// partition telemetry note. The cached miss and the cache-less path
+/// both call this, so they render identical bytes.
+fn run_fresh(
+    system: &System,
+    spec: &SharingSpec,
+    config: &FdsConfig,
+    pcfg: Option<&PartitionConfig>,
+    rec: &dyn Recorder,
+) -> Result<(Schedule, u64, Option<String>), ServeError> {
+    let (schedule, iterations, note) = match pcfg {
+        Some(pcfg) => {
+            let out = schedule_partitioned_recorded(system, spec.clone(), config, pcfg, rec)?;
+            let note = format!(
+                "partitioned: {} subgraphs, {} feedback rounds, {} cut edges",
+                out.partitions, out.rounds, out.cut_edges
+            );
+            let iterations = out.iterations();
+            (out.schedule, iterations, Some(note))
+        }
+        None => {
+            let outcome = ModuloScheduler::new(system, spec.clone())?
+                .with_config(config.clone())
+                .run_recorded(rec)?;
+            (outcome.schedule, outcome.iterations, None)
+        }
+    };
+    schedule
+        .verify(system)
+        .map_err(|e| ServeError::Verify(e.to_string()))?;
+    Ok((schedule, iterations, note))
 }
 
 /// Runs the full schedule pipeline on `source`.
@@ -259,17 +328,6 @@ pub fn schedule_request(
         budget: ctx.budget,
         ..FdsConfig::default()
     };
-
-    // Explicit `--partition` always wins; otherwise over-threshold specs
-    // are routed through the partitioner automatically.
-    let partition = opts.partition.or_else(|| {
-        (ctx.auto_partition_ops > 0 && system.num_ops() >= ctx.auto_partition_ops)
-            .then_some(PartitionCount::Auto)
-    });
-    let pcfg = partition.map(|count| PartitionConfig {
-        count,
-        ..PartitionConfig::default()
-    });
 
     let mut cache_key = None;
     let (system, spec, schedule, iterations, fresh_iterations, disposition, note) = if opts.degrade
@@ -296,121 +354,65 @@ pub fn schedule_request(
             Disposition::Miss,
             Some(note),
         )
-    } else if let Some(cache) = ctx.cache {
-        // Monolithic and partitioned runs are both content-addressed:
-        // the partition knobs separate the fingerprint, and the
-        // partition telemetry note rides inside the cache entry so a
-        // hit replays the original run byte for byte.
-        let canon = Canonicalization::of(&system);
-        let key = CacheKey {
-            spec: canon.hash(),
-            config: config_fingerprint_with(&system, &canon, &spec, &config, pcfg.as_ref()),
-        };
-        cache_key = Some(key);
-        let (result, disposition) = cache.get_or_compute(key, || match &pcfg {
-            Some(pcfg) => {
-                let out =
-                    schedule_partitioned_recorded(&system, spec.clone(), &config, pcfg, ctx.rec)
-                        .map_err(ServeError::from)?;
-                out.schedule
+    } else {
+        let pcfg = partition_config(&system, opts, ctx.auto_partition_ops);
+        match ctx.cache {
+            // Monolithic and partitioned runs are both content-addressed:
+            // the partition knobs separate the fingerprint, and the
+            // partition telemetry note rides inside the cache entry so a
+            // hit replays the original run byte for byte.
+            Some(cache) => {
+                let canon = Canonicalization::of(&system);
+                let key = content_address(&system, &canon, &spec, &config, pcfg.as_ref());
+                cache_key = Some(key);
+                let (result, disposition) = cache.get_or_compute(key, || {
+                    let (schedule, iterations, note) =
+                        run_fresh(&system, &spec, &config, pcfg.as_ref(), ctx.rec)?;
+                    Ok(CacheableResult {
+                        note,
+                        ..CacheableResult::capture(&canon, &schedule, iterations)
+                    })
+                });
+                let cached = result?;
+                let schedule = cached
+                    .replay(&canon)
+                    .map_err(|e| ServeError::Verify(format!("cache replay failed: {e}")))?;
+                // Replay is re-verified even on hits: a hash collision or
+                // corrupt snapshot entry surfaces as a typed error, never
+                // as a silently wrong response.
+                schedule
                     .verify(&system)
-                    .map_err(|e| ServeError::Verify(e.to_string()))?;
-                let note = format!(
-                    "partitioned: {} subgraphs, {} feedback rounds, {} cut edges",
-                    out.partitions, out.rounds, out.cut_edges
-                );
-                let iterations = out.iterations();
-                Ok(CacheableResult::capture(&canon, &out.schedule, iterations).with_note(note))
+                    .map_err(|e| ServeError::Verify(format!("cached schedule invalid: {e}")))?;
+                let fresh = if disposition == Disposition::Miss {
+                    cached.iterations
+                } else {
+                    0
+                };
+                let note = cached.note.clone();
+                (
+                    system,
+                    spec,
+                    schedule,
+                    cached.iterations,
+                    fresh,
+                    disposition,
+                    note,
+                )
             }
             None => {
-                let outcome = ModuloScheduler::new(&system, spec.clone())
-                    .map_err(ServeError::from)?
-                    .with_config(config.clone())
-                    .run_recorded(ctx.rec)
-                    .map_err(ServeError::from)?;
-                outcome
-                    .schedule
-                    .verify(&system)
-                    .map_err(|e| ServeError::Verify(e.to_string()))?;
-                Ok(CacheableResult::capture(
-                    &canon,
-                    &outcome.schedule,
-                    outcome.iterations,
-                ))
+                let (schedule, iterations, note) =
+                    run_fresh(&system, &spec, &config, pcfg.as_ref(), ctx.rec)?;
+                (
+                    system,
+                    spec,
+                    schedule,
+                    iterations,
+                    iterations,
+                    Disposition::Miss,
+                    note,
+                )
             }
-        });
-        let cached = result?;
-        let schedule = cached
-            .replay(&canon)
-            .map_err(|e| ServeError::Verify(format!("cache replay failed: {e}")))?;
-        // Replay is re-verified even on hits: a hash collision or
-        // corrupt snapshot entry surfaces as a typed error, never as a
-        // silently wrong response.
-        schedule
-            .verify(&system)
-            .map_err(|e| ServeError::Verify(format!("cached schedule invalid: {e}")))?;
-        let fresh = if disposition == Disposition::Miss {
-            cached.iterations
-        } else {
-            0
-        };
-        let note = cached.note.clone();
-        (
-            system,
-            spec,
-            schedule,
-            cached.iterations,
-            fresh,
-            disposition,
-            note,
-        )
-    } else if let Some(pcfg) = &pcfg {
-        // Cache-less partitioned run: same driver invocation the cached
-        // miss makes, so the two render identical bytes.
-        let (schedule, iterations, note) = {
-            let out = schedule_partitioned_recorded(&system, spec.clone(), &config, pcfg, ctx.rec)
-                .map_err(ServeError::from)?;
-            let note = format!(
-                "partitioned: {} subgraphs, {} feedback rounds, {} cut edges",
-                out.partitions, out.rounds, out.cut_edges
-            );
-            let iterations = out.iterations();
-            (out.schedule, iterations, note)
-        };
-        schedule
-            .verify(&system)
-            .map_err(|e| ServeError::Verify(e.to_string()))?;
-        (
-            system,
-            spec,
-            schedule,
-            iterations,
-            iterations,
-            Disposition::Miss,
-            Some(note),
-        )
-    } else {
-        let (schedule, iterations) = {
-            let outcome = ModuloScheduler::new(&system, spec.clone())
-                .map_err(ServeError::from)?
-                .with_config(config)
-                .run_recorded(ctx.rec)
-                .map_err(ServeError::from)?;
-            outcome
-                .schedule
-                .verify(&system)
-                .map_err(|e| ServeError::Verify(e.to_string()))?;
-            (outcome.schedule, outcome.iterations)
-        };
-        (
-            system,
-            spec,
-            schedule,
-            iterations,
-            iterations,
-            Disposition::Miss,
-            None,
-        )
+        }
     };
 
     let text = render_schedule_report(
@@ -425,6 +427,7 @@ pub fn schedule_request(
     Ok(ScheduleArtifacts {
         text,
         system,
+        spec,
         schedule,
         disposition,
         fresh_iterations,
@@ -521,6 +524,35 @@ impl Default for SimulateOptions {
     }
 }
 
+impl SimulateOptions {
+    /// The schedule request the simulation runs on: the sharing flags,
+    /// everything else at its default.
+    #[must_use]
+    pub fn schedule_options(&self) -> ScheduleOptions {
+        ScheduleOptions {
+            all_global: self.all_global,
+            globals: self.globals.clone(),
+            ..ScheduleOptions::default()
+        }
+    }
+
+    /// Checks the workload knobs every front-end enforces: the horizon
+    /// and the mean trigger gap must both be positive.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.horizon == 0 {
+            return Err("`horizon` must be positive".into());
+        }
+        if self.mean_gap == 0 {
+            return Err("`mean_gap` must be positive".into());
+        }
+        Ok(())
+    }
+}
+
 /// Everything a simulate request produced.
 #[derive(Debug)]
 pub struct SimulateArtifacts {
@@ -534,9 +566,10 @@ pub struct SimulateArtifacts {
     pub cache_key: Option<CacheKey>,
 }
 
-/// Runs the simulate pipeline: schedule (through the cache when one is
-/// given — the simulation itself is not cached) and simulate the
-/// reactive workload, rendering exactly the CLI's `simulate` output.
+/// Runs the simulate pipeline: schedule through [`schedule_request`]
+/// (and so through the cache when one is given — the simulation itself
+/// is not cached), then simulate the reactive workload, rendering
+/// exactly the CLI's `simulate` output.
 ///
 /// # Errors
 ///
@@ -546,15 +579,29 @@ pub fn simulate_request(
     opts: &SimulateOptions,
     ctx: &ExecContext<'_>,
 ) -> Result<SimulateArtifacts, ServeError> {
-    let sched_opts = ScheduleOptions {
-        all_global: opts.all_global,
-        globals: opts.globals.clone(),
-        ..ScheduleOptions::default()
-    };
-    let arts = schedule_request(source, &sched_opts, ctx)?;
-    let system = arts.system;
-    let spec = build_spec(&system, opts.all_global, &opts.globals)?;
-    let sim = Simulator::new(&system, &spec, &arts.schedule);
+    let arts = schedule_request(source, &opts.schedule_options(), ctx)?;
+    let (text, _) = simulate_schedule(&arts, opts, None);
+    Ok(SimulateArtifacts {
+        text,
+        disposition: arts.disposition,
+        fresh_iterations: arts.fresh_iterations,
+        cache_key: arts.cache_key,
+    })
+}
+
+/// Simulates the reactive workload of `opts` on a scheduled request and
+/// renders the standard simulation block. With `faults` (the one-shot
+/// CLI's `--faults`; the wire protocol has no such field) the run injects
+/// that deterministic fault plan and returns its metrics, which the
+/// caller renders after the block.
+#[must_use]
+pub fn simulate_schedule(
+    arts: &ScheduleArtifacts,
+    opts: &SimulateOptions,
+    faults: Option<&FaultPlan>,
+) -> (String, Option<FaultMetrics>) {
+    let system = &arts.system;
+    let sim = Simulator::new(system, &arts.spec, &arts.schedule);
     let workloads = vec![
         Trigger::Random {
             mean_gap: opts.mean_gap
@@ -565,37 +612,32 @@ pub fn simulate_request(
         horizon: opts.horizon,
         seed: opts.seed,
     };
-    let result = sim.run(&workloads, &config);
-    let out = render_simulation(
-        &system,
-        &spec,
-        &sim,
-        &result,
-        opts.horizon,
-        opts.seed,
-        opts.mean_gap,
-    );
-    Ok(SimulateArtifacts {
-        text: out,
-        disposition: arts.disposition,
-        fresh_iterations: arts.fresh_iterations,
-        cache_key: arts.cache_key,
-    })
+    let (result, metrics) = match faults {
+        Some(plan) => {
+            let (result, metrics) = sim.run_with_faults(&workloads, &config, plan);
+            (result, Some(metrics))
+        }
+        None => (sim.run(&workloads, &config), None),
+    };
+    let text = render_simulation(system, &arts.spec, &sim, &result, opts);
+    (text, metrics)
 }
 
 /// Renders the standard simulation block exactly as `tcms simulate`
-/// prints it (shared by the daemon and the CLI, including the CLI's
-/// fault-injection mode, which appends its own lines after this block).
-#[must_use]
-pub fn render_simulation(
+/// prints it.
+fn render_simulation(
     system: &System,
     spec: &SharingSpec,
     sim: &Simulator<'_>,
     result: &tcms_sim::SimResult,
-    horizon: u64,
-    seed: u64,
-    mean_gap: u64,
+    opts: &SimulateOptions,
 ) -> String {
+    let SimulateOptions {
+        horizon,
+        seed,
+        mean_gap,
+        ..
+    } = opts;
     let mut out = String::new();
     let _ = writeln!(out, "{}", display::summary(system));
     let _ = writeln!(

@@ -245,23 +245,17 @@ fn parse_body(v: &JsonValue) -> Result<(Action, Option<u64>), ServeError> {
         },
         "simulate" => {
             let defaults = SimulateOptions::default();
-            let horizon = field_u64(v, "horizon")?.unwrap_or(defaults.horizon);
-            let mean_gap = field_u64(v, "mean_gap")?.unwrap_or(defaults.mean_gap);
-            if horizon == 0 {
-                return Err(ServeError::BadRequest("`horizon` must be positive".into()));
-            }
-            if mean_gap == 0 {
-                return Err(ServeError::BadRequest("`mean_gap` must be positive".into()));
-            }
+            let opts = SimulateOptions {
+                all_global: field_u32(v, "all_global")?,
+                globals: field_globals(v)?,
+                horizon: field_u64(v, "horizon")?.unwrap_or(defaults.horizon),
+                seed: field_u64(v, "seed")?.unwrap_or(defaults.seed),
+                mean_gap: field_u64(v, "mean_gap")?.unwrap_or(defaults.mean_gap),
+            };
+            opts.validate().map_err(ServeError::BadRequest)?;
             Action::Simulate {
                 design: field_design(v)?,
-                opts: SimulateOptions {
-                    all_global: field_u32(v, "all_global")?,
-                    globals: field_globals(v)?,
-                    horizon,
-                    seed: field_u64(v, "seed")?.unwrap_or(defaults.seed),
-                    mean_gap,
-                },
+                opts,
             }
         }
         "stats" => Action::Stats,

@@ -64,7 +64,7 @@ use crate::protocol::{error_line, output_body, success_line, Action, RequestId};
 use conn::Responder;
 
 /// Daemon configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7733` (`:0` picks a free port).
     pub listen: String,
@@ -649,8 +649,13 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind and snapshot I/O failures.
+    /// Propagates bind and snapshot I/O failures, and refuses
+    /// ([`std::io::ErrorKind::InvalidInput`]) a fleet node whose own
+    /// address is not in its peer list.
     pub fn start(mut config: ServeConfig) -> std::io::Result<Server> {
+        if let Some(fleet) = &config.fleet {
+            fleet.check_self_listed()?;
+        }
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
         let http_listener = config
@@ -1152,6 +1157,30 @@ mod tests {
             })
             .collect();
         (servers, peers)
+    }
+
+    #[test]
+    fn fleet_node_missing_from_its_peer_list_refuses_to_start() {
+        let peers = vec!["127.0.0.1:1".to_owned(), "127.0.0.1:2".to_owned()];
+        let err = Server::start(ServeConfig {
+            fleet: Some(FleetConfig::new("127.0.0.1:3", peers.clone())),
+            ..ServeConfig::default()
+        })
+        .err()
+        .expect("a node outside its own ring must not boot");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("--advertise"), "{err}");
+        // The same node listed under its advertised address boots.
+        let server = Server::start(ServeConfig {
+            fleet: Some(FleetConfig {
+                sync_interval: None,
+                ..FleetConfig::new("127.0.0.1:1", peers)
+            }),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        server.shutdown();
+        server.wait().unwrap();
     }
 
     fn sample_key() -> CacheKey {

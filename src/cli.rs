@@ -16,13 +16,14 @@
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::time::Duration;
 
 use crate::ir::{display, dot, System};
-use crate::modulo::{check_execution, random_activations, ModuloScheduler, ScheduleError};
+use crate::modulo::{check_execution, random_activations, ScheduleError};
 use crate::obs::{sink, NoopRecorder, Recorder, TraceRecorder};
 use crate::serve::cache::SchedCache;
 use crate::serve::pipeline::{self, ExecContext, ScheduleOptions, SimulateOptions};
-use crate::serve::{persist, Client, ServeConfig, ServeError, Server};
+use crate::serve::{persist, Client, FleetConfig, ServeConfig, ServeError, Server};
 
 /// A typed CLI failure. Every class maps to a stable process exit code
 /// (see [`CliError::exit_code`]) so scripts can branch on *why* a run
@@ -216,21 +217,18 @@ impl From<crate::modulo::CoreError> for CliError {
     }
 }
 
-/// A parsed command line.
+/// A parsed command line. The request options live in the pipeline's
+/// own types ([`ScheduleOptions`], [`SimulateOptions`], [`ServeConfig`]),
+/// so one-shot runs, `tcms client` and the daemon read the same values;
+/// only the flags that make sense locally sit beside them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Schedule a design and print the report.
     Schedule {
-        /// Path of the `.dfg` input.
+        /// Path of the design input.
         input: String,
-        /// Uniform period for all shareable types (from `--all-global`).
-        all_global: Option<u32>,
-        /// Per-type `TYPE=PERIOD` global assignments (from `--global`).
-        globals: Vec<(String, u32)>,
-        /// Print ASCII Gantt charts (from `--gantt`).
-        gantt: bool,
-        /// Number of randomized execution checks (from `--verify N`).
-        verify: usize,
+        /// The request options (shared with `tcms client … schedule`).
+        opts: ScheduleOptions,
         /// Write the schedule in `.sched` format to this path
         /// (from `--save`).
         save: Option<String>,
@@ -242,13 +240,6 @@ pub enum Command {
         /// Write the JSONL event/timeline stream to this path
         /// (from `--timeline`).
         timeline: Option<String>,
-        /// Retry infeasible or budget-tripped specifications through the
-        /// graceful-degradation ladder (from `--degrade`).
-        degrade: bool,
-        /// Feedback-guided subgraph decomposition (from
-        /// `--partition <K|auto>`); `None` keeps the pipeline's
-        /// size-threshold routing.
-        partition: Option<crate::modulo::PartitionCount>,
         /// Worker-thread count override (from `--threads`; 0 = auto).
         threads: Option<usize>,
         /// Persistent content-addressed result cache directory
@@ -260,16 +251,8 @@ pub enum Command {
     Simulate {
         /// Path of the design input.
         input: String,
-        /// Uniform period for all shareable types.
-        all_global: Option<u32>,
-        /// Per-type global assignments.
-        globals: Vec<(String, u32)>,
-        /// Simulated time steps (from `--horizon`).
-        horizon: u64,
-        /// Workload seed (from `--seed`).
-        seed: u64,
-        /// Mean gap of the random triggers (from `--mean-gap`).
-        mean_gap: u64,
+        /// The request options (shared with `tcms client … simulate`).
+        opts: SimulateOptions,
         /// Enable fault injection (from `--faults`).
         faults: bool,
         /// The fault plan used when `faults` is set; knob flags
@@ -308,44 +291,12 @@ pub enum Command {
     },
     /// Run the scheduling daemon until a client requests shutdown.
     Serve {
-        /// Listen address (from `--listen`; `:0` picks a free port).
-        listen: String,
-        /// Worker threads (from `--workers`; 0 = auto).
-        workers: usize,
-        /// Bounded job-queue capacity (from `--queue`).
-        queue: usize,
-        /// Result-cache capacity in entries (from `--cache-capacity`).
-        cache_capacity: usize,
-        /// Persistent cache snapshot directory (from `--cache-dir`).
-        cache_dir: Option<String>,
-        /// Default per-job deadline in ms (from `--deadline-ms`).
-        deadline_ms: Option<u64>,
-        /// Automatic partition-routing threshold in operations
-        /// (from `--auto-partition-ops`; 0 disables).
-        auto_partition_ops: Option<usize>,
-        /// Workload-journal directory (from `--journal-dir`).
-        journal_dir: Option<String>,
-        /// Journal rotation threshold in bytes
-        /// (from `--journal-rotate-bytes`; 0 = never rotate).
-        journal_rotate_bytes: Option<u64>,
+        /// The daemon configuration: [`ServeConfig::default`] listening
+        /// on `127.0.0.1:7733`, with the serve and fleet flags applied.
+        config: ServeConfig,
         /// Worker-thread count for the scheduler itself
         /// (from `--threads`; 0 = auto).
         threads: Option<usize>,
-        /// Fleet member addresses (from `--peers`, comma-separated);
-        /// empty runs a standalone daemon.
-        peers: Vec<String>,
-        /// This node's advertised address (from `--advertise`; defaults
-        /// to the listen address). Must match how the peers list it.
-        advertise: Option<String>,
-        /// HTTP/1.1 front-end listen address (from `--http`).
-        http: Option<String>,
-        /// Non-owner routing mode (from `--route proxy|local`).
-        route: crate::serve::RouteMode,
-        /// Anti-entropy period in ms (from `--sync-interval-ms`;
-        /// 0 disables the background loop).
-        sync_interval_ms: Option<u64>,
-        /// Replica-set size (from `--replicas`; owner + backups).
-        replicas: Option<usize>,
     },
     /// Send one request to a running daemon and print the response.
     Client {
@@ -444,8 +395,9 @@ SCHEDULE OPTIONS:
                           `auto`) scheduled in parallel with feedback-frozen
                           cross-partition profiles; `--partition 1` is
                           bit-identical to a monolithic run. Designs with 500+
-                          operations partition automatically; results are
-                          re-verified against the full spec and bypass the cache
+                          operations partition automatically (in schedule,
+                          simulate and vhdl alike); results are re-verified
+                          against the full spec
   --threads <N>           worker threads for candidate-force evaluation
                           (0 = auto; also via the TCMS_THREADS env var);
                           results are bit-identical at every thread count
@@ -498,7 +450,8 @@ FLEET OPTIONS (serve; all but --http require --peers):
                           a consistent-hash ring routes each request to its
                           owner and anti-entropy converges the caches
   --advertise <addr>      this node's address as the peers list it
-                          (default: the --listen address)
+                          (default: the --listen address); a node whose
+                          address is not in --peers refuses to start
   --replicas <N>          replica-set size, owner + backups (default 2)
   --route <proxy|local>   non-owner behaviour: forward to the owner (proxy,
                           default) or compute locally and push (local)
@@ -529,117 +482,63 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let Some(cmd) = it.next() else {
         return Ok(Command::Help);
     };
+    let it = &mut it;
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "dot" => {
-            let input = it.next().ok_or("dot needs an input file")?.clone();
-            Ok(Command::Dot { input })
-        }
-        "summary" => {
-            let input = it.next().ok_or("summary needs an input file")?.clone();
-            Ok(Command::Summary { input })
-        }
+        "dot" => Ok(Command::Dot {
+            input: word(it, "dot needs an input file")?,
+        }),
+        "summary" => Ok(Command::Summary {
+            input: word(it, "summary needs an input file")?,
+        }),
+        "dfg" => Ok(Command::Dfg {
+            input: word(it, "dfg needs an input file")?,
+        }),
         "schedule" => {
-            let input = it.next().ok_or("schedule needs an input file")?.clone();
-            let mut all_global = None;
-            let mut globals = Vec::new();
-            let mut gantt = false;
-            let mut verify = 0usize;
-            let mut save = None;
-            let mut trace = None;
-            let mut metrics = false;
-            let mut timeline = None;
-            let mut degrade = false;
-            let mut partition = None;
-            let mut threads = None;
-            let mut cache_dir = None;
-            while let Some(opt) = it.next() {
-                match opt.as_str() {
-                    "--gantt" => gantt = true,
-                    "--degrade" => degrade = true,
-                    "--partition" => {
-                        let v = it.next().ok_or("--partition needs a count or `auto`")?;
-                        partition = Some(parse_partition(v)?);
-                    }
-                    "--cache-dir" => {
-                        cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone());
-                    }
-                    "--threads" => {
-                        let v = it.next().ok_or("--threads needs a count")?;
-                        threads = Some(v.parse().map_err(|_| format!("bad count `{v}`"))?);
-                    }
-                    "--verify" => {
-                        let v = it.next().ok_or("--verify needs a count")?;
-                        verify = v.parse().map_err(|_| format!("bad count `{v}`"))?;
-                    }
-                    "--save" => {
-                        save = Some(it.next().ok_or("--save needs a path")?.clone());
-                    }
-                    "--trace" => {
-                        trace = Some(it.next().ok_or("--trace needs a path")?.clone());
-                    }
+            let input = word(it, "schedule needs an input file")?;
+            let (mut save, mut trace, mut metrics, mut timeline) = (None, None, false, None);
+            let (mut threads, mut cache_dir) = (None, None);
+            let opts = schedule_options(it, |opt, it| {
+                match opt {
+                    "--save" => save = Some(value(it, opt)?),
+                    "--trace" => trace = Some(value(it, opt)?),
                     "--metrics" => metrics = true,
-                    "--timeline" => {
-                        timeline = Some(it.next().ok_or("--timeline needs a path")?.clone());
-                    }
-                    other => parse_spec_option(other, &mut it, &mut all_global, &mut globals)?,
+                    "--timeline" => timeline = Some(value(it, opt)?),
+                    "--threads" => threads = Some(num(it, opt)?),
+                    "--cache-dir" => cache_dir = Some(value(it, opt)?),
+                    _ => return Ok(false),
                 }
-            }
+                Ok(true)
+            })?;
             Ok(Command::Schedule {
                 input,
-                all_global,
-                globals,
-                gantt,
-                verify,
+                opts,
                 save,
                 trace,
                 metrics,
                 timeline,
-                degrade,
-                partition,
                 threads,
                 cache_dir,
             })
         }
         "simulate" => {
-            let input = it.next().ok_or("simulate needs an input file")?.clone();
-            let mut all_global = None;
-            let mut globals = Vec::new();
-            let mut horizon = 5_000u64;
-            let mut seed = 0u64;
-            let mut mean_gap = 50u64;
-            let mut faults = false;
-            let mut threads = None;
+            let input = word(it, "simulate needs an input file")?;
+            let (mut faults, mut threads) = (false, None);
             let mut plan = crate::sim::FaultPlan::moderate(0);
-            fn num<T: std::str::FromStr>(
-                it: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<T, String> {
-                let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
-            }
-            while let Some(opt) = it.next() {
-                match opt.as_str() {
-                    "--horizon" => horizon = num(&mut it, "--horizon")?,
-                    "--seed" => seed = num(&mut it, "--seed")?,
-                    "--mean-gap" => mean_gap = num(&mut it, "--mean-gap")?,
-                    "--threads" => threads = Some(num(&mut it, "--threads")?),
+            let opts = simulate_options(it, |opt, it| {
+                match opt {
+                    "--threads" => threads = Some(num(it, opt)?),
                     "--faults" => faults = true,
-                    "--fault-seed" => plan.seed = num(&mut it, "--fault-seed")?,
-                    "--jitter" => plan.trigger_jitter = num(&mut it, "--jitter")?,
-                    "--drop-prob" => plan.drop_slot_prob = num(&mut it, "--drop-prob")?,
-                    "--outage-rate" => plan.outage_rate = num(&mut it, "--outage-rate")?,
-                    "--repair" => plan.repair_time = num(&mut it, "--repair")?,
-                    "--slack" => plan.deadline_slack = num(&mut it, "--slack")?,
-                    other => parse_spec_option(other, &mut it, &mut all_global, &mut globals)?,
+                    "--fault-seed" => plan.seed = num(it, opt)?,
+                    "--jitter" => plan.trigger_jitter = num(it, opt)?,
+                    "--drop-prob" => plan.drop_slot_prob = num(it, opt)?,
+                    "--outage-rate" => plan.outage_rate = num(it, opt)?,
+                    "--repair" => plan.repair_time = num(it, opt)?,
+                    "--slack" => plan.deadline_slack = num(it, opt)?,
+                    _ => return Ok(false),
                 }
-            }
-            if horizon == 0 {
-                return Err("--horizon must be positive".to_owned());
-            }
-            if mean_gap == 0 {
-                return Err("--mean-gap must be positive".to_owned());
-            }
+                Ok(true)
+            })?;
             for (name, p) in [
                 ("--drop-prob", plan.drop_slot_prob),
                 ("--outage-rate", plan.outage_rate),
@@ -650,24 +549,19 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Simulate {
                 input,
-                all_global,
-                globals,
-                horizon,
-                seed,
-                mean_gap,
+                opts,
                 faults,
                 plan,
                 threads,
             })
         }
         "check" => {
-            let input = it.next().ok_or("check needs a design file")?.clone();
-            let sched = it.next().ok_or("check needs a .sched file")?.clone();
-            let mut all_global = None;
-            let mut globals = Vec::new();
-            while let Some(opt) = it.next() {
-                parse_spec_option(opt, &mut it, &mut all_global, &mut globals)?;
-            }
+            let input = word(it, "check needs a design file")?;
+            let sched = word(it, "check needs a .sched file")?;
+            let (mut all_global, mut globals) = (None, Vec::new());
+            each_flag(it, |opt, it| {
+                spec_flag(opt, it, &mut all_global, &mut globals)
+            })?;
             Ok(Command::Check {
                 input,
                 sched,
@@ -676,19 +570,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "vhdl" => {
-            let input = it.next().ok_or("vhdl needs an input file")?.clone();
-            let mut all_global = None;
-            let mut globals = Vec::new();
-            let mut width = 16;
-            while let Some(opt) = it.next() {
-                match opt.as_str() {
-                    "--width" => {
-                        let v = it.next().ok_or("--width needs a bit count")?;
-                        width = v.parse().map_err(|_| format!("bad width `{v}`"))?;
-                    }
-                    other => parse_spec_option(other, &mut it, &mut all_global, &mut globals)?,
+            let input = word(it, "vhdl needs an input file")?;
+            let (mut all_global, mut globals, mut width) = (None, Vec::new(), 16);
+            each_flag(it, |opt, it| match opt {
+                "--width" => {
+                    width = num(it, opt)?;
+                    Ok(true)
                 }
-            }
+                _ => spec_flag(opt, it, &mut all_global, &mut globals),
+            })?;
             Ok(Command::Vhdl {
                 input,
                 all_global,
@@ -696,247 +586,131 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 width,
             })
         }
-        "dfg" => {
-            let input = it.next().ok_or("dfg needs an input file")?.clone();
-            Ok(Command::Dfg { input })
-        }
-        "serve" => {
-            let mut listen = "127.0.0.1:7733".to_owned();
-            let mut workers = 0usize;
-            let mut queue = 256usize;
-            let mut cache_capacity = 1024usize;
-            let mut cache_dir = None;
-            let mut deadline_ms = None;
-            let mut auto_partition_ops = None;
-            let mut journal_dir = None;
-            let mut journal_rotate_bytes = None;
-            let mut threads = None;
-            let mut peers: Vec<String> = Vec::new();
-            let mut advertise = None;
-            let mut http = None;
-            let mut route = None;
-            let mut sync_interval_ms = None;
-            let mut replicas = None;
-            fn num<T: std::str::FromStr>(
-                it: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<T, String> {
-                let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
-            }
-            while let Some(opt) = it.next() {
-                match opt.as_str() {
-                    "--listen" => {
-                        listen = it.next().ok_or("--listen needs an address")?.clone();
-                    }
-                    "--workers" => workers = num(&mut it, "--workers")?,
-                    "--queue" => queue = num(&mut it, "--queue")?,
-                    "--cache-capacity" => cache_capacity = num(&mut it, "--cache-capacity")?,
-                    "--cache-dir" => {
-                        cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone());
-                    }
-                    "--deadline-ms" => deadline_ms = Some(num(&mut it, "--deadline-ms")?),
-                    "--auto-partition-ops" => {
-                        auto_partition_ops = Some(num(&mut it, "--auto-partition-ops")?);
-                    }
-                    "--journal-dir" => {
-                        journal_dir = Some(it.next().ok_or("--journal-dir needs a path")?.clone());
-                    }
-                    "--journal-rotate-bytes" => {
-                        journal_rotate_bytes = Some(num(&mut it, "--journal-rotate-bytes")?);
-                    }
-                    "--threads" => threads = Some(num(&mut it, "--threads")?),
-                    "--peers" => {
-                        let v = it.next().ok_or("--peers needs a comma-separated list")?;
-                        peers = v
-                            .split(',')
-                            .map(str::trim)
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_owned)
-                            .collect();
-                        if peers.is_empty() {
-                            return Err("--peers needs at least one address".to_owned());
-                        }
-                    }
-                    "--advertise" => {
-                        advertise = Some(it.next().ok_or("--advertise needs an address")?.clone());
-                    }
-                    "--http" => {
-                        http = Some(it.next().ok_or("--http needs an address")?.clone());
-                    }
-                    "--route" => {
-                        let v = it.next().ok_or("--route needs proxy|local")?;
-                        route = Some(crate::serve::RouteMode::parse(v)?);
-                    }
-                    "--sync-interval-ms" => {
-                        sync_interval_ms = Some(num(&mut it, "--sync-interval-ms")?);
-                    }
-                    "--replicas" => replicas = Some(num(&mut it, "--replicas")?),
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            if queue == 0 {
-                return Err("--queue must be positive".to_owned());
-            }
-            if peers.is_empty() {
-                for (flag, set) in [
-                    ("--advertise", advertise.is_some()),
-                    ("--route", route.is_some()),
-                    ("--sync-interval-ms", sync_interval_ms.is_some()),
-                    ("--replicas", replicas.is_some()),
-                ] {
-                    if set {
-                        return Err(format!("{flag} requires --peers"));
-                    }
-                }
-            }
-            Ok(Command::Serve {
-                listen,
-                workers,
-                queue,
-                cache_capacity,
-                cache_dir,
-                deadline_ms,
-                auto_partition_ops,
-                journal_dir,
-                journal_rotate_bytes,
-                threads,
-                peers,
-                advertise,
-                http,
-                route: route.unwrap_or_default(),
-                sync_interval_ms,
-                replicas,
-            })
-        }
+        "serve" => parse_serve(it),
         "stats" => {
-            let addr = it.next().ok_or("stats needs a daemon address")?.clone();
+            let addr = word(it, "stats needs a daemon address")?;
             let mut timeout_ms = None;
-            while let Some(opt) = it.next() {
-                match opt.as_str() {
-                    "--timeout-ms" => {
-                        let v = it.next().ok_or("--timeout-ms needs a value")?;
-                        timeout_ms = Some(
-                            v.parse()
-                                .map_err(|_| format!("bad value `{v}` for --timeout-ms"))?,
-                        );
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
+            each_flag(it, |opt, it| timeout_flag(opt, it, &mut timeout_ms))?;
             Ok(Command::Stats { addr, timeout_ms })
         }
-        "client" => {
-            let addr = it.next().ok_or("client needs a daemon address")?.clone();
-            let mut timeout_ms = None;
-            fn num<T: std::str::FromStr>(
-                it: &mut std::slice::Iter<'_, String>,
-                flag: &str,
-            ) -> Result<T, String> {
-                let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
-            }
-            // `--timeout-ms` may come before the request verb…
-            let request = loop {
-                let word = it.next().ok_or("client needs a request")?.clone();
-                if word == "--timeout-ms" {
-                    timeout_ms = Some(num(&mut it, "--timeout-ms")?);
-                } else {
-                    break word;
-                }
-            };
-            let action = match request.as_str() {
-                "ping" => ClientCommand::Ping,
-                "stats" | "--stats" => ClientCommand::Stats,
-                "shutdown" => ClientCommand::Shutdown,
-                "schedule" => {
-                    let input = it
-                        .next()
-                        .ok_or("client schedule needs a design file")?
-                        .clone();
-                    let mut opts = ScheduleOptions::default();
-                    let mut deadline_ms = None;
-                    while let Some(opt) = it.next() {
-                        match opt.as_str() {
-                            "--gantt" => opts.gantt = true,
-                            "--degrade" => opts.degrade = true,
-                            "--partition" => {
-                                let v = it.next().ok_or("--partition needs a count or `auto`")?;
-                                opts.partition = Some(parse_partition(v)?);
-                            }
-                            "--verify" => opts.verify = num(&mut it, "--verify")?,
-                            "--deadline-ms" => deadline_ms = Some(num(&mut it, "--deadline-ms")?),
-                            "--timeout-ms" => timeout_ms = Some(num(&mut it, "--timeout-ms")?),
-                            other => parse_spec_option(
-                                other,
-                                &mut it,
-                                &mut opts.all_global,
-                                &mut opts.globals,
-                            )?,
-                        }
-                    }
-                    ClientCommand::Schedule {
-                        input,
-                        opts,
-                        deadline_ms,
-                    }
-                }
-                "simulate" => {
-                    let input = it
-                        .next()
-                        .ok_or("client simulate needs a design file")?
-                        .clone();
-                    let mut opts = SimulateOptions::default();
-                    let mut deadline_ms = None;
-                    while let Some(opt) = it.next() {
-                        match opt.as_str() {
-                            "--horizon" => opts.horizon = num(&mut it, "--horizon")?,
-                            "--seed" => opts.seed = num(&mut it, "--seed")?,
-                            "--mean-gap" => opts.mean_gap = num(&mut it, "--mean-gap")?,
-                            "--deadline-ms" => deadline_ms = Some(num(&mut it, "--deadline-ms")?),
-                            "--timeout-ms" => timeout_ms = Some(num(&mut it, "--timeout-ms")?),
-                            other => parse_spec_option(
-                                other,
-                                &mut it,
-                                &mut opts.all_global,
-                                &mut opts.globals,
-                            )?,
-                        }
-                    }
-                    if opts.horizon == 0 {
-                        return Err("--horizon must be positive".to_owned());
-                    }
-                    if opts.mean_gap == 0 {
-                        return Err("--mean-gap must be positive".to_owned());
-                    }
-                    ClientCommand::Simulate {
-                        input,
-                        opts,
-                        deadline_ms,
-                    }
-                }
-                other => {
-                    return Err(format!(
-                        "unknown client request `{other}` (schedule, simulate, ping, stats, shutdown)"
-                    ));
-                }
-            };
-            // …or after a control verb (schedule/simulate consume their
-            // own options above, so anything left here is trailing).
-            while let Some(opt) = it.next() {
-                match opt.as_str() {
-                    "--timeout-ms" => timeout_ms = Some(num(&mut it, "--timeout-ms")?),
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            Ok(Command::Client {
-                addr,
-                action,
-                timeout_ms,
-            })
-        }
+        "client" => parse_client(it),
         other => Err(format!("unknown command `{other}` (try `tcms help`)")),
     }
+}
+
+/// The remaining command-line words.
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// The next word, or `missing` as the error.
+fn word(it: &mut Args<'_>, missing: &str) -> Result<String, String> {
+    it.next().cloned().ok_or_else(|| missing.to_owned())
+}
+
+/// The value of `flag`.
+fn value(it: &mut Args<'_>, flag: &str) -> Result<String, String> {
+    word(it, &format!("{flag} needs a value"))
+}
+
+/// The value of `flag`, parsed.
+fn num<T: std::str::FromStr>(it: &mut Args<'_>, flag: &str) -> Result<T, String> {
+    let v = value(it, flag)?;
+    v.parse().map_err(|_| format!("bad value `{v}` for {flag}"))
+}
+
+/// Feeds every remaining word to `flag`, which consumes the option's
+/// value and returns `false` for an option it does not take.
+fn each_flag<'a>(
+    it: &mut Args<'a>,
+    mut flag: impl FnMut(&str, &mut Args<'a>) -> Result<bool, String>,
+) -> Result<(), String> {
+    while let Some(opt) = it.next() {
+        if !flag(opt, it)? {
+            return Err(format!("unknown option `{opt}`"));
+        }
+    }
+    Ok(())
+}
+
+/// The `--all-global` / `--global TYPE=ρ` flags of every scheduling
+/// command.
+fn spec_flag(
+    opt: &str,
+    it: &mut Args<'_>,
+    all_global: &mut Option<u32>,
+    globals: &mut Vec<(String, u32)>,
+) -> Result<bool, String> {
+    match opt {
+        "--all-global" => *all_global = Some(num(it, opt)?),
+        "--global" => {
+            let v = value(it, opt)?;
+            let (name, period) = v
+                .split_once('=')
+                .ok_or_else(|| format!("bad assignment `{v}` for --global (TYPE=PERIOD)"))?;
+            let period = period.parse().map_err(|_| format!("bad period in `{v}`"))?;
+            globals.push((name.to_owned(), period));
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// `--timeout-ms`, accepted by `tcms stats` and anywhere in `tcms client`.
+fn timeout_flag(
+    opt: &str,
+    it: &mut Args<'_>,
+    timeout_ms: &mut Option<u64>,
+) -> Result<bool, String> {
+    if opt != "--timeout-ms" {
+        return Ok(false);
+    }
+    *timeout_ms = Some(num(it, opt)?);
+    Ok(true)
+}
+
+/// The schedule request flags, shared by `tcms schedule` and
+/// `tcms client … schedule`; `local` takes the form's own flags first.
+fn schedule_options<'a>(
+    it: &mut Args<'a>,
+    mut local: impl FnMut(&str, &mut Args<'a>) -> Result<bool, String>,
+) -> Result<ScheduleOptions, String> {
+    let mut opts = ScheduleOptions::default();
+    each_flag(it, |opt, it| {
+        if local(opt, it)? {
+            return Ok(true);
+        }
+        match opt {
+            "--gantt" => opts.gantt = true,
+            "--degrade" => opts.degrade = true,
+            "--verify" => opts.verify = num(it, opt)?,
+            "--partition" => opts.partition = Some(parse_partition(&value(it, opt)?)?),
+            _ => return spec_flag(opt, it, &mut opts.all_global, &mut opts.globals),
+        }
+        Ok(true)
+    })?;
+    Ok(opts)
+}
+
+/// The simulate request flags, shared by `tcms simulate` and
+/// `tcms client … simulate`; `local` takes the form's own flags first.
+fn simulate_options<'a>(
+    it: &mut Args<'a>,
+    mut local: impl FnMut(&str, &mut Args<'a>) -> Result<bool, String>,
+) -> Result<SimulateOptions, String> {
+    let mut opts = SimulateOptions::default();
+    each_flag(it, |opt, it| {
+        if local(opt, it)? {
+            return Ok(true);
+        }
+        match opt {
+            "--horizon" => opts.horizon = num(it, opt)?,
+            "--seed" => opts.seed = num(it, opt)?,
+            "--mean-gap" => opts.mean_gap = num(it, opt)?,
+            _ => return spec_flag(opt, it, &mut opts.all_global, &mut opts.globals),
+        }
+        Ok(true)
+    })?;
+    opts.validate()?;
+    Ok(opts)
 }
 
 /// Parses the `--partition` value: `auto` or a positive subgraph count.
@@ -952,30 +726,133 @@ fn parse_partition(v: &str) -> Result<crate::modulo::PartitionCount, String> {
     }
 }
 
-/// Parses one `--all-global`/`--global` option shared by several commands.
-fn parse_spec_option(
-    opt: &str,
-    it: &mut std::slice::Iter<'_, String>,
-    all_global: &mut Option<u32>,
-    globals: &mut Vec<(String, u32)>,
-) -> Result<(), String> {
-    match opt {
-        "--all-global" => {
-            let v = it.next().ok_or("--all-global needs a period")?;
-            *all_global = Some(v.parse().map_err(|_| format!("bad period `{v}`"))?);
-            Ok(())
+/// Parses the `serve` flags onto [`ServeConfig::default`] listening on
+/// `127.0.0.1:7733`.
+fn parse_serve(it: &mut Args<'_>) -> Result<Command, String> {
+    let mut config = ServeConfig {
+        listen: "127.0.0.1:7733".into(),
+        ..ServeConfig::default()
+    };
+    let mut threads = None;
+    // The fleet's own address is resolved last: `--advertise`, else the
+    // final `--listen`.
+    let mut fleet = FleetConfig::new(String::new(), Vec::new());
+    let mut advertise = None;
+    let mut fleet_flag = None;
+    each_flag(it, |opt, it| {
+        match opt {
+            "--listen" => config.listen = value(it, opt)?,
+            "--workers" => config.workers = num(it, opt)?,
+            "--queue" => config.queue_capacity = num(it, opt)?,
+            "--cache-capacity" => config.cache_capacity = num(it, opt)?,
+            "--cache-dir" => config.cache_dir = Some(value(it, opt)?.into()),
+            "--deadline-ms" => config.default_deadline_ms = Some(num(it, opt)?),
+            "--auto-partition-ops" => config.auto_partition_ops = num(it, opt)?,
+            "--journal-dir" => config.journal_dir = Some(value(it, opt)?.into()),
+            "--journal-rotate-bytes" => config.journal_rotate_bytes = num(it, opt)?,
+            "--http" => config.http_listen = Some(value(it, opt)?),
+            "--threads" => threads = Some(num(it, opt)?),
+            "--peers" => {
+                fleet.peers = value(it, opt)?
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|s| !s.is_empty())
+                    .map(str::to_owned)
+                    .collect();
+                if fleet.peers.is_empty() {
+                    return Err("--peers needs at least one address".to_owned());
+                }
+            }
+            "--advertise" => advertise = Some(value(it, opt)?),
+            "--route" => fleet.route = crate::serve::RouteMode::parse(&value(it, opt)?)?,
+            "--sync-interval-ms" => {
+                let ms: u64 = num(it, opt)?;
+                fleet.sync_interval = (ms > 0).then(|| Duration::from_millis(ms));
+            }
+            "--replicas" => fleet.replicas = num(it, opt)?,
+            _ => return Ok(false),
         }
-        "--global" => {
-            let v = it.next().ok_or("--global needs TYPE=PERIOD")?;
-            let (name, period) = v
-                .split_once('=')
-                .ok_or_else(|| format!("bad assignment `{v}`"))?;
-            let period: u32 = period.parse().map_err(|_| format!("bad period in `{v}`"))?;
-            globals.push((name.to_owned(), period));
-            Ok(())
+        if matches!(
+            opt,
+            "--advertise" | "--route" | "--sync-interval-ms" | "--replicas"
+        ) {
+            fleet_flag.get_or_insert_with(|| opt.to_owned());
         }
-        other => Err(format!("unknown option `{other}`")),
+        Ok(true)
+    })?;
+    if config.queue_capacity == 0 {
+        return Err("--queue must be positive".to_owned());
     }
+    if fleet.peers.is_empty() {
+        if let Some(flag) = fleet_flag {
+            return Err(format!("{flag} requires --peers"));
+        }
+    } else {
+        fleet.self_addr = advertise.unwrap_or_else(|| config.listen.clone());
+        // `Server::start` refuses this too; refusing here makes it a
+        // usage error.
+        fleet.check_self_listed().map_err(|e| e.to_string())?;
+        config.fleet = Some(fleet);
+    }
+    Ok(Command::Serve { config, threads })
+}
+
+/// Parses `tcms client <addr> [--timeout-ms N] <request> …`.
+fn parse_client(it: &mut Args<'_>) -> Result<Command, String> {
+    let addr = word(it, "client needs a daemon address")?;
+    let mut timeout_ms = None;
+    // `--timeout-ms` may come before the request verb, among the
+    // schedule/simulate options, or after a control verb.
+    let request = loop {
+        let w = word(it, "client needs a request")?;
+        if !timeout_flag(&w, it, &mut timeout_ms)? {
+            break w;
+        }
+    };
+    let mut deadline_ms = None;
+    let mut wire = |opt: &str, it: &mut Args<'_>| match opt {
+        "--deadline-ms" => {
+            deadline_ms = Some(num(it, opt)?);
+            Ok(true)
+        }
+        _ => timeout_flag(opt, it, &mut timeout_ms),
+    };
+    let action = match request.as_str() {
+        "ping" => ClientCommand::Ping,
+        "stats" | "--stats" => ClientCommand::Stats,
+        "shutdown" => ClientCommand::Shutdown,
+        "schedule" => {
+            let input = word(it, "client schedule needs a design file")?;
+            let opts = schedule_options(it, &mut wire)?;
+            ClientCommand::Schedule {
+                input,
+                opts,
+                deadline_ms,
+            }
+        }
+        "simulate" => {
+            let input = word(it, "client simulate needs a design file")?;
+            let opts = simulate_options(it, &mut wire)?;
+            ClientCommand::Simulate {
+                input,
+                opts,
+                deadline_ms,
+            }
+        }
+        other => {
+            return Err(format!(
+                "unknown client request `{other}` (schedule, simulate, ping, stats, shutdown)"
+            ));
+        }
+    };
+    // schedule/simulate consumed every word above; only a control verb
+    // leaves a tail here.
+    each_flag(it, |opt, it| timeout_flag(opt, it, &mut timeout_ms))?;
+    Ok(Command::Client {
+        addr,
+        action,
+        timeout_ms,
+    })
 }
 
 /// Loads a system from either input language (delegates to the shared
@@ -984,62 +861,12 @@ fn load_system(source: &str) -> Result<System, CliError> {
     pipeline::load_system(source).map_err(serve_to_cli)
 }
 
-fn build_spec(
-    system: &System,
-    all_global: Option<u32>,
-    globals: &[(String, u32)],
-) -> Result<crate::modulo::SharingSpec, CliError> {
-    pipeline::build_spec(system, all_global, globals).map_err(serve_to_cli)
-}
-
-/// Executes the `schedule` command on already-loaded source text,
-/// returning the rendered report.
-///
-/// # Errors
-///
-/// Returns a typed [`CliError`] for parse errors, invalid specs,
-/// scheduling failures and failed verification.
-pub fn schedule_source(
-    source: &str,
-    all_global: Option<u32>,
-    globals: &[(String, u32)],
-    want_gantt: bool,
-    verify: usize,
-) -> Result<String, CliError> {
-    schedule_source_full(
-        source,
-        &ScheduleOptions {
-            all_global,
-            globals: globals.to_vec(),
-            gantt: want_gantt,
-            verify,
-            degrade: false,
-            partition: None,
-        },
-        &NoopRecorder,
-        None,
-    )
-    .map(|(s, _, _)| s)
-}
-
-/// Runs the shared serving pipeline one-shot: same loader, same
-/// scheduler invocation, same renderer as a `tcms serve` daemon — which
-/// is what makes daemon responses bit-identical to this command's
-/// stdout. With a cache, results are content-addressed by the canonical
-/// design hash and configuration fingerprint.
-fn schedule_source_full(
-    source: &str,
-    opts: &ScheduleOptions,
-    rec: &dyn Recorder,
-    cache: Option<&SchedCache>,
-) -> Result<(String, System, crate::fds::Schedule), CliError> {
-    let ctx = ExecContext {
-        cache,
-        rec,
-        ..ExecContext::default()
-    };
-    let arts = pipeline::schedule_request(source, opts, &ctx).map_err(serve_to_cli)?;
-    Ok((arts.text, arts.system, arts.schedule))
+/// An I/O failure on `path`.
+fn io_error(path: &str, e: impl fmt::Display) -> CliError {
+    CliError::Io {
+        path: path.to_owned(),
+        message: e.to_string(),
+    }
 }
 
 /// Executes a parsed command, reading inputs from disk.
@@ -1049,11 +876,13 @@ fn schedule_source_full(
 /// Returns a typed [`CliError`]; the binary maps it to a stable exit
 /// code via [`CliError::exit_code`].
 pub fn run(cmd: &Command) -> Result<String, CliError> {
-    let read = |path: &str| {
-        std::fs::read_to_string(path).map_err(|e| CliError::Io {
-            path: path.to_owned(),
-            message: e.to_string(),
-        })
+    let read = |path: &str| std::fs::read_to_string(path).map_err(|e| io_error(path, e));
+    let write =
+        |path: &str, text: String| std::fs::write(path, text).map_err(|e| io_error(path, e));
+    let set_threads = |threads: &Option<usize>| {
+        if let Some(n) = threads {
+            crate::fds::threads::set(*n);
+        }
     };
     match cmd {
         Command::Help => Ok(USAGE.to_owned()),
@@ -1067,82 +896,61 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
         }
         Command::Schedule {
             input,
-            all_global,
-            globals,
-            gantt,
-            verify,
+            opts,
             save,
             trace,
             metrics,
             timeline,
-            degrade,
-            partition,
             threads,
             cache_dir,
         } => {
-            if let Some(n) = threads {
-                crate::fds::threads::set(*n);
-            }
-            let recording = trace.is_some() || *metrics || timeline.is_some();
-            let recorder = if recording {
-                Some(TraceRecorder::new())
-            } else {
-                None
-            };
+            set_threads(threads);
+            let recorder =
+                (trace.is_some() || *metrics || timeline.is_some()).then(TraceRecorder::new);
             let rec: &dyn Recorder = match &recorder {
                 Some(r) => r,
                 None => &NoopRecorder,
             };
-            // With --cache-dir, warm the content-addressed cache from
-            // disk and persist it (including this run's result) after.
+            // With --cache-dir, warm a content-addressed cache sized like
+            // the daemon's from disk and persist it (including this run's
+            // result) after.
             let cache = cache_dir
                 .as_deref()
                 .map(|dir| {
-                    let cache = SchedCache::new(1024, 8);
-                    persist::load_snapshot(Path::new(dir), &cache).map_err(|e| CliError::Io {
-                        path: dir.to_owned(),
-                        message: e.to_string(),
-                    })?;
+                    let sizing = ServeConfig::default();
+                    let cache = SchedCache::new(sizing.cache_capacity, sizing.cache_shards);
+                    persist::load_snapshot(Path::new(dir), &cache).map_err(|e| io_error(dir, e))?;
                     Ok::<_, CliError>(cache)
                 })
                 .transpose()?;
-            let opts = ScheduleOptions {
-                all_global: *all_global,
-                globals: globals.clone(),
-                gantt: *gantt,
-                verify: *verify,
-                degrade: *degrade,
-                partition: *partition,
+            let ctx = ExecContext {
+                cache: cache.as_ref(),
+                rec,
+                ..ExecContext::default()
             };
-            let (mut out, system, schedule) =
-                schedule_source_full(&read(input)?, &opts, rec, cache.as_ref())?;
+            let arts =
+                pipeline::schedule_request(&read(input)?, opts, &ctx).map_err(serve_to_cli)?;
             if let (Some(cache), Some(dir)) = (&cache, cache_dir.as_deref()) {
-                persist::save_snapshot(Path::new(dir), &cache.entries()).map_err(|e| {
-                    CliError::Io {
-                        path: dir.to_owned(),
-                        message: e.to_string(),
-                    }
-                })?;
+                persist::save_snapshot(Path::new(dir), &cache.entries())
+                    .map_err(|e| io_error(dir, e))?;
             }
-            let write = |path: &str, text: String| {
-                std::fs::write(path, text).map_err(|e| CliError::Io {
-                    path: path.to_owned(),
-                    message: e.to_string(),
-                })
-            };
+            let mut out = arts.text;
             if let Some(path) = save {
-                write(path, crate::fds::schedule_io::to_sched(&system, &schedule))?;
-                out.push_str(&format!("schedule saved to {path}\n"));
+                write(
+                    path,
+                    crate::fds::schedule_io::to_sched(&arts.system, &arts.schedule),
+                )?;
+                let _ = writeln!(out, "schedule saved to {path}");
             }
             if let Some(recorder) = recorder {
                 let data = recorder.finish();
                 if let Some(path) = trace {
                     write(path, sink::to_chrome_trace(&data))?;
-                    out.push_str(&format!("chrome trace written to {path}\n"));
+                    let _ = writeln!(out, "chrome trace written to {path}");
                 }
                 if let Some(path) = timeline {
                     write(path, sink::to_jsonl(&data))?;
-                    out.push_str(&format!("timeline written to {path}\n"));
+                    let _ = writeln!(out, "timeline written to {path}");
                 }
                 if *metrics {
                     out.push('\n');
@@ -1153,45 +961,20 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
         }
         Command::Simulate {
             input,
-            all_global,
-            globals,
-            horizon,
-            seed,
-            mean_gap,
+            opts,
             faults,
             plan,
             threads,
         } => {
-            if let Some(n) = threads {
-                crate::fds::threads::set(*n);
-            }
-            let system = load_system(&read(input)?)?;
-            let spec = build_spec(&system, *all_global, globals)?;
-            let outcome = ModuloScheduler::new(&system, spec.clone())?.run()?;
-            outcome
-                .schedule
-                .verify(&system)
-                .map_err(|e| CliError::Verify(e.to_string()))?;
-            let sim = crate::sim::Simulator::new(&system, &spec, &outcome.schedule);
-            let workloads = vec![
-                crate::sim::Trigger::Random {
-                    mean_gap: *mean_gap
-                };
-                system.num_processes()
-            ];
-            let config = crate::sim::SimConfig {
-                horizon: *horizon,
-                seed: *seed,
-            };
-            let (result, metrics) = if *faults {
-                let (r, m) = sim.run_with_faults(&workloads, &config, plan);
-                (r, Some(m))
-            } else {
-                (sim.run(&workloads, &config), None)
-            };
-            let mut out = pipeline::render_simulation(
-                &system, &spec, &sim, &result, *horizon, *seed, *mean_gap,
-            );
+            set_threads(threads);
+            let arts = pipeline::schedule_request(
+                &read(input)?,
+                &opts.schedule_options(),
+                &ExecContext::default(),
+            )
+            .map_err(serve_to_cli)?;
+            let (mut out, metrics) =
+                pipeline::simulate_schedule(&arts, opts, faults.then_some(plan));
             if let Some(m) = metrics {
                 let _ = writeln!(
                     out,
@@ -1228,7 +1011,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             globals,
         } => {
             let system = load_system(&read(input)?)?;
-            let spec = build_spec(&system, *all_global, globals)?;
+            let spec = pipeline::build_spec(&system, *all_global, globals).map_err(serve_to_cli)?;
             let schedule = crate::fds::schedule_io::from_sched(&system, &read(sched)?)
                 .map_err(|e| CliError::Malformed(e.to_string()))?;
             schedule
@@ -1251,16 +1034,21 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             globals,
             width,
         } => {
-            let system = load_system(&read(input)?)?;
-            let spec = build_spec(&system, *all_global, globals)?;
-            let outcome = ModuloScheduler::new(&system, spec.clone())?.run()?;
-            let binding = crate::alloc::bind_system(&system, &spec, &outcome.schedule)
-                .map_err(|e| CliError::Backend(e.to_string()))?;
-            let registers = crate::alloc::allocate_registers(&system, &outcome.schedule);
+            let opts = ScheduleOptions {
+                all_global: *all_global,
+                globals: globals.clone(),
+                ..ScheduleOptions::default()
+            };
+            let arts = pipeline::schedule_request(&read(input)?, &opts, &ExecContext::default())
+                .map_err(serve_to_cli)?;
+            let backend = |e: &dyn fmt::Display| CliError::Backend(e.to_string());
+            let binding = crate::alloc::bind_system(&arts.system, &arts.spec, &arts.schedule)
+                .map_err(|e| backend(&e))?;
+            let registers = crate::alloc::allocate_registers(&arts.system, &arts.schedule);
             crate::alloc::emit_vhdl(
-                &system,
-                &spec,
-                &outcome.schedule,
+                &arts.system,
+                &arts.spec,
+                &arts.schedule,
                 &binding,
                 &registers,
                 &crate::alloc::RtlOptions {
@@ -1268,65 +1056,15 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
                     entity: "tcms_top".into(),
                 },
             )
-            .map_err(|e| CliError::Backend(e.to_string()))
+            .map_err(|e| backend(&e))
         }
         Command::Dfg { input } => {
             let system = load_system(&read(input)?)?;
             Ok(display::to_dfg(&system))
         }
-        Command::Serve {
-            listen,
-            workers,
-            queue,
-            cache_capacity,
-            cache_dir,
-            deadline_ms,
-            auto_partition_ops,
-            journal_dir,
-            journal_rotate_bytes,
-            threads,
-            peers,
-            advertise,
-            http,
-            route,
-            sync_interval_ms,
-            replicas,
-        } => {
-            if let Some(n) = threads {
-                crate::fds::threads::set(*n);
-            }
-            let fleet = (!peers.is_empty()).then(|| {
-                let self_addr = advertise.clone().unwrap_or_else(|| listen.clone());
-                let mut fleet = crate::serve::FleetConfig::new(self_addr, peers.clone());
-                fleet.route = *route;
-                if let Some(n) = replicas {
-                    fleet.replicas = *n;
-                }
-                if let Some(ms) = sync_interval_ms {
-                    fleet.sync_interval = (*ms > 0).then(|| std::time::Duration::from_millis(*ms));
-                }
-                fleet
-            });
-            let config = ServeConfig {
-                listen: listen.clone(),
-                workers: *workers,
-                queue_capacity: *queue,
-                cache_capacity: *cache_capacity,
-                cache_shards: 8,
-                cache_dir: cache_dir.as_deref().map(std::path::PathBuf::from),
-                default_deadline_ms: *deadline_ms,
-                auto_partition_ops: auto_partition_ops
-                    .unwrap_or(crate::serve::DEFAULT_AUTO_PARTITION_OPS),
-                journal_dir: journal_dir.as_deref().map(std::path::PathBuf::from),
-                journal_rotate_bytes: journal_rotate_bytes.unwrap_or(0),
-                fleet,
-                http_listen: http.clone(),
-                ..ServeConfig::default()
-            };
-            let server = Server::start(config).map_err(|e| CliError::Io {
-                path: listen.clone(),
-                message: e.to_string(),
-            })?;
+        Command::Serve { config, threads } => {
+            set_threads(threads);
+            let server = Server::start(config.clone()).map_err(|e| io_error(&config.listen, e))?;
             // Announce the bound address immediately (":0" resolves to a
             // real port) so harnesses can connect, then block until a
             // client's shutdown request drains the daemon.
@@ -1336,10 +1074,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             }
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
-            server.wait().map_err(|e| CliError::Io {
-                path: listen.clone(),
-                message: e.to_string(),
-            })?;
+            server.wait().map_err(|e| io_error(&config.listen, e))?;
             Ok("tcms-serve shut down\n".to_owned())
         }
         Command::Client {
@@ -1417,6 +1152,26 @@ mod tests {
         v.iter().map(|s| (*s).to_owned()).collect()
     }
 
+    /// The report `tcms schedule` prints for `source`.
+    fn schedule_text(
+        source: &str,
+        all_global: Option<u32>,
+        globals: &[(String, u32)],
+        gantt: bool,
+        verify: usize,
+    ) -> Result<String, CliError> {
+        let opts = ScheduleOptions {
+            all_global,
+            globals: globals.to_vec(),
+            gantt,
+            verify,
+            ..ScheduleOptions::default()
+        };
+        pipeline::schedule_request(source, &opts, &ExecContext::default())
+            .map(|arts| arts.text)
+            .map_err(serve_to_cli)
+    }
+
     const SAMPLE: &str = "
 resource add delay=1 area=1
 resource mul delay=2 area=4 pipelined
@@ -1457,16 +1212,17 @@ edge m0 a0
             cmd,
             Command::Schedule {
                 input: "x.dfg".into(),
-                all_global: Some(4),
-                globals: vec![("mul".into(), 2)],
-                gantt: true,
-                verify: 7,
+                opts: ScheduleOptions {
+                    all_global: Some(4),
+                    globals: vec![("mul".into(), 2)],
+                    gantt: true,
+                    verify: 7,
+                    ..ScheduleOptions::default()
+                },
                 save: None,
                 trace: None,
                 metrics: false,
                 timeline: None,
-                degrade: false,
-                partition: None,
                 threads: None,
                 cache_dir: None,
             }
@@ -1494,15 +1250,15 @@ edge m0 a0
         use crate::modulo::PartitionCount;
         let cmd = parse_args(&args(&["schedule", "x.dfg", "--partition", "auto"])).unwrap();
         match cmd {
-            Command::Schedule { partition, .. } => {
-                assert_eq!(partition, Some(PartitionCount::Auto));
+            Command::Schedule { opts, .. } => {
+                assert_eq!(opts.partition, Some(PartitionCount::Auto));
             }
             other => panic!("unexpected command {other:?}"),
         }
         let cmd = parse_args(&args(&["schedule", "x.dfg", "--partition", "4"])).unwrap();
         match cmd {
-            Command::Schedule { partition, .. } => {
-                assert_eq!(partition, Some(PartitionCount::Fixed(4)));
+            Command::Schedule { opts, .. } => {
+                assert_eq!(opts.partition, Some(PartitionCount::Fixed(4)));
             }
             other => panic!("unexpected command {other:?}"),
         }
@@ -1546,19 +1302,100 @@ edge m0 a0
         .unwrap();
         match cmd {
             Command::Simulate {
-                horizon,
-                faults,
-                plan,
-                all_global,
-                ..
+                opts, faults, plan, ..
             } => {
-                assert_eq!(horizon, 2000);
-                assert_eq!(all_global, Some(5));
+                assert_eq!(opts.horizon, 2000);
+                assert_eq!(opts.all_global, Some(5));
                 assert!(faults);
                 assert!((plan.drop_slot_prob - 0.1).abs() < 1e-12);
                 assert_eq!(plan.repair_time, 40);
             }
             other => panic!("unexpected command {other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_shot_and_client_forms_parse_the_same_request_options() {
+        use crate::modulo::PartitionCount;
+        let one_shot =
+            |verb: &str, flags: &[&str]| parse_args(&args(&[&[verb, "x.dfg"], flags].concat()));
+        let client = |verb: &str, flags: &[&str]| {
+            let tail = ["--deadline-ms", "250", "--timeout-ms", "90"];
+            parse_args(&args(
+                &[&["client", "a:1", verb, "x.dfg"], flags, &tail].concat(),
+            ))
+        };
+        let flags = [
+            "--all-global",
+            "4",
+            "--global",
+            "mul=2",
+            "--gantt",
+            "--verify",
+            "3",
+            "--degrade",
+            "--partition",
+            "auto",
+        ];
+        match (one_shot("schedule", &flags), client("schedule", &flags)) {
+            (
+                Ok(Command::Schedule { opts, .. }),
+                Ok(Command::Client {
+                    action: ClientCommand::Schedule { opts: remote, .. },
+                    ..
+                }),
+            ) => {
+                assert_eq!(opts, remote);
+                assert_eq!(
+                    opts,
+                    ScheduleOptions {
+                        all_global: Some(4),
+                        globals: vec![("mul".into(), 2)],
+                        gantt: true,
+                        verify: 3,
+                        degrade: true,
+                        partition: Some(PartitionCount::Auto),
+                    }
+                );
+            }
+            other => panic!("unexpected commands {other:?}"),
+        }
+        let flags = [
+            "--global",
+            "add=3",
+            "--horizon",
+            "800",
+            "--seed",
+            "9",
+            "--mean-gap",
+            "20",
+        ];
+        match (one_shot("simulate", &flags), client("simulate", &flags)) {
+            (
+                Ok(Command::Simulate { opts, .. }),
+                Ok(Command::Client {
+                    action: ClientCommand::Simulate { opts: remote, .. },
+                    ..
+                }),
+            ) => {
+                assert_eq!(opts, remote);
+                assert_eq!(
+                    opts,
+                    SimulateOptions {
+                        all_global: None,
+                        globals: vec![("add".into(), 3)],
+                        horizon: 800,
+                        seed: 9,
+                        mean_gap: 20,
+                    }
+                );
+            }
+            other => panic!("unexpected commands {other:?}"),
+        }
+        // Both forms refuse the same degenerate values with one message.
+        for bad in [["--horizon", "0"], ["--mean-gap", "0"]] {
+            let err = one_shot("simulate", &bad).unwrap_err();
+            assert_eq!(client("simulate", &bad).unwrap_err(), err);
         }
     }
 
@@ -1610,30 +1447,30 @@ edge m0 a0
 
     #[test]
     fn schedule_source_local_and_global() {
-        let local = schedule_source(SAMPLE, None, &[], false, 0).unwrap();
+        let local = schedule_text(SAMPLE, None, &[], false, 0).unwrap();
         assert!(local.contains("mul        2 instances"), "{local}");
-        let global = schedule_source(SAMPLE, None, &[("mul".into(), 2)], false, 3).unwrap();
+        let global = schedule_text(SAMPLE, None, &[("mul".into(), 2)], false, 3).unwrap();
         assert!(global.contains("shared pool 1"), "{global}");
         assert!(global.contains("conflict-free"));
     }
 
     #[test]
     fn schedule_source_gantt() {
-        let out = schedule_source(SAMPLE, Some(2), &[], true, 0).unwrap();
+        let out = schedule_text(SAMPLE, Some(2), &[], true, 0).unwrap();
         assert!(out.contains("A :: body"));
         assert!(out.contains("B :: body"));
     }
 
     #[test]
     fn schedule_source_reports_unknown_type() {
-        let err = schedule_source(SAMPLE, None, &[("div".into(), 2)], false, 0).unwrap_err();
+        let err = schedule_text(SAMPLE, None, &[("div".into(), 2)], false, 0).unwrap_err();
         assert!(err.to_string().contains("unknown resource type"));
         assert_eq!(err.exit_code(), 5);
     }
 
     #[test]
     fn malformed_source_is_typed() {
-        let err = schedule_source("resource add delay=zero", None, &[], false, 0).unwrap_err();
+        let err = schedule_text("resource add delay=zero", None, &[], false, 0).unwrap_err();
         assert!(matches!(err, CliError::Malformed(_)), "{err:?}");
         assert_eq!(err.exit_code(), 4);
     }
@@ -1751,7 +1588,7 @@ edge m0 a0
     #[test]
     fn dfg_with_assignment_in_comment_stays_structural() {
         let src = format!("# note: y := a+b comes later\n{SAMPLE}");
-        let out = schedule_source(&src, None, &[], false, 0).unwrap();
+        let out = schedule_text(&src, None, &[], false, 0).unwrap();
         assert!(out.contains("2 processes"), "{out}");
     }
 
@@ -1761,7 +1598,7 @@ edge m0 a0
 process a time=8 { y := p * q + r; }
 process b time=8 { z := p * q; }
 ";
-        let out = schedule_source(src, Some(4), &[], false, 2).unwrap();
+        let out = schedule_text(src, Some(4), &[], false, 2).unwrap();
         assert!(out.contains("shared pool 1"), "{out}");
         assert!(out.contains("conflict-free"));
     }
@@ -1819,16 +1656,14 @@ process b time=8 { z := p * q; }
         std::fs::write(&design, SAMPLE).unwrap();
         let out = run(&Command::Schedule {
             input: design.to_string_lossy().into_owned(),
-            all_global: Some(2),
-            globals: vec![],
-            gantt: false,
-            verify: 0,
+            opts: ScheduleOptions {
+                all_global: Some(2),
+                ..ScheduleOptions::default()
+            },
             save: Some(sched.to_string_lossy().into_owned()),
             trace: None,
             metrics: false,
             timeline: None,
-            degrade: false,
-            partition: None,
             threads: None,
             cache_dir: None,
         })
@@ -1854,16 +1689,14 @@ process b time=8 { z := p * q; }
         std::fs::write(&design, SAMPLE).unwrap();
         let out = run(&Command::Schedule {
             input: design.to_string_lossy().into_owned(),
-            all_global: Some(2),
-            globals: vec![],
-            gantt: false,
-            verify: 0,
+            opts: ScheduleOptions {
+                all_global: Some(2),
+                ..ScheduleOptions::default()
+            },
             save: None,
             trace: Some(trace.to_string_lossy().into_owned()),
             metrics: true,
             timeline: Some(timeline.to_string_lossy().into_owned()),
-            degrade: false,
-            partition: None,
             threads: None,
             cache_dir: None,
         })
@@ -1932,22 +1765,29 @@ process b time=8 { z := p * q; }
         assert_eq!(
             cmd,
             Command::Serve {
-                listen: "127.0.0.1:0".into(),
-                workers: 3,
-                queue: 32,
-                cache_capacity: 64,
-                cache_dir: Some("/tmp/c".into()),
-                deadline_ms: Some(500),
-                auto_partition_ops: None,
-                journal_dir: Some("/tmp/j".into()),
-                journal_rotate_bytes: None,
+                config: ServeConfig {
+                    listen: "127.0.0.1:0".into(),
+                    workers: 3,
+                    queue_capacity: 32,
+                    cache_capacity: 64,
+                    cache_dir: Some("/tmp/c".into()),
+                    default_deadline_ms: Some(500),
+                    journal_dir: Some("/tmp/j".into()),
+                    ..ServeConfig::default()
+                },
                 threads: None,
-                peers: Vec::new(),
-                advertise: None,
-                http: None,
-                route: crate::serve::RouteMode::Proxy,
-                sync_interval_ms: None,
-                replicas: None,
+            }
+        );
+        // Unset flags keep the daemon's own defaults; only the listen
+        // address differs from `ServeConfig::default()`.
+        assert_eq!(
+            parse_args(&args(&["serve"])).unwrap(),
+            Command::Serve {
+                config: ServeConfig {
+                    listen: "127.0.0.1:7733".into(),
+                    ..ServeConfig::default()
+                },
+                threads: None,
             }
         );
         assert!(parse_args(&args(&["serve", "--queue", "0"])).is_err());
@@ -1955,18 +1795,12 @@ process b time=8 { z := p * q; }
         assert!(parse_args(&args(&["serve", "--journal-dir"])).is_err());
         assert!(matches!(
             parse_args(&args(&["serve", "--auto-partition-ops", "0"])).unwrap(),
-            Command::Serve {
-                auto_partition_ops: Some(0),
-                ..
-            }
+            Command::Serve { config, .. } if config.auto_partition_ops == 0
         ));
         assert!(parse_args(&args(&["serve", "--auto-partition-ops", "x"])).is_err());
         assert!(matches!(
             parse_args(&args(&["serve", "--journal-rotate-bytes", "65536"])).unwrap(),
-            Command::Serve {
-                journal_rotate_bytes: Some(65536),
-                ..
-            }
+            Command::Serve { config, .. } if config.journal_rotate_bytes == 65536
         ));
         assert!(parse_args(&args(&["serve", "--journal-rotate-bytes", "x"])).is_err());
     }
@@ -1992,25 +1826,25 @@ process b time=8 { z := p * q; }
         ]))
         .unwrap();
         match cmd {
-            Command::Serve {
-                peers,
-                advertise,
-                http,
-                route,
-                sync_interval_ms,
-                replicas,
-                ..
-            } => {
+            Command::Serve { config, .. } => {
+                assert_eq!(config.http_listen.as_deref(), Some("0.0.0.0:8080"));
+                let fleet = config.fleet.expect("--peers makes a fleet node");
                 // Whitespace around the commas is forgiven.
                 assert_eq!(
-                    peers,
+                    fleet.peers,
                     vec!["10.0.0.1:7733", "10.0.0.2:7733", "10.0.0.3:7733"]
                 );
-                assert_eq!(advertise.as_deref(), Some("10.0.0.1:7733"));
-                assert_eq!(http.as_deref(), Some("0.0.0.0:8080"));
-                assert_eq!(route, crate::serve::RouteMode::Local);
-                assert_eq!(sync_interval_ms, Some(500));
-                assert_eq!(replicas, Some(3));
+                assert_eq!(fleet.self_addr, "10.0.0.1:7733");
+                assert_eq!(fleet.route, crate::serve::RouteMode::Local);
+                assert_eq!(fleet.sync_interval, Some(Duration::from_millis(500)));
+                assert_eq!(fleet.replicas, 3);
+            }
+            other => panic!("unexpected command {other:?}"),
+        }
+        // Without `--advertise` the node is named by its final `--listen`.
+        match parse_args(&args(&["serve", "--peers", "a:1,b:2", "--listen", "b:2"])).unwrap() {
+            Command::Serve { config, .. } => {
+                assert_eq!(config.fleet.unwrap().self_addr, "b:2");
             }
             other => panic!("unexpected command {other:?}"),
         }
@@ -2025,6 +1859,10 @@ process b time=8 { z := p * q; }
             assert!(parse_args(&args(flags)).is_err(), "{flags:?}");
         }
         assert!(parse_args(&args(&["serve", "--peers", " , "])).is_err());
+        // A node outside its own peer list is refused, naming the fix.
+        let err =
+            parse_args(&args(&["serve", "--peers", "a:1", "--advertise", "b:2"])).unwrap_err();
+        assert!(err.contains("--advertise"), "{err}");
         assert!(parse_args(&args(&["serve", "--peers", "a:1", "--route", "x"])).is_err());
     }
 
@@ -2173,16 +2011,15 @@ process b time=8 { z := p * q; }
         std::fs::write(&design, SAMPLE).unwrap();
         let cmd = |cache: bool| Command::Schedule {
             input: design.to_string_lossy().into_owned(),
-            all_global: Some(2),
-            globals: vec![],
-            gantt: false,
-            verify: 1,
+            opts: ScheduleOptions {
+                all_global: Some(2),
+                verify: 1,
+                ..ScheduleOptions::default()
+            },
             save: None,
             trace: None,
             metrics: false,
             timeline: None,
-            degrade: false,
-            partition: None,
             threads: None,
             cache_dir: cache.then(|| dir.join("cache").to_string_lossy().into_owned()),
         };

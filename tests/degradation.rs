@@ -11,6 +11,7 @@ use tcms::modulo::{
     check_execution, compute_report, random_activations, schedule_with_degradation, LadderConfig,
     ModuloScheduler, Rung, ScheduleError, SharingSpec,
 };
+use tcms::serve::{ScheduleOptions, SimulateOptions};
 
 fn design_path(name: &str) -> String {
     format!("{}/designs/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -101,16 +102,17 @@ fn feasible_spec_is_bit_identical_with_and_without_the_ladder() {
 fn cli_without_degrade_exits_infeasible_and_with_degrade_recovers() {
     let cmd = |degrade: bool| Command::Schedule {
         input: design_path("paper_table1.dfg"),
-        all_global: Some(5),
-        globals: vec![("mul".into(), 7)],
-        gantt: false,
-        verify: 3,
+        opts: ScheduleOptions {
+            all_global: Some(5),
+            globals: vec![("mul".into(), 7)],
+            verify: 3,
+            degrade,
+            ..ScheduleOptions::default()
+        },
         save: None,
         trace: None,
         metrics: false,
         timeline: None,
-        degrade,
-        partition: None,
         threads: None,
         cache_dir: None,
     };
@@ -131,11 +133,13 @@ fn cli_without_degrade_exits_infeasible_and_with_degrade_recovers() {
 fn cli_fault_simulation_is_deterministic_per_seed() {
     let cmd = Command::Simulate {
         input: design_path("paper_table1.dfg"),
-        all_global: Some(5),
-        globals: vec![],
-        horizon: 2_000,
-        seed: 1,
-        mean_gap: 40,
+        opts: SimulateOptions {
+            all_global: Some(5),
+            horizon: 2_000,
+            seed: 1,
+            mean_gap: 40,
+            ..SimulateOptions::default()
+        },
         faults: true,
         plan: tcms::sim::FaultPlan::moderate(7),
         threads: None,

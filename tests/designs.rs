@@ -5,6 +5,7 @@ use tcms::cli::{run, Command};
 use tcms::ir::display::to_dfg;
 use tcms::ir::generators::paper_system;
 use tcms::ir::parse::parse_system;
+use tcms::serve::ScheduleOptions;
 
 fn design_path(name: &str) -> String {
     format!("{}/designs/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -26,16 +27,15 @@ fn checked_in_table1_matches_generator() {
 fn cli_schedules_checked_in_dfg() {
     let out = run(&Command::Schedule {
         input: design_path("paper_table1.dfg"),
-        all_global: Some(5),
-        globals: vec![],
-        gantt: false,
-        verify: 3,
+        opts: ScheduleOptions {
+            all_global: Some(5),
+            verify: 3,
+            ..ScheduleOptions::default()
+        },
         save: None,
         trace: None,
         metrics: false,
         timeline: None,
-        degrade: false,
-        partition: None,
         threads: None,
         cache_dir: None,
     })
@@ -48,16 +48,15 @@ fn cli_schedules_checked_in_dfg() {
 fn cli_schedules_checked_in_behavioral() {
     let out = run(&Command::Schedule {
         input: design_path("diffeq_pair.hls"),
-        all_global: Some(5),
-        globals: vec![],
-        gantt: false,
-        verify: 3,
+        opts: ScheduleOptions {
+            all_global: Some(5),
+            verify: 3,
+            ..ScheduleOptions::default()
+        },
         save: None,
         trace: None,
         metrics: false,
         timeline: None,
-        degrade: false,
-        partition: None,
         threads: None,
         cache_dir: None,
     })

@@ -6,6 +6,7 @@
 //! truncation.
 
 use tcms::cli::{run, CliError, Command};
+use tcms::serve::ScheduleOptions;
 
 fn corpus_files() -> Vec<std::path::PathBuf> {
     let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
@@ -44,16 +45,14 @@ fn every_corpus_file_yields_a_typed_malformed_error() {
         // The same file must fail identically through the scheduling path.
         let sched_err = run(&Command::Schedule {
             input: input.clone(),
-            all_global: Some(5),
-            globals: vec![],
-            gantt: false,
-            verify: 0,
+            opts: ScheduleOptions {
+                all_global: Some(5),
+                ..ScheduleOptions::default()
+            },
             save: None,
             trace: None,
             metrics: false,
             timeline: None,
-            degrade: false,
-            partition: None,
             threads: None,
             cache_dir: None,
         })

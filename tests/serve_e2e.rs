@@ -11,8 +11,10 @@ use std::sync::{Arc, Barrier};
 
 use tcms::cli::{run, Command};
 use tcms::obs::json::JsonValue;
-use tcms::serve::client::{control_request_line, schedule_request_line};
-use tcms::serve::{Client, ScheduleOptions, ServeConfig, Server};
+use tcms::serve::client::{control_request_line, schedule_request_line, simulate_request_line};
+use tcms::serve::{
+    Client, ScheduleOptions, ServeConfig, Server, SimulateOptions, DEFAULT_AUTO_PARTITION_OPS,
+};
 
 fn corpus_files() -> Vec<std::path::PathBuf> {
     let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
@@ -90,22 +92,23 @@ fn corpus_replays_get_typed_malformed_errors() {
 }
 
 /// The daemon's schedule output must match the one-shot CLI byte for
-/// byte, on the cold-cache miss AND on the warm-cache hit.
+/// byte, on the cold-cache miss AND on the warm-cache hit; so must its
+/// simulate output, including on a design large enough to partition.
 #[test]
 fn daemon_output_is_bit_identical_to_one_shot_cli() {
     let input = design_path("paper_table1.dfg");
     let one_shot = run(&Command::Schedule {
         input: input.clone(),
-        all_global: Some(5),
-        globals: vec![],
-        gantt: true,
-        verify: 2,
+        opts: ScheduleOptions {
+            all_global: Some(5),
+            gantt: true,
+            verify: 2,
+            ..ScheduleOptions::default()
+        },
         save: None,
         trace: None,
         metrics: false,
         timeline: None,
-        degrade: false,
-        partition: None,
         threads: None,
         cache_dir: None,
     })
@@ -128,6 +131,36 @@ fn daemon_output_is_bit_identical_to_one_shot_cli() {
         assert_eq!(resp.cache(), Some(expected_cache), "{round}");
         assert_eq!(resp.output(), Some(one_shot.as_str()), "{round}");
     }
+
+    // `simulate` takes its schedule from the same pipeline, on the paper
+    // design and on a 635-op design that the size threshold routes
+    // through the partitioner.
+    let (large, _) =
+        tcms::ir::generators::random_system(&tcms_bench::scaling_config(520, 40), 3).unwrap();
+    assert!(large.num_ops() >= DEFAULT_AUTO_PARTITION_OPS);
+    let large_path = std::env::temp_dir().join(format!("tcms_e2e_{}.dfg", std::process::id()));
+    std::fs::write(&large_path, tcms::ir::display::to_dfg(&large)).unwrap();
+    let opts = SimulateOptions {
+        all_global: Some(5),
+        ..SimulateOptions::default()
+    };
+    for input in [input, large_path.to_string_lossy().into_owned()] {
+        let one_shot = run(&Command::Simulate {
+            input: input.clone(),
+            opts: opts.clone(),
+            faults: false,
+            plan: tcms::sim::FaultPlan::moderate(0),
+            threads: None,
+        })
+        .unwrap();
+        let design = std::fs::read_to_string(&input).unwrap();
+        let resp = client
+            .request(&simulate_request_line("sim", &design, &opts, None))
+            .expect("response arrives");
+        assert!(resp.is_ok(), "{input}: {resp:?}");
+        assert_eq!(resp.output(), Some(one_shot.as_str()), "{input}");
+    }
+    let _ = std::fs::remove_file(&large_path);
     server.shutdown();
     server.wait().unwrap();
 }
@@ -622,7 +655,17 @@ fn journal_rotation_seals_segments_under_live_load() {
             .expect("response")
             .is_ok());
     }
-    let rotated = server.journal_stats().expect("journal enabled").rotated;
+    // Rotation runs on the journal writer thread, behind the responses
+    // (only `recorded` is counted before a response goes out), so give
+    // the writer a bounded moment to catch up.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let rotated = loop {
+        let rotated = server.journal_stats().expect("journal enabled").rotated;
+        if rotated >= 1 || std::time::Instant::now() > deadline {
+            break rotated;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
     assert!(rotated >= 1, "the workload crossed the rotation threshold");
     server.shutdown();
     server.wait().unwrap();
