@@ -26,12 +26,12 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use tcms_bench::NetFaultPlan;
 use tcms_obs::json::{self, JsonValue};
 use tcms_serve::{
     pipeline, render_stats, Client, ExecContext, RetryPolicy, ScheduleOptions, ServeClient,
     ServeConfig, Server, PANIC_MARKER,
 };
-use tcms_sim::NetFaultPlan;
 
 /// A small synthetic design: `stages` multiply-accumulate chains across
 /// two processes (the same family the serve-load study uses).

@@ -30,7 +30,7 @@ use std::net::TcpListener;
 use std::time::Instant;
 
 use tcms_bench::workload::{draw, make_design, zipf_cdf};
-use tcms_bench::ChaosProxy;
+use tcms_bench::{ChaosProxy, NetFaultPlan};
 use tcms_obs::json::{self, JsonValue};
 use tcms_obs::NoopRecorder;
 use tcms_serve::fleet::sync;
@@ -38,7 +38,6 @@ use tcms_serve::{
     schedule_request, Client, ExecContext, FleetConfig, RetryPolicy, ScheduleOptions, ServeClient,
     ServeConfig, Server, DEFAULT_AUTO_PARTITION_OPS,
 };
-use tcms_sim::NetFaultPlan;
 
 /// Reserves `n` distinct loopback ports by bind-and-drop, so the fleet
 /// addresses are known before any server starts (the ring needs the

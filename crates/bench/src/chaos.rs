@@ -3,9 +3,10 @@
 //! [`ChaosProxy`] sits between a client and a running
 //! [`Server`](tcms_serve::Server)
 //! (`client → proxy → daemon`), forwards bytes chunk by chunk, and asks
-//! a [`NetFaultPlan`] (the pure, seed-deterministic decision module in
-//! `tcms-sim`) what to do with each chunk: forward, delay, truncate
-//! then cut, reset before forwarding, or forward then cut. Each
+//! a [`NetFaultPlan`] (the pure, seed-deterministic decision module
+//! [`netfault`](crate::netfault)) what to do with each chunk: forward,
+//! delay, truncate then cut, reset before forwarding, or forward then
+//! cut. Each
 //! connection gets two independent decision streams (one per
 //! direction), so a chaos run's faults are reproducible per connection
 //! regardless of thread scheduling.
@@ -24,7 +25,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tcms_sim::{ChunkFault, NetFaultPlan, NetFaultStream};
+use crate::netfault::{ChunkFault, NetFaultPlan, NetFaultStream};
 
 /// Counters of everything a [`ChaosProxy`] did (point-in-time snapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -27,6 +27,7 @@
 
 pub mod chaos;
 pub mod experiments;
+pub mod netfault;
 pub mod obs;
 pub mod table;
 pub mod workload;
@@ -37,6 +38,7 @@ pub use experiments::{
     run_figure2_recorded, run_table1, run_table1_recorded, stats_requested, Figure1Data,
     Figure2Data, Table1Results, Table1Run,
 };
+pub use netfault::{ChunkFault, NetFaultPlan, NetFaultStream};
 pub use obs::ObsSession;
 pub use table::{float_profile, profile, TextTable};
 pub use workload::{make_design, percentile, scaling_config, synthetic_requests, zipf_cdf};

@@ -1,13 +1,13 @@
 //! Deterministic network-fault decisions for the serving chaos harness.
 //!
-//! The companion of [`fault`](crate::fault), one layer down the stack:
-//! where [`FaultPlan`](crate::FaultPlan) stresses the *scheduled
+//! The companion of [`tcms_sim::fault`], one layer down the stack:
+//! where [`FaultPlan`](tcms_sim::FaultPlan) stresses the *scheduled
 //! system* (jittered triggers, outages), a [`NetFaultPlan`] stresses
 //! the *serving transport* — which bytes of a proxied TCP stream get
 //! delayed, truncated, or cut. This module makes only the **decisions**;
-//! the TCP proxy that applies them lives in `tcms-serve` (`chaos`), so
-//! the policy stays pure, seed-reproducible and unit-testable without
-//! sockets.
+//! the TCP proxy that applies them is [`ChaosProxy`](crate::ChaosProxy)
+//! next door in [`chaos`](crate::chaos), so the policy stays pure,
+//! seed-reproducible and unit-testable without sockets.
 //!
 //! All randomness derives from [`NetFaultPlan::seed`] plus a
 //! per-connection stream index, so two chaos runs with the same plan

@@ -40,7 +40,7 @@ use crate::field::{ExternalOccupancy, ModuloField};
 /// `G_k`, which the other processes of the sharing group move. What a
 /// global term prices on `G_k` is the displacement `x = M̃_p − M_p`, and
 /// that depends only on the candidate's own block and process. So
-/// [`ForceEvaluator::force_batch_logged`] records the fold of every
+/// [`ForceEvaluator::force_batch`] records the fold of every
 /// candidate with a global term — `(G_k, x)` per global key and
 /// `(D_{b,k}, lo, x)` per local key, in fold order — and
 /// [`ForceEvaluator::resum`] replays it against the live profiles. A
@@ -124,65 +124,6 @@ impl<'a> ModuloEvaluator<'a> {
         self.force_with_field(&rebuilt, frames, changed)
     }
 
-    /// The seed's incremental force path, kept verbatim (per-candidate
-    /// jagged-era allocations: fresh delta buffers, a distribution copy
-    /// and two fold `Vec`s per key) as the PR 1 baseline the
-    /// `repro_force_kernel` bench measures the slab kernels against.
-    #[cfg(any(test, feature = "naive-oracle"))]
-    pub fn force_legacy(&self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) -> f64 {
-        let (keys, bufs) = self.deltas_legacy(frames, changed);
-        let field = &self.field;
-        let spec = field.spec();
-        let mut total = 0.0;
-        for (i, &(b, k)) in keys.iter().enumerate() {
-            let w = self.config.spring_weights.weight(self.system.library(), k);
-            let process = self.system.block(b).process();
-            if spec.is_global_for(k, process) {
-                let g = field.group_profile(k);
-                let x = field.tentative_group_delta_legacy(b, k, &bufs[i]);
-                for (slot, &xv) in x.iter().enumerate() {
-                    if xv != 0.0 {
-                        total += w * (g[slot] + self.config.lookahead * xv) * xv;
-                    }
-                }
-            } else {
-                let d = field.distributions().get(b, k);
-                for (t, &xv) in bufs[i].iter().enumerate() {
-                    if xv != 0.0 {
-                        total += w * (d[t] + self.config.lookahead * xv) * xv;
-                    }
-                }
-            }
-        }
-        total
-    }
-
-    /// The seed's delta computation, kept verbatim (fresh `Vec`s and the
-    /// per-step division loop of [`tcms_fds::prob::accumulate_reference`])
-    /// as part of the PR 1 baseline behind [`ModuloEvaluator::force_legacy`].
-    #[cfg(any(test, feature = "naive-oracle"))]
-    fn deltas_legacy(
-        &self,
-        frames: &FrameTable,
-        changed: &[(OpId, TimeFrame)],
-    ) -> (Vec<(BlockId, ResourceTypeId)>, Vec<Vec<f64>>) {
-        let mut keys: Vec<(BlockId, ResourceTypeId)> = Vec::new();
-        let mut bufs: Vec<Vec<f64>> = Vec::new();
-        for &(o, nf) in changed {
-            let op = self.system.op(o);
-            let key = (op.block(), op.resource_type());
-            let i = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
-                keys.push(key);
-                bufs.push(vec![0.0; self.system.block(key.0).time_range() as usize]);
-                keys.len() - 1
-            });
-            let occ = self.system.occupancy(o);
-            tcms_fds::prob::accumulate_reference(&mut bufs[i], nf, occ, 1.0);
-            tcms_fds::prob::accumulate_reference(&mut bufs[i], frames.get(o), occ, -1.0);
-        }
-        (keys, bufs)
-    }
-
     fn force_with_field(
         &self,
         field: &ModuloField<'_>,
@@ -235,9 +176,10 @@ impl<'a> ModuloEvaluator<'a> {
             let (lo, hi) = state.spans[i];
             if let Some(g) = &mut plan.global {
                 // Modified force: displacement of the balanced global
-                // profile (equations 7-10), replayed from the plan's
-                // resolved slices — the same kernel sequence as
-                // `ModuloField::tentative_group_delta_into`.
+                // profile (equations 7-10) from the plan's resolved
+                // slices — the fused fold of `D + delta` (equation 7),
+                // the slot max with the sibling `D̂`s (equation 9) and the
+                // difference to the committed `M_p`.
                 let gdelta = &mut scratch.gdelta;
                 if gdelta.len() != g.rho {
                     gdelta.resize(g.rho, 0.0);
@@ -387,7 +329,7 @@ impl<'a> ModuloEvaluator<'a> {
     ///
     /// Returns `None` (caller falls back to the generic path, and nothing
     /// is recorded) for local pairs and empty blocks. Otherwise the one
-    /// global term is recorded in `log`, if given.
+    /// global term is recorded in `log`.
     #[allow(clippy::too_many_arguments)]
     fn force_single_fast<'f>(
         &self,
@@ -397,7 +339,7 @@ impl<'a> ModuloEvaluator<'a> {
         frames: &FrameTable,
         state: &mut DeltaBufs,
         scratch: &mut EvalScratch<'f>,
-        log: Option<&mut TermLog>,
+        log: &mut TermLog,
     ) -> Option<f64> {
         let (block, rtype, occ, range) = self.op_meta[o.index()];
         let len = range as usize;
@@ -476,9 +418,7 @@ impl<'a> ModuloEvaluator<'a> {
         }
         crate::kernel::sub_into(gdelta, g.mold);
         let force = force_sum(0.0, g.gprof, gdelta, plan.weight, self.config.lookahead);
-        if let Some(log) = log {
-            log.push(global_term(rtype), 0, gdelta);
-        }
+        log.push(global_term(rtype), 0, gdelta);
         Some(force)
     }
 
@@ -493,78 +433,6 @@ impl<'a> ModuloEvaluator<'a> {
             "pair number fits below the global flag"
         );
         key
-    }
-
-    /// Scores `candidates` against the committed field, recording their
-    /// fold terms in `log` if one is given.
-    ///
-    /// Every shared intermediate belongs to one `(block, type)` pair or one
-    /// op, and implied changes never leave the block of the op they start
-    /// from, so the intermediates are dropped whenever the block of the
-    /// candidates changes. The engine sweeps a block's candidates back to
-    /// back, so this loses no reuse and holds one block's worth of tables
-    /// at a time. (Dropping a cache never changes a value, only what is
-    /// recomputed.)
-    ///
-    /// The batch's buffers are taken from (and returned to) this thread's
-    /// [`KEPT_BUFS`], so a sweep that scores a batch every iteration stops
-    /// allocating once the buffers have grown to fit.
-    fn batch(
-        &self,
-        frames: &FrameTable,
-        candidates: &[&[(OpId, TimeFrame)]],
-        mut log: Option<&mut TermLog>,
-    ) -> Vec<f64> {
-        let kept = KEPT_BUFS.take().unwrap_or_default();
-        let mut state = kept.state;
-        state.prepare(self.op_meta.len());
-        let mut scratch = EvalScratch {
-            gdelta: kept.gdelta,
-            plans: Vec::new(),
-            plan_idx: kept.plan_idx,
-            spare_tables: kept.spare_tables,
-        };
-        let mut block = None;
-        let forces = candidates
-            .iter()
-            .map(|changed| {
-                let first = changed.first().map(|&(o, _)| self.op_meta[o.index()].0);
-                if first != block {
-                    scratch.reset();
-                    state.retire_ops();
-                    block = first;
-                }
-                let fast = match **changed {
-                    [(o, nf)] => self.force_single_fast(
-                        &self.field,
-                        o,
-                        nf,
-                        frames,
-                        &mut state,
-                        &mut scratch,
-                        log.as_deref_mut(),
-                    ),
-                    _ => None,
-                };
-                let force = fast.unwrap_or_else(|| {
-                    self.deltas_into(frames, changed, &mut state);
-                    self.force_from_deltas(&self.field, &state, &mut scratch, log.as_deref_mut())
-                });
-                if let Some(log) = log.as_deref_mut() {
-                    log.close();
-                }
-                force
-            })
-            .collect();
-        scratch.reset();
-        state.retire_ops();
-        KEPT_BUFS.set(Some(KeptBufs {
-            state,
-            gdelta: scratch.gdelta,
-            plan_idx: scratch.plan_idx,
-            spare_tables: scratch.spare_tables,
-        }));
-        forces
     }
 
     /// Probability deltas of `changed`, grouped per `(block, type)`.
@@ -868,25 +736,79 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
     }
 
     /// Scores every candidate against the current committed field,
-    /// bit-identical to calling [`ForceEvaluator::force`] per candidate.
+    /// bit-identical to calling [`ForceEvaluator::force`] per candidate,
+    /// and records the fold of every candidate with a global term: both
+    /// fold paths record the exact operands their last fold step reads.
+    ///
     /// The win over the default implementation: delta buffers are reused
-    /// and the sibling slot-max profiles — which depend only on committed
-    /// state, not on the candidate — are computed once per `(block, type)`
-    /// and shared across the whole batch.
-    fn force_batch(&self, frames: &FrameTable, candidates: &[&[(OpId, TimeFrame)]]) -> Vec<f64> {
-        self.batch(frames, candidates, None)
-    }
-
-    /// [`ModuloEvaluator::force_batch`], recording the fold of every
-    /// candidate with a global term: both fold paths record the exact
-    /// operands their last fold step reads.
-    fn force_batch_logged(
+    /// and every intermediate that depends only on committed state — the
+    /// sibling slot-max profiles, the per-op removal terms and boundary
+    /// tables — is computed once and shared. Every shared intermediate
+    /// belongs to one `(block, type)` pair or one op, and implied changes
+    /// never leave the block of the op they start from, so the
+    /// intermediates are dropped whenever the block of the candidates
+    /// changes. The engine sweeps a block's candidates back to back, so
+    /// this loses no reuse and holds one block's worth of tables at a
+    /// time. (Dropping a cache never changes a value, only what is
+    /// recomputed.)
+    ///
+    /// The batch's buffers are taken from (and returned to) this thread's
+    /// `KEPT_BUFS`, so a sweep that scores a batch every iteration stops
+    /// allocating once the buffers have grown to fit.
+    fn force_batch(
         &self,
         frames: &FrameTable,
         candidates: &[&[(OpId, TimeFrame)]],
         log: &mut TermLog,
     ) -> Vec<f64> {
-        self.batch(frames, candidates, Some(log))
+        let kept = KEPT_BUFS.take().unwrap_or_default();
+        let mut state = kept.state;
+        state.prepare(self.op_meta.len());
+        let mut scratch = EvalScratch {
+            gdelta: kept.gdelta,
+            plans: Vec::new(),
+            plan_idx: kept.plan_idx,
+            spare_tables: kept.spare_tables,
+        };
+        let mut block = None;
+        let forces = candidates
+            .iter()
+            .map(|changed| {
+                let first = changed.first().map(|&(o, _)| self.op_meta[o.index()].0);
+                if first != block {
+                    scratch.reset();
+                    state.retire_ops();
+                    block = first;
+                }
+                let fast = match **changed {
+                    [(o, nf)] => self.force_single_fast(
+                        &self.field,
+                        o,
+                        nf,
+                        frames,
+                        &mut state,
+                        &mut scratch,
+                        &mut *log,
+                    ),
+                    _ => None,
+                };
+                let force = fast.unwrap_or_else(|| {
+                    self.deltas_into(frames, changed, &mut state);
+                    self.force_from_deltas(&self.field, &state, &mut scratch, Some(&mut *log))
+                });
+                log.close();
+                force
+            })
+            .collect();
+        scratch.reset();
+        state.retire_ops();
+        KEPT_BUFS.set(Some(KeptBufs {
+            state,
+            gdelta: scratch.gdelta,
+            plan_idx: scratch.plan_idx,
+            spare_tables: scratch.spare_tables,
+        }));
+        forces
     }
 
     /// Replays a recorded fold against the live `G_k` and `D_{b,k}`:
@@ -1120,7 +1042,7 @@ mod tests {
         let cand = narrowing_changes(&sys, &frames, z, TimeFrame::new(fz.alap, fz.alap));
         assert_eq!(cand.len(), 2, "pinning z must narrow m too");
         let mut log = TermLog::default();
-        let recorded = eval.force_batch_logged(&frames, &[&cand], &mut log)[0];
+        let recorded = eval.force_batch(&frames, &[&cand], &mut log)[0];
         let terms = log.candidate(0);
         assert_eq!(terms.terms.len(), 2, "one global and one local term");
         let stamp = eval.context_stamp(blk2);
@@ -1159,7 +1081,7 @@ mod tests {
         }
         let views: Vec<&[(tcms_ir::OpId, TimeFrame)]> =
             candidates.iter().map(|c| c.as_slice()).collect();
-        let batched = eval.force_batch(&frames, &views);
+        let batched = eval.force_batch(&frames, &views, &mut TermLog::default());
         assert_eq!(batched.len(), views.len());
         for (i, c) in views.iter().enumerate() {
             let scalar = eval.force(&frames, c);
@@ -1171,7 +1093,6 @@ mod tests {
             );
             // And both agree bitwise with the from-scratch oracle.
             assert_eq!(scalar.to_bits(), eval.force_naive(&frames, c).to_bits());
-            assert_eq!(scalar.to_bits(), eval.force_legacy(&frames, c).to_bits());
         }
     }
 

@@ -341,79 +341,6 @@ impl<'a> ModuloField<'a> {
         }
     }
 
-    /// Effect of adding `delta` (indexed by block-local time) to the
-    /// distribution of a globally shared `(block, type)`: the change of the
-    /// group profile `ΔG_k(τ)`, without mutating the field.
-    ///
-    /// Allocation-free core of [`ModuloField::tentative_group_delta`]:
-    /// `siblings` must be the profile from
-    /// [`ModuloField::sibling_profile_into`] for the same pair, and `out`
-    /// receives `ΔG`. The result is bit-identical to folding a
-    /// materialized `D + delta` copy the way the seed did: the fused
-    /// kernel folds the same values in the same slot order, and regrouping
-    /// the zero-seeded slot max over `{D̂_new} ∪ siblings` cannot change a
-    /// maximum of non-negative, non-NaN values.
-    pub fn tentative_group_delta_into(
-        &self,
-        block: BlockId,
-        rtype: ResourceTypeId,
-        delta: &[f64],
-        siblings: &[f64],
-        out: &mut [f64],
-    ) {
-        let rho = self.slot_count(rtype);
-        assert_eq!(out.len(), rho, "out must cover one period");
-        kernel::modulo_max_delta_into(self.dist.get(block, rtype), delta, out);
-        kernel::slot_max_into(out, siblings);
-        let process = self.system.block(block).process();
-        kernel::sub_into(out, self.process_profile(process, rtype));
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`ModuloField::sibling_profile_into`] +
-    /// [`ModuloField::tentative_group_delta_into`].
-    pub fn tentative_group_delta(
-        &self,
-        block: BlockId,
-        rtype: ResourceTypeId,
-        delta: &[f64],
-    ) -> Vec<f64> {
-        let rho = self.slot_count(rtype);
-        let mut siblings = vec![0.0; rho];
-        self.sibling_profile_into(block, rtype, &mut siblings);
-        let mut out = vec![0.0; rho];
-        self.tentative_group_delta_into(block, rtype, delta, &siblings, &mut out);
-        out
-    }
-
-    /// The seed's tentative evaluation, kept verbatim (jagged-era
-    /// allocations and branchy folds) as the oracle and the per-force
-    /// baseline of the `repro_force_kernel` bench.
-    #[cfg(any(test, feature = "naive-oracle"))]
-    pub fn tentative_group_delta_legacy(
-        &self,
-        block: BlockId,
-        rtype: ResourceTypeId,
-        delta: &[f64],
-    ) -> Vec<f64> {
-        let period = self.spec.period(rtype).expect("global types have periods");
-        let process = self.system.block(block).process();
-        let mut dnew = self.dist.get(block, rtype).to_vec();
-        for (t, &x) in delta.iter().enumerate() {
-            dnew[t] += x;
-        }
-        let dhat_new = kernel::modulo_max_legacy(&dnew, period);
-        // Rebuild the process max with the tentative block profile.
-        let mut mnew = dhat_new;
-        for &b in self.system.process(process).blocks() {
-            if b != block {
-                mnew = kernel::slot_max_legacy(&mnew, self.block_profile(b, rtype));
-            }
-        }
-        let mold = self.process_profile(process, rtype);
-        mnew.iter().zip(mold).map(|(&n, &o)| n - o).collect()
-    }
-
     /// Commits `delta` to the distribution of `(block, type)` and refreshes
     /// the dependent layers (for any type; global layers only when shared).
     ///
@@ -594,53 +521,6 @@ mod tests {
             assert!((a - b).abs() < 1e-12);
         }
         assert!(field.group_peak(t.mul) > 0.0);
-    }
-
-    #[test]
-    fn tentative_delta_matches_apply() {
-        let (sys, t) = paper_system().unwrap();
-        let spec = SharingSpec::all_global(&sys, 5);
-        let frames = FrameTable::initial(&sys);
-        let mut field = ModuloField::new(&sys, spec, &frames);
-        let block = sys.block_ids().next().unwrap();
-        let len = sys.block(block).time_range() as usize;
-        let mut delta = vec![0.0; len];
-        delta[0] = 0.4;
-        delta[7] = -0.2;
-
-        let predicted = field.tentative_group_delta(block, t.add, &delta);
-        let before = field.group_profile(t.add).to_vec();
-        field.apply_delta(block, t.add, &delta);
-        let after = field.group_profile(t.add).to_vec();
-        for slot in 0..5 {
-            assert!(
-                (after[slot] - before[slot] - predicted[slot]).abs() < 1e-12,
-                "slot {slot}"
-            );
-        }
-    }
-
-    #[test]
-    fn tentative_delta_matches_legacy_bitwise() {
-        let (sys, t) = paper_system().unwrap();
-        let spec = SharingSpec::all_global(&sys, 5);
-        let frames = FrameTable::initial(&sys);
-        let field = ModuloField::new(&sys, spec, &frames);
-        for block in sys.block_ids() {
-            let len = sys.block(block).time_range() as usize;
-            let mut delta = vec![0.0; len];
-            delta[0] = 0.4;
-            delta[len - 1] = -0.125;
-            for k in [t.add, t.mul] {
-                let fast = field.tentative_group_delta(block, k, &delta);
-                let legacy = field.tentative_group_delta_legacy(block, k, &delta);
-                assert_eq!(
-                    fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    legacy.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "block {block:?} type {k:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -865,37 +745,5 @@ mod tests {
         let effect = field.apply_delta(block, t.add, &delta);
         assert!(effect.global && effect.dist_changed && effect.dhat_changed);
         assert!(effect.mproc_changed && effect.gdist_changed);
-    }
-
-    #[test]
-    fn modulo_hiding_effect() {
-        // A delta placed under the slot maximum must not change the group
-        // profile (the "hiding" of Figure 2).
-        let (sys, t) = paper_system().unwrap();
-        let spec = SharingSpec::all_global(&sys, 5);
-        let frames = FrameTable::initial(&sys);
-        let field = ModuloField::new(&sys, spec, &frames);
-        let block = sys.block_ids().next().unwrap();
-        let d = field.distributions().get(block, t.add);
-        // Find two times mapping to the same slot with different values.
-        let mut pick = None;
-        'outer: for t1 in 0..d.len() {
-            for t2 in (t1 + 5..d.len()).step_by(5) {
-                if d[t1] < d[t2] - 0.05 {
-                    pick = Some((t1, t2));
-                    break 'outer;
-                }
-            }
-        }
-        if let Some((t_low, t_high)) = pick {
-            let headroom = d[t_high] - d[t_low];
-            let mut delta = vec![0.0; d.len()];
-            delta[t_low] = headroom / 2.0; // stays below the slot max
-            let g_delta = field.tentative_group_delta(block, t.add, &delta);
-            assert!(
-                g_delta.iter().all(|&x| x.abs() < 1e-12),
-                "hidden increase must not move the profile: {g_delta:?}"
-            );
-        }
     }
 }

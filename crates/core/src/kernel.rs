@@ -15,9 +15,9 @@
 //! probabilities are sums of non-negative terms; exact cancellation yields
 //! `+0.0`), and a `max` reduction over such values is order-insensitive:
 //! it returns the same maximum element bitwise no matter how the
-//! comparisons associate. The legacy loops are kept (test/oracle builds
-//! only) as [`modulo_max_legacy`] / [`slot_max_legacy`] and pinned against
-//! the kernels by the proptest suites.
+//! comparisons associate. This module's proptests pin the chunked kernels
+//! bitwise against the strided branchy fold, a private helper of the
+//! tests.
 
 /// Folds `dist` (indexed by time step) into `out` (one period of slots),
 /// keeping the slot maximum seeded at `0.0`:
@@ -285,44 +285,97 @@ pub fn add_u32_into(acc: &mut [u32], b: &[u32]) {
     }
 }
 
-/// The seed's branchy modulo-max fold, kept verbatim as the oracle the
-/// slab kernels are property-tested against (and as the per-fold
-/// baseline of the `repro_force_kernel` bench).
-#[cfg(any(test, feature = "naive-oracle"))]
-pub fn modulo_max_legacy(dist: &[f64], period: u32) -> Vec<f64> {
-    assert!(period > 0, "period must be at least 1");
-    let mut out = vec![0.0; period as usize];
-    for (t, &v) in dist.iter().enumerate() {
-        let slot = t % period as usize;
-        if v > out[slot] {
-            out[slot] = v;
-        }
-    }
-    out
-}
-
-/// The seed's allocating element-wise maximum, kept as the oracle for
-/// [`slot_max_into`].
-#[cfg(any(test, feature = "naive-oracle"))]
-pub fn slot_max_legacy(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "profiles must cover the same period");
-    a.iter().zip(b).map(|(&x, &y)| x.max(y)).collect()
-}
-
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
+    /// The seed's strided branchy modulo-max fold: the reference the
+    /// chunked kernels are pinned against bitwise.
+    fn modulo_max_branchy(dist: &[f64], period: u32) -> Vec<f64> {
+        let mut out = vec![0.0; period as usize];
+        for (t, &v) in dist.iter().enumerate() {
+            let slot = t % period as usize;
+            if v > out[slot] {
+                out[slot] = v;
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The chunked modulo-max kernel equals the branchy fold bitwise,
+        /// for every (ragged) length/period combination. (The vendored
+        /// proptest only generates integer ranges, so values are dyadic
+        /// rationals — exact in f64, which is what bitwise comparison
+        /// wants anyway.)
+        #[test]
+        fn modulo_max_kernel_matches_branchy_bitwise(
+            raw in prop::collection::vec(0u32..64, 0..40),
+            period in 1u32..12,
+        ) {
+            let dist: Vec<f64> = raw.iter().map(|&v| f64::from(v) * 0.0625).collect();
+            let mut out = vec![0.0; period as usize];
+            modulo_max_into(&dist, &mut out);
+            prop_assert_eq!(
+                bits(&out),
+                bits(&modulo_max_branchy(&dist, period)),
+                "len {} period {}",
+                dist.len(),
+                period
+            );
+        }
+
+        /// The fused delta fold (`max(dist + delta)` without materializing
+        /// the sum) equals materializing the sum and folding it branchily —
+        /// bitwise, including deltas shorter than the distribution and
+        /// periods longer than both.
+        #[test]
+        fn fused_delta_fold_matches_materialized_branchy_bitwise(
+            raw_dist in prop::collection::vec(0u32..64, 0..32),
+            raw_delta in prop::collection::vec(0u32..64, 0..32),
+            period in 1u32..12,
+        ) {
+            let dist: Vec<f64> = raw_dist.iter().map(|&v| f64::from(v) * 0.0625).collect();
+            // Deltas in [-2, +2).
+            let delta: Vec<f64> = raw_delta
+                .iter()
+                .map(|&v| (f64::from(v) - 32.0) * 0.0625)
+                .collect();
+            prop_assume!(delta.len() <= dist.len());
+            let mut summed = dist.clone();
+            for (d, x) in summed.iter_mut().zip(&delta) {
+                *d += x;
+            }
+            let mut out = vec![0.0; period as usize];
+            modulo_max_delta_into(&dist, &delta, &mut out);
+            prop_assert_eq!(
+                bits(&out),
+                bits(&modulo_max_branchy(&summed, period)),
+                "len {}/{} period {}",
+                dist.len(),
+                delta.len(),
+                period
+            );
+        }
+    }
+
     #[test]
-    fn modulo_max_matches_legacy_bitwise() {
+    fn modulo_max_matches_branchy_bitwise() {
         let d = [0.2, 0.9, 0.1, 0.4, 0.8, 0.15, 0.4];
         for period in 1..=9u32 {
             let mut out = vec![f64::NAN; period as usize];
             modulo_max_into(&d, &mut out);
-            let legacy = modulo_max_legacy(&d, period);
             assert_eq!(
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                legacy.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&out),
+                bits(&modulo_max_branchy(&d, period)),
                 "period {period}"
             );
         }
@@ -340,10 +393,9 @@ mod tests {
             for period in 1..=9u32 {
                 let mut fused = vec![f64::NAN; period as usize];
                 modulo_max_delta_into(&d, &delta, &mut fused);
-                let reference = modulo_max_legacy(&summed, period);
                 assert_eq!(
-                    fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    bits(&fused),
+                    bits(&modulo_max_branchy(&summed, period)),
                     "period {period}, delta len {dlen}"
                 );
             }

@@ -23,7 +23,7 @@
 //! * the evaluator's [`ForceEvaluator::context_stamp`] for that block.
 //!
 //! Next to each force the cache keeps the terms of its fold that the
-//! evaluator recorded ([`ForceEvaluator::force_batch_logged`]): the
+//! evaluator recorded ([`ForceEvaluator::force_batch`]): the
 //! displacements priced on a profile the stamp does not cover — in the
 //! modulo evaluator, the group profile `G_k` that other processes move.
 //! When both keys are unchanged since the pair was computed, a force
@@ -377,7 +377,7 @@ impl<'a> IfdsEngine<'a> {
     }
 
     /// Scores `bufs.placements` through one
-    /// [`ForceEvaluator::force_batch_logged`] call, collecting their change
+    /// [`ForceEvaluator::force_batch`] call, collecting their change
     /// sets back to back and their fold terms in `bufs`.
     fn score<E: ForceEvaluator>(&self, eval: &E, bufs: &mut ChunkBufs) -> Vec<f64> {
         bufs.changes.clear();
@@ -395,7 +395,7 @@ impl<'a> IfdsEngine<'a> {
             })
             .collect();
         bufs.log.clear();
-        eval.force_batch_logged(&self.frames, &views, &mut bufs.log)
+        eval.force_batch(&self.frames, &views, &mut bufs.log)
     }
 
     /// Forces of the two extreme placements `(f_lo, f_hi)` of every

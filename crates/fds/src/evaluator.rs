@@ -27,7 +27,7 @@ use crate::prob;
 /// block, except for profiles a force reads through recorded terms. As
 /// long as the stamp of a block is unchanged, a force for a change rooted
 /// in that block is reproduced bit for bit either by its cached value —
-/// when [`ForceEvaluator::force_batch_logged`] recorded no terms for it —
+/// when [`ForceEvaluator::force_batch`] recorded no terms for it —
 /// or by [`ForceEvaluator::resum`] over the terms it recorded. Evaluators
 /// that cannot provide this guarantee return `None` from `context_stamp`
 /// (the default), which disables caching.
@@ -37,39 +37,34 @@ pub trait ForceEvaluator {
     fn force(&self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) -> f64;
 
     /// Batched evaluation: the forces of several candidate change sets
-    /// against the *same* committed state, in order.
+    /// against the *same* committed state, in order, with the terms of
+    /// each candidate's force fold recorded into `log` (one
+    /// [`TermLog::close`] per candidate, also for candidates with no
+    /// terms).
     ///
     /// Must return exactly what [`ForceEvaluator::force`] would return for
     /// each candidate (bit-identically) — implementations may only share
     /// state-dependent intermediates across candidates, never change the
-    /// per-candidate arithmetic. The engine's candidate sweep scores the
-    /// two extreme placements of one operation through this entry point;
-    /// evaluators with expensive state folds (the modulo evaluator's
-    /// sibling-block slot maxima) amortize them across the batch. The
-    /// default computes each candidate independently.
-    fn force_batch(&self, frames: &FrameTable, candidates: &[&[(OpId, TimeFrame)]]) -> Vec<f64> {
-        candidates.iter().map(|c| self.force(frames, c)).collect()
-    }
-
-    /// [`ForceEvaluator::force_batch`] that also records, per candidate and
-    /// in order, the terms of its force fold into `log` (one
-    /// [`TermLog::close`] per candidate, also for candidates with no
-    /// terms). The forces are exactly those of `force_batch`.
-    ///
-    /// Terms let a cached force be re-summed with [`ForceEvaluator::resum`]
-    /// when a profile outside the context stamp moved. The default records
-    /// no terms, so every cached force is reused as it is.
-    fn force_batch_logged(
+    /// per-candidate arithmetic. The engine's candidate sweep scores every
+    /// candidate through this entry point; evaluators with expensive state
+    /// folds (the modulo evaluator's sibling-block slot maxima) amortize
+    /// them across the batch. Terms let a cached force be re-summed with
+    /// [`ForceEvaluator::resum`] when a profile outside the context stamp
+    /// moved. The default computes each candidate independently and
+    /// records no terms, so every cached force is reused as it is.
+    fn force_batch(
         &self,
         frames: &FrameTable,
         candidates: &[&[(OpId, TimeFrame)]],
         log: &mut TermLog,
     ) -> Vec<f64> {
-        let forces = self.force_batch(frames, candidates);
-        for _ in candidates {
-            log.close();
-        }
-        forces
+        candidates
+            .iter()
+            .map(|c| {
+                log.close();
+                self.force(frames, c)
+            })
+            .collect()
     }
 
     /// Replays the recorded terms of one candidate against the live
@@ -329,8 +324,14 @@ impl ForceEvaluator for ClassicEvaluator<'_> {
 
     /// Batched scoring sharing the delta scratch buffers across
     /// candidates; the per-candidate arithmetic is identical to
-    /// [`ForceEvaluator::force`], so the results are bit-identical.
-    fn force_batch(&self, frames: &FrameTable, candidates: &[&[(OpId, TimeFrame)]]) -> Vec<f64> {
+    /// [`ForceEvaluator::force`], so the results are bit-identical. The
+    /// stamp covers every input, so no terms are recorded.
+    fn force_batch(
+        &self,
+        frames: &FrameTable,
+        candidates: &[&[(OpId, TimeFrame)]],
+        log: &mut TermLog,
+    ) -> Vec<f64> {
         let mut keys = Vec::new();
         let mut bufs = Vec::new();
         let mut out = Vec::with_capacity(candidates.len());
@@ -347,6 +348,7 @@ impl ForceEvaluator for ClassicEvaluator<'_> {
                     self.config.lookahead,
                 );
             }
+            log.close();
             out.push(total);
         }
         out

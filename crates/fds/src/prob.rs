@@ -65,21 +65,19 @@ pub fn accumulate(dist: &mut [f64], frame: TimeFrame, occ: u32, sign: f64) -> (u
     (frame.asap as usize, last as usize + 1)
 }
 
-/// The seed's per-step accumulation loop, kept verbatim (one
-/// [`occupancy_prob`] division per time step) as the oracle
-/// [`accumulate`] is pinned against and as part of the jagged-era
-/// baseline the `repro_force_kernel` bench measures.
-#[cfg(any(test, feature = "naive-oracle"))]
-pub fn accumulate_reference(dist: &mut [f64], frame: TimeFrame, occ: u32, sign: f64) {
-    let last = (frame.alap + occ - 1).min(dist.len().saturating_sub(1) as u32);
-    for t in frame.asap..=last {
-        dist[t as usize] += sign * occupancy_prob(frame, occ, t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The seed's per-step accumulation loop (one [`occupancy_prob`]
+    /// division per time step), the oracle [`accumulate`] is pinned
+    /// against.
+    fn accumulate_reference(dist: &mut [f64], frame: TimeFrame, occ: u32, sign: f64) {
+        let last = (frame.alap + occ - 1).min(dist.len().saturating_sub(1) as u32);
+        for t in frame.asap..=last {
+            dist[t as usize] += sign * occupancy_prob(frame, occ, t);
+        }
+    }
 
     #[test]
     fn unit_occupancy_uniform() {

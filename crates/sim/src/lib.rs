@@ -42,7 +42,6 @@ pub mod behavior;
 pub mod engine;
 pub mod fault;
 pub mod monitor;
-pub mod netfault;
 pub mod trace;
 pub mod workload;
 
@@ -50,6 +49,5 @@ pub use behavior::{ProcessBehavior, Segment, UnrolledStep};
 pub use engine::{SimConfig, SimResult, Simulator};
 pub use fault::{FaultMetrics, FaultPlan};
 pub use monitor::{Conflict, ResourceMonitor};
-pub use netfault::{ChunkFault, NetFaultPlan, NetFaultStream};
 pub use trace::{Event, EventKind};
 pub use workload::Trigger;

@@ -28,7 +28,7 @@
 use proptest::prelude::*;
 
 use tcms::fds::dist::DistributionSet;
-use tcms::fds::{ClassicEvaluator, FdsConfig, ForceEvaluator};
+use tcms::fds::{ClassicEvaluator, FdsConfig, ForceEvaluator, TermLog};
 use tcms::ir::generators::{random_system, RandomSystemConfig};
 use tcms::ir::{FrameTable, OpId, System, TimeFrame};
 use tcms::modulo::{ExternalOccupancy, ModuloEvaluator, ModuloScheduler, SharingSpec};
@@ -204,7 +204,7 @@ proptest! {
     #[test]
     fn modulo_incremental_force_matches_naive(
         seed in 0u64..500,
-        period in 2u32..5,
+        period in 1u32..7,
         shrinks in prop::collection::vec((0usize..64, 0u32..4), 0..10),
         probe in 0usize..64,
     ) {
@@ -245,7 +245,7 @@ proptest! {
     #[test]
     fn batched_forces_match_scalar_and_naive(
         seed in 0u64..500,
-        period in 2u32..5,
+        period in 1u32..7,
         shrinks in prop::collection::vec((0usize..64, 0u32..4), 0..8),
     ) {
         let (system, _) = random_system(&small_config(), seed).unwrap();
@@ -272,7 +272,7 @@ proptest! {
         }
         let views: Vec<&[(OpId, TimeFrame)]> =
             candidates.iter().map(|c| c.as_slice()).collect();
-        let batched = eval.force_batch(&frames, &views);
+        let batched = eval.force_batch(&frames, &views, &mut TermLog::default());
         prop_assert_eq!(batched.len(), views.len());
         for (i, cand) in views.iter().enumerate() {
             let scalar = eval.force(&frames, cand);
@@ -280,6 +280,11 @@ proptest! {
                 batched[i].to_bits(), scalar.to_bits(),
                 "seed {}: candidate {} batched {} vs scalar {}",
                 seed, i, batched[i], scalar
+            );
+            let naive = eval.force_naive(&frames, cand);
+            prop_assert!(
+                (scalar - naive).abs() < TOL,
+                "seed {seed}: candidate {i} scalar {scalar} vs naive {naive}"
             );
         }
     }
@@ -294,7 +299,7 @@ proptest! {
     #[test]
     fn cached_scheduler_run_is_bit_identical(
         seed in 0u64..200,
-        period in 2u32..5,
+        period in 1u32..7,
         local_pick in 0usize..3,
         base in prop::collection::vec(0u32..4, 4),
     ) {
