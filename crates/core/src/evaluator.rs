@@ -860,16 +860,6 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
         }
     }
 
-    fn invalidate(&mut self, ops: &[OpId]) {
-        self.counter += 1;
-        for &o in ops {
-            let b = self.system.op(o).block();
-            let p = self.system.block(b).process();
-            self.block_epoch[b.index()] = self.counter;
-            self.proc_epoch[p.index()] = self.counter;
-        }
-    }
-
     fn context_stamp(&self, block: BlockId) -> Option<u64> {
         let p = self.system.block(block).process();
         Some(self.block_epoch[block.index()].max(self.proc_epoch[p.index()]))

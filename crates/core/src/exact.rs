@@ -16,7 +16,7 @@
 //! O(types × ops × time_range) of rebuilt usage vectors. It is now
 //! maintained incrementally on DFS push/pop:
 //!
-//! * every `(block, type)` pair with operations keeps a [`SlotProfile`]:
+//! * every `(block, type)` pair with operations keeps a `SlotProfile`:
 //!   the time-indexed usage vector plus, per modulo slot, a histogram of
 //!   usage values and the running slot maximum. Scheduling or
 //!   unscheduling an operation updates it in O(occupancy), with the slot
@@ -31,7 +31,8 @@
 //! Local (per-process) pools are unified as period-1 profiles: their peak
 //! usage is just the slot maximum of the single slot. The invariant — the
 //! incremental bound equals the from-scratch bound at **every** node — is
-//! pinned by [`exact_schedule_checked`], which recomputes the naive bound
+//! pinned by `exact_schedule_checked` (built for tests and the
+//! `naive-oracle` feature), which recomputes the naive bound
 //! per node and asserts equality along the whole search.
 //!
 //! # Parallel root split

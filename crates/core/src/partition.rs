@@ -47,7 +47,7 @@ use crate::verify::{check_execution, random_activations};
 /// How many partitions to decompose a specification into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionCount {
-    /// One partition per [`tcms_ir::AUTO_OPS_PER_PARTITION`] operations —
+    /// One partition per [`tcms_ir::partition::AUTO_OPS_PER_PARTITION`] operations —
     /// a pure function of the specification, never of the machine.
     #[default]
     Auto,

@@ -86,18 +86,6 @@ pub trait ForceEvaluator {
     /// engine updates its frame table right after this call.
     fn commit(&mut self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]);
 
-    /// Notifies the evaluator that the frames of `ops` changed (or will
-    /// change) through some path other than [`ForceEvaluator::commit`] —
-    /// e.g. a driver mutating the engine's frame table directly. The
-    /// evaluator must conservatively advance the affected context stamps so
-    /// cached forces touching those ops are recomputed.
-    ///
-    /// The default implementation does nothing, which is sound only
-    /// together with the default (`None`) [`ForceEvaluator::context_stamp`].
-    fn invalidate(&mut self, ops: &[OpId]) {
-        let _ = ops;
-    }
-
     /// Monotone stamp covering every piece of evaluator state a force for
     /// a change rooted in `block` can read. `None` disables force caching
     /// for this evaluator.
@@ -361,13 +349,6 @@ impl ForceEvaluator for ClassicEvaluator<'_> {
         self.invalidate_changed(changed);
     }
 
-    fn invalidate(&mut self, ops: &[OpId]) {
-        self.epoch += 1;
-        for &o in ops {
-            self.block_epoch[self.system.op(o).block().index()] = self.epoch;
-        }
-    }
-
     fn context_stamp(&self, block: BlockId) -> Option<u64> {
         Some(self.block_epoch[block.index()])
     }
@@ -518,8 +499,5 @@ mod tests {
             s2,
             "untouched block stable"
         );
-        // Explicit invalidation restamps too.
-        eval.invalidate(&[x]);
-        assert!(eval.context_stamp(b1).unwrap() > s1);
     }
 }

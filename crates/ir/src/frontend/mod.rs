@@ -15,7 +15,7 @@
 //!
 //! * every binary operator becomes one operation: `+` → `add`, `-` →
 //!   `sub`, `*` → `mul` (resolved by name in the supplied
-//!   [`ResourceLibrary`](crate::ResourceLibrary)),
+//!   [`ResourceLibrary`]),
 //! * identifiers defined by an earlier assignment feed their consumers
 //!   through dependency edges; undefined identifiers and numeric literals
 //!   are primary inputs,

@@ -10,6 +10,15 @@
 //! the leader's result — one IFDS run total. Failed computations are
 //! propagated to all waiters but never cached, so a later request
 //! retries (relevant for deadline-dependent failures).
+//!
+//! Beside each entry the cache keeps at most one **rendering**: the
+//! exact request bytes of the last request that filled or hit it and
+//! the report rendered for them. The **answer index** maps those bytes
+//! back to the entry's key, so [`SchedCache::answer`] serves a repeated
+//! request without parsing or canonicalizing it. A rendering lives and
+//! dies with its entry (eviction, overwrite), is never persisted or
+//! synced, and never changes recency — the LRU order is exactly the
+//! one the full lookup path produces.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,6 +76,8 @@ pub struct CacheStats {
     pub evictions: AtomicU64,
     /// Entries inserted (misses that completed plus snapshot loads).
     pub insertions: AtomicU64,
+    /// Hits answered from the answer index (also counted in `hits`).
+    pub indexed: AtomicU64,
 }
 
 /// A point-in-time view of a single cache shard.
@@ -93,6 +104,8 @@ pub struct CacheStatsSnapshot {
     pub evictions: u64,
     /// Entries inserted.
     pub insertions: u64,
+    /// Hits answered from the answer index (a subset of `hits`).
+    pub indexed: u64,
     /// Per-shard occupancy/capacity/evictions, in shard order. Skewed
     /// occupancy here is the signal the ROADMAP's cache tuner feeds on.
     pub shards: Vec<ShardStats>,
@@ -114,9 +127,24 @@ impl CacheStatsSnapshot {
     }
 }
 
+/// The report rendered for one exact request on one entry.
+struct Rendering {
+    request: Arc<str>,
+    output: Arc<str>,
+}
+
 struct Entry {
     value: Arc<CacheableResult>,
     last_used: u64,
+    rendering: Option<Rendering>,
+}
+
+impl Entry {
+    fn answers(&self, request: &str) -> bool {
+        self.rendering
+            .as_ref()
+            .is_some_and(|r| &*r.request == request)
+    }
 }
 
 #[derive(Default)]
@@ -185,6 +213,10 @@ pub struct SchedCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_cap: usize,
     inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
+    /// The answer index: request bytes → the key of the entry whose
+    /// rendering is for exactly those bytes. Locked only after (never
+    /// while waiting for) a shard lock, so the two cannot deadlock.
+    answers: Mutex<HashMap<Arc<str>, CacheKey>>,
     stats: CacheStats,
 }
 
@@ -209,7 +241,20 @@ impl SchedCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_cap,
             inflight: Mutex::new(HashMap::new()),
+            answers: Mutex::new(HashMap::new()),
             stats: CacheStats::default(),
+        }
+    }
+
+    fn lock_answers(&self) -> std::sync::MutexGuard<'_, HashMap<Arc<str>, CacheKey>> {
+        self.answers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Drops a removed entry's rendering from the answer index. Called
+    /// with the entry's shard still locked.
+    fn forget(&self, removed: Option<Entry>) {
+        if let Some(Rendering { request, .. }) = removed.and_then(|e| e.rendering) {
+            self.lock_answers().remove(&request);
         }
     }
 
@@ -246,19 +291,80 @@ impl SchedCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k)
             {
-                shard.map.remove(&oldest);
+                let evicted = shard.map.remove(&oldest);
+                self.forget(evicted);
                 shard.evictions += 1;
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shard.map.insert(
+        // An overwritten entry's rendering was made from the old value,
+        // so it goes with it; the new entry starts with none.
+        let replaced = shard.map.insert(
             key,
             Entry {
                 value,
                 last_used: tick,
+                rendering: None,
             },
         );
+        self.forget(replaced);
         self.stats.insertions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Answers `request` — the exact bytes a rendering was kept for by
+    /// [`SchedCache::remember`] — from the answer index. Returns the
+    /// entry's key and the kept report only while the entry is still
+    /// cached and its rendering is for byte-equal request bytes; the
+    /// index's hash only locates the slot. A returned answer counts as
+    /// a hit and refreshes recency exactly as [`SchedCache::peek`] does,
+    /// so it is indistinguishable from a hit through
+    /// [`SchedCache::get_or_compute`] apart from the `indexed` counter.
+    #[must_use]
+    pub fn answer(&self, request: &str) -> Option<(CacheKey, Arc<str>)> {
+        let key = *self.lock_answers().get(request)?;
+        let mut guard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
+        let shard = &mut *guard;
+        let entry = shard.map.get_mut(&key).filter(|e| e.answers(request))?;
+        let output = Arc::clone(&entry.rendering.as_ref()?.output);
+        shard.tick += 1;
+        entry.last_used = shard.tick;
+        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        self.stats.indexed.fetch_add(1, Ordering::Relaxed);
+        Some((key, output))
+    }
+
+    /// The key `request` was last answered under, read from the answer
+    /// index without touching recency or counters — fleet routing's
+    /// shortcut past parsing. `None` when no cached entry holds a
+    /// rendering for these bytes.
+    #[must_use]
+    pub fn answered_key(&self, request: &str) -> Option<CacheKey> {
+        self.lock_answers().get(request).copied()
+    }
+
+    /// Keeps `output` as the rendering of `key`'s entry for the exact
+    /// bytes `request`, replacing (and unindexing) the rendering of any
+    /// other request — a declaration-order twin — on the same entry.
+    /// A no-op when the entry is no longer cached. Never touches
+    /// recency, so eviction order is unchanged.
+    pub fn remember(&self, key: CacheKey, request: &str, output: Arc<str>) {
+        let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
+        let Some(entry) = shard.map.get_mut(&key) else {
+            return;
+        };
+        if entry.answers(request) {
+            return;
+        }
+        let request: Arc<str> = Arc::from(request);
+        let previous = entry.rendering.replace(Rendering {
+            request: Arc::clone(&request),
+            output,
+        });
+        let mut answers = self.lock_answers();
+        if let Some(previous) = previous {
+            answers.remove(&previous.request);
+        }
+        answers.insert(request, key);
     }
 
     /// Inserts `value` only when `key` is absent, returning whether an
@@ -410,6 +516,7 @@ impl SchedCache {
             coalesced: self.stats.coalesced.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             insertions: self.stats.insertions.load(Ordering::Relaxed),
+            indexed: self.stats.indexed.load(Ordering::Relaxed),
             shards,
         }
     }
@@ -472,6 +579,72 @@ mod tests {
         assert!(cache.peek(&key(2)).is_none(), "LRU entry evicted");
         assert!(cache.peek(&key(3)).is_some());
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    fn output(text: &str) -> Arc<str> {
+        Arc::from(text)
+    }
+
+    #[test]
+    fn answer_needs_byte_equal_request_and_a_cached_entry() {
+        let cache = SchedCache::new(8, 2);
+        assert_eq!(cache.answer("req"), None, "nothing indexed yet");
+        cache.remember(key(1), "req", output("out"));
+        assert_eq!(cache.answer("req"), None, "no entry, nothing kept");
+        assert_eq!(cache.answered_key("req"), None);
+        cache.insert(key(1), Arc::new(result(1)));
+        cache.remember(key(1), "req", output("out"));
+        let (k, text) = cache.answer("req").expect("indexed answer");
+        assert_eq!((k, &*text), (key(1), "out"));
+        assert_eq!(cache.answered_key("req"), Some(key(1)));
+        for near in ["req ", "re", "Req", ""] {
+            assert_eq!(cache.answer(near), None, "{near:?}");
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.indexed, s.misses), (1, 1, 0));
+    }
+
+    #[test]
+    fn one_rendering_per_entry_the_last_one_kept() {
+        let cache = SchedCache::new(8, 2);
+        cache.insert(key(1), Arc::new(result(1)));
+        cache.remember(key(1), "twin-a", output("a"));
+        cache.remember(key(1), "twin-b", output("b"));
+        assert_eq!(cache.answer("twin-a"), None, "replaced by its twin");
+        assert_eq!(cache.answered_key("twin-a"), None, "and unindexed");
+        assert_eq!(cache.answer("twin-b").map(|(_, t)| t), Some(output("b")));
+    }
+
+    #[test]
+    fn eviction_and_overwrite_drop_the_rendering() {
+        let cache = SchedCache::new(1, 1);
+        cache.insert(key(1), Arc::new(result(1)));
+        cache.remember(key(1), "one", output("1"));
+        cache.insert(key(2), Arc::new(result(2))); // evicts key(1)
+        assert_eq!(cache.answer("one"), None);
+        assert_eq!(cache.answered_key("one"), None, "index bounded by entries");
+        cache.remember(key(2), "two", output("2"));
+        cache.insert(key(2), Arc::new(result(2))); // overwrite
+        assert_eq!(cache.answer("two"), None, "a new value starts bare");
+        assert_eq!(cache.answered_key("two"), None);
+        // Merged entries start bare too.
+        assert!(cache.insert_if_absent(key(3), Arc::new(result(3))));
+        assert_eq!(cache.answered_key("two"), None);
+        assert_eq!(cache.stats().indexed, 0);
+    }
+
+    #[test]
+    fn indexed_answer_refreshes_recency_like_peek() {
+        // The LRU test above, with the refresh done by an indexed answer.
+        let cache = SchedCache::new(2, 1);
+        cache.insert(key(1), Arc::new(result(1)));
+        cache.insert(key(2), Arc::new(result(2)));
+        cache.remember(key(1), "one", output("1"));
+        cache.remember(key(2), "two", output("2")); // must not refresh 2
+        assert!(cache.answer("one").is_some()); // refresh 1
+        cache.insert(key(3), Arc::new(result(3)));
+        assert!(cache.peek(&key(1)).is_some());
+        assert!(cache.peek(&key(2)).is_none(), "LRU entry evicted");
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * [`pipeline`] — the shared load → spec → schedule → render path
 //!   (also used by the one-shot CLI, which is what makes daemon
 //!   responses bit-identical to `tcms schedule` output),
-//! * [`cache`] — sharded LRU + single-flight dedup,
+//! * [`cache`] — sharded LRU + single-flight dedup, plus the answer
+//!   index that serves a repeated request from its kept report,
 //! * [`persist`] — the on-disk snapshot (`--cache-dir`),
 //! * [`journal`] — the append-only workload journal (`--journal-dir`):
 //!   per-request capture off the hot path, crash-tolerant load, the
@@ -63,8 +64,9 @@ pub use journal::{
     JournalWriter,
 };
 pub use pipeline::{
-    request_cache_key, schedule_request, simulate_request, ExecContext, ScheduleArtifacts,
-    ScheduleOptions, SimulateArtifacts, SimulateOptions, DEFAULT_AUTO_PARTITION_OPS, PANIC_MARKER,
+    answer_schedule_request, request_cache_key, schedule_request, simulate_request, Answer,
+    ExecContext, ScheduleArtifacts, ScheduleOptions, SimulateArtifacts, SimulateOptions,
+    DEFAULT_AUTO_PARTITION_OPS, PANIC_MARKER,
 };
 pub use protocol::{Action, Request, Response};
 pub use server::{ServeConfig, Server};

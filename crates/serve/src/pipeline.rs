@@ -30,8 +30,22 @@
 //! ones: the partition knobs are part of the fingerprint and the
 //! telemetry note is stored in the entry. The degradation ladder
 //! rewrites the system itself, so `degrade` requests bypass the cache.
+//!
+//! # Indexed answers
+//!
+//! The daemon answers schedule requests through
+//! [`answer_schedule_request`]: a request whose exact bytes — design
+//! text plus every option the report depends on — were answered before
+//! is served from the cache's answer index ([`SchedCache::answer`]),
+//! skipping parse, spec, canonicalization, replay, verify and render.
+//! The kept report is the one the full path rendered for those bytes,
+//! and the full path renders the same bytes on every later hit (same
+//! request ⇒ same system and spec; same entry ⇒ same replayed schedule,
+//! iteration count and note), so an indexed answer is exactly what the
+//! full path would send.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use tcms_core::degrade::schedule_with_degradation_recorded;
 use tcms_core::{
@@ -270,6 +284,109 @@ pub struct ScheduleArtifacts {
     /// workload journal records it so replays can be correlated without
     /// re-canonicalizing.
     pub cache_key: Option<CacheKey>,
+}
+
+/// The bytes an indexed answer is matched on: every option the rendered
+/// report depends on (the partition threshold included, since it can
+/// change the content address), then the design text verbatim. `None`
+/// for `degrade` requests, which bypass the cache. The option prefix
+/// is `Debug`-rendered — quoted strings are escaped — and ends at the
+/// first NUL byte, so distinct requests never share bytes.
+fn answer_request(
+    source: &str,
+    opts: &ScheduleOptions,
+    auto_partition_ops: usize,
+) -> Option<String> {
+    // Destructured so that a new option cannot be left out silently.
+    let ScheduleOptions {
+        all_global,
+        globals,
+        gantt,
+        verify,
+        degrade,
+        partition,
+    } = opts;
+    if *degrade {
+        return None;
+    }
+    let mut request =
+        format!("{all_global:?} {globals:?} {gantt} {verify} {partition:?} {auto_partition_ops}\0");
+    request.push_str(source);
+    Some(request)
+}
+
+/// The content address fleet routing keys a request on: read from the
+/// answer index when these exact bytes were answered here before, else
+/// computed by [`request_cache_key`] — the same key either way.
+pub(crate) fn routing_key(
+    cache: &SchedCache,
+    source: &str,
+    opts: &ScheduleOptions,
+    auto_partition_ops: usize,
+) -> Option<CacheKey> {
+    answer_request(source, opts, auto_partition_ops)
+        .and_then(|request| cache.answered_key(&request))
+        .or_else(|| {
+            request_cache_key(source, opts, auto_partition_ops)
+                .ok()
+                .flatten()
+        })
+}
+
+/// The daemon's answer to one work request.
+#[derive(Debug, Clone)]
+pub struct Answer {
+    /// The rendered report (the response's `output`).
+    pub text: Arc<str>,
+    /// How the result was obtained.
+    pub disposition: Disposition,
+    /// IFDS iterations executed by this request.
+    pub fresh_iterations: u64,
+    /// The result's content address, when the cached path produced it.
+    pub cache_key: Option<CacheKey>,
+}
+
+/// Answers a schedule request as the daemon does: from the cache's
+/// answer index when these exact request bytes were answered before and
+/// their entry is still cached (a hit with zero parse, canonicalization,
+/// replay or render work), otherwise through [`schedule_request`],
+/// keeping the report it rendered beside the entry for the next
+/// identical request. Without a cache, and for `degrade` requests, this
+/// is [`schedule_request`]. The [`PANIC_MARKER`] check still runs first.
+///
+/// # Errors
+///
+/// Those of [`schedule_request`]; an indexed answer never fails.
+pub fn answer_schedule_request(
+    source: &str,
+    opts: &ScheduleOptions,
+    ctx: &ExecContext<'_>,
+) -> Result<Answer, ServeError> {
+    chaos_panic_check(ctx.fault_marker, source);
+    let index = ctx
+        .cache
+        .zip(answer_request(source, opts, ctx.auto_partition_ops));
+    if let Some((cache, request)) = &index {
+        if let Some((key, text)) = cache.answer(request) {
+            return Ok(Answer {
+                text,
+                disposition: Disposition::Hit,
+                fresh_iterations: 0,
+                cache_key: Some(key),
+            });
+        }
+    }
+    let arts = schedule_request(source, opts, ctx)?;
+    let text: Arc<str> = arts.text.into();
+    if let (Some((cache, request)), Some(key)) = (&index, arts.cache_key) {
+        cache.remember(key, request, Arc::clone(&text));
+    }
+    Ok(Answer {
+        text,
+        disposition: arts.disposition,
+        fresh_iterations: arts.fresh_iterations,
+        cache_key: arts.cache_key,
+    })
 }
 
 /// One fresh, verified scheduler run — monolithic, or partitioned when
@@ -930,6 +1047,125 @@ edge m0 a0
         // changes execution.
         let auto = request_cache_key(SAMPLE, &opts_global(4), 4).unwrap();
         assert_ne!(auto, a, "auto-partitioned specs address differently");
+    }
+
+    #[test]
+    fn indexed_answers_match_the_full_path_byte_for_byte() {
+        let cache = SchedCache::new(16, 2);
+        let ctx = ExecContext {
+            cache: Some(&cache),
+            ..ExecContext::default()
+        };
+        let gantt = ScheduleOptions {
+            gantt: true,
+            ..opts_global(4)
+        };
+        for (design, opts) in [
+            (SAMPLE, opts_global(4)),
+            (SAMPLE_SHUFFLED, opts_global(4)),
+            (SAMPLE, gantt.clone()),
+            (SAMPLE, opts_global(2)),
+        ] {
+            let plain = schedule_request(design, &opts, &ExecContext::default()).unwrap();
+            let first = answer_schedule_request(design, &opts, &ctx).unwrap();
+            let indexed_before = cache.stats().indexed;
+            let again = answer_schedule_request(design, &opts, &ctx).unwrap();
+            assert_eq!(cache.stats().indexed, indexed_before + 1, "{opts:?}");
+            assert_eq!(&*first.text, plain.text, "{opts:?}");
+            assert_eq!(&*again.text, plain.text, "{opts:?}");
+            assert_eq!(again.disposition, Disposition::Hit);
+            assert_eq!(again.fresh_iterations, 0);
+            assert_eq!(again.cache_key, first.cache_key);
+        }
+        // Routing reads the key from the index, and it is the parsed one.
+        let request = answer_request(SAMPLE, &opts_global(2), ctx.auto_partition_ops).unwrap();
+        assert!(cache.answered_key(&request).is_some());
+        assert_eq!(
+            routing_key(&cache, SAMPLE, &opts_global(2), ctx.auto_partition_ops),
+            request_cache_key(SAMPLE, &opts_global(2), ctx.auto_partition_ops).unwrap()
+        );
+    }
+
+    #[test]
+    fn answer_request_bytes_separate_every_option() {
+        let base = answer_request(SAMPLE, &opts_global(4), 500).unwrap();
+        let variants = [
+            answer_request(SAMPLE, &opts_global(5), 500),
+            answer_request(SAMPLE, &ScheduleOptions::default(), 500),
+            answer_request(
+                SAMPLE,
+                &ScheduleOptions {
+                    globals: vec![("mul".into(), 2)],
+                    ..opts_global(4)
+                },
+                500,
+            ),
+            answer_request(
+                SAMPLE,
+                &ScheduleOptions {
+                    gantt: true,
+                    ..opts_global(4)
+                },
+                500,
+            ),
+            answer_request(
+                SAMPLE,
+                &ScheduleOptions {
+                    verify: 1,
+                    ..opts_global(4)
+                },
+                500,
+            ),
+            answer_request(
+                SAMPLE,
+                &ScheduleOptions {
+                    partition: Some(PartitionCount::Auto),
+                    ..opts_global(4)
+                },
+                500,
+            ),
+            answer_request(SAMPLE, &opts_global(4), 4),
+            answer_request(SAMPLE_SHUFFLED, &opts_global(4), 500),
+        ];
+        for v in &variants {
+            assert_ne!(v.as_deref(), Some(base.as_str()));
+        }
+        let degrade = ScheduleOptions {
+            degrade: true,
+            ..opts_global(4)
+        };
+        assert_eq!(answer_request(SAMPLE, &degrade, 500), None);
+    }
+
+    #[test]
+    fn bypassed_paths_never_fill_the_index() {
+        let cache = SchedCache::new(16, 2);
+        let ctx = ExecContext {
+            cache: Some(&cache),
+            ..ExecContext::default()
+        };
+        let degrade = ScheduleOptions {
+            degrade: true,
+            ..opts_global(4)
+        };
+        for _ in 0..2 {
+            let a = answer_schedule_request(SAMPLE, &degrade, &ctx).unwrap();
+            assert_eq!(a.disposition, Disposition::Miss);
+            assert!(a.fresh_iterations > 0);
+            let sim = SimulateOptions {
+                all_global: Some(4),
+                horizon: 100,
+                ..SimulateOptions::default()
+            };
+            simulate_request(SAMPLE, &sim, &ctx).unwrap();
+            assert!(
+                answer_schedule_request("resource add delay=zero", &opts_global(4), &ctx).is_err()
+            );
+        }
+        assert_eq!(cache.stats().indexed, 0);
+        // The simulation cached its schedule but kept no rendering.
+        let request = answer_request(SAMPLE, &opts_global(4), ctx.auto_partition_ops).unwrap();
+        assert_eq!(cache.answered_key(&request), None);
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //!    wall-clock watchdog, so a deadline also bounds the IFDS run
 //!    itself.
 //! 4. The worker runs the shared [`pipeline`](crate::pipeline) —
-//!    through the content-addressed cache — and writes the response
-//!    line back on the requesting connection. Responses arrive in
-//!    completion order; the echoed `id` correlates them.
+//!    through the content-addressed cache, whose answer index serves a
+//!    schedule request it has answered before straight from its kept
+//!    report — and writes the response line back on the requesting
+//!    connection. Responses arrive in completion order; the echoed `id`
+//!    correlates them.
 //!
 //! Scheduling work itself fans out onto the vendored rayon pool, which
 //! is safe to enter from several worker threads at once (a contended
@@ -58,7 +60,7 @@ use crate::error::ServeError;
 use crate::fleet::{Fleet, FleetConfig};
 use crate::journal::{JournalEntry, JournalStats, JournalWriter, DEFAULT_JOURNAL_BUFFER};
 use crate::persist;
-use crate::pipeline::{schedule_request, simulate_request, ExecContext};
+use crate::pipeline::{answer_schedule_request, simulate_request, Answer, ExecContext};
 use crate::protocol::{error_line, output_body, success_line, Action, RequestId};
 
 use conn::Responder;
@@ -225,18 +227,13 @@ impl Shared {
         Ok(())
     }
 
-    /// Pops the next job, blocking until one arrives or shutdown drains
-    /// the queue empty.
-    fn dequeue(&self) -> Option<Job> {
+    /// Pops the next job and the queue depth it leaves, blocking until
+    /// one arrives or shutdown drains the queue empty.
+    fn dequeue(&self) -> Option<(Job, usize)> {
         let mut queue = self.lock_queue();
         loop {
             if let Some(job) = queue.pop_front() {
-                let depth = queue.len();
-                drop(queue);
-                #[allow(clippy::cast_precision_loss)]
-                self.lock_metrics()
-                    .gauge_set("serve.queue.depth", depth as f64);
-                return Some(job);
+                return Some((job, queue.len()));
             }
             if self.shutting_down() {
                 return None;
@@ -259,14 +256,20 @@ impl Shared {
         journal.record(entry(request));
     }
 
-    /// Runs one job end to end and writes its response.
-    fn execute(&self, job: Job) {
+    /// Runs one job end to end and writes its response. `depth` is the
+    /// queue depth its dequeue left.
+    fn execute(&self, job: Job, depth: usize) {
         let waited = job.enqueued.elapsed();
         let queue_us = dur_us(waited);
         let action = action_label(&job.action);
-        #[allow(clippy::cast_precision_loss)]
-        self.lock_metrics()
-            .histogram_record("serve.queue_wait_us", queue_us as f64);
+        {
+            let mut m = self.lock_metrics();
+            #[allow(clippy::cast_precision_loss)]
+            {
+                m.gauge_set("serve.queue.depth", depth as f64);
+                m.histogram_record("serve.queue_wait_us", queue_us as f64);
+            }
+        }
         let budget = match job.deadline {
             Some(deadline) => {
                 let Some(remaining) = deadline.checked_sub(waited) else {
@@ -324,10 +327,15 @@ impl Shared {
         // never wedged.) This is the single place a panic is counted.
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &job.action {
-                Action::Schedule { design, opts } => schedule_request(design, opts, &ctx)
-                    .map(|a| (a.text, a.disposition, a.fresh_iterations, a.cache_key)),
-                Action::Simulate { design, opts } => simulate_request(design, opts, &ctx)
-                    .map(|a| (a.text, a.disposition, a.fresh_iterations, a.cache_key)),
+                Action::Schedule { design, opts } => answer_schedule_request(design, opts, &ctx),
+                Action::Simulate { design, opts } => {
+                    simulate_request(design, opts, &ctx).map(|a| Answer {
+                        text: a.text.into(),
+                        disposition: a.disposition,
+                        fresh_iterations: a.fresh_iterations,
+                        cache_key: a.cache_key,
+                    })
+                }
                 _ => unreachable!("non-work actions never reach the queue"),
             }))
             .unwrap_or_else(|payload| {
@@ -337,7 +345,7 @@ impl Shared {
         let exec_us = dur_us(exec_start.elapsed());
         let inflight = self.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
         let total_us = dur_us(job.enqueued.elapsed());
-        let disposition = outcome.as_ref().ok().map(|(_, d, _, _)| *d);
+        let disposition = outcome.as_ref().ok().map(|a| a.disposition);
         {
             let mut m = self.lock_metrics();
             #[allow(clippy::cast_precision_loss)]
@@ -353,7 +361,12 @@ impl Shared {
             }
         }
         match outcome {
-            Ok((output, disposition, fresh_iterations, key)) => {
+            Ok(Answer {
+                text: output,
+                disposition,
+                fresh_iterations,
+                cache_key: key,
+            }) => {
                 {
                     let mut m = self.lock_metrics();
                     m.counter_add(format!("serve.cache.{}", disposition.as_str()), 1);
@@ -422,6 +435,7 @@ impl Shared {
         body.insert("cache_hits".into(), num(cache.hits));
         body.insert("cache_misses".into(), num(cache.misses));
         body.insert("cache_coalesced".into(), num(cache.coalesced));
+        body.insert("cache_indexed".into(), num(cache.indexed));
         body.insert("cache_evictions".into(), num(cache.evictions));
         body.insert("cache_hit_rate".into(), JsonValue::Number(cache.hit_rate()));
         body.insert("requests".into(), num(metrics.counter("serve.requests")));
@@ -721,8 +735,8 @@ impl Server {
                         // so a worker slot is never permanently lost.
                         let drained =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                while let Some(job) = shared.dequeue() {
-                                    shared.execute(job);
+                                while let Some((job, depth)) = shared.dequeue() {
+                                    shared.execute(job, depth);
                                 }
                             }));
                         match drained {

@@ -14,7 +14,7 @@ use crate::cache::CacheKey;
 use crate::error::ServeError;
 use crate::fleet::{sync, RouteMode};
 use crate::journal::JournalEntry;
-use crate::pipeline::{request_cache_key, ScheduleOptions};
+use crate::pipeline::{routing_key, ScheduleOptions};
 use crate::protocol::{error_line, parse_response, Action};
 
 /// Connect timeout for any peer dial.
@@ -99,9 +99,12 @@ fn peer_body(line: &str) -> std::io::Result<JsonValue> {
 impl Shared {
     /// The content address a work request would execute under, when the
     /// request is routable: cache enabled, not degrade-laddered, and the
-    /// design parses. Mirrors the executed key exactly (see
-    /// [`request_cache_key`]), which is what makes routing safe — a
-    /// mismatch would only cost a proxy hop, never a wrong answer.
+    /// design parses. Taken from the answer index when this node has
+    /// answered the same bytes before, else parsed; either way it
+    /// mirrors the executed key exactly (see
+    /// [`request_cache_key`](crate::pipeline::request_cache_key)), which
+    /// is what makes routing safe — a mismatch would only cost a proxy
+    /// hop, never a wrong answer.
     fn work_cache_key(&self, action: &Action) -> Option<CacheKey> {
         if self.config.cache_capacity == 0 {
             return None;
@@ -120,9 +123,7 @@ impl Shared {
             ),
             _ => return None,
         };
-        request_cache_key(design, &opts, self.config.auto_partition_ops)
-            .ok()
-            .flatten()
+        routing_key(&self.cache, design, &opts, self.config.auto_partition_ops)
     }
 
     /// Proxies a job to its owner when this node is not in the key's

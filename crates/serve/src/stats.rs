@@ -62,6 +62,12 @@ pub fn render_stats(body: &BTreeMap<String, JsonValue>) -> String {
     let _ = writeln!(out, "  {:<22} {:>12}", "hits", n("cache_hits"));
     let _ = writeln!(out, "  {:<22} {:>12}", "misses", n("cache_misses"));
     let _ = writeln!(out, "  {:<22} {:>12}", "coalesced", n("cache_coalesced"));
+    let _ = writeln!(
+        out,
+        "  {:<22} {:>12}",
+        "indexed answers",
+        n("cache_indexed")
+    );
     let _ = writeln!(out, "  {:<22} {:>12}", "evictions", n("cache_evictions"));
     let _ = writeln!(
         out,

@@ -2,8 +2,10 @@
 //! TCP: malformed corpus inputs come back as typed wire errors, daemon
 //! responses are bit-identical to the one-shot CLI on both cache miss
 //! and hit, simultaneous identical requests coalesce into a single
-//! scheduler run, warm hits perform zero IFDS iterations, and the
-//! installed `tcms serve` / `tcms client` binaries round-trip.
+//! scheduler run, warm hits perform zero IFDS iterations, repeated
+//! requests answered from the answer index are indistinguishable from
+//! full-path hits, and the installed `tcms serve` / `tcms client`
+//! binaries round-trip.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command as Proc, Stdio};
@@ -13,7 +15,8 @@ use tcms::cli::{run, Command};
 use tcms::obs::json::JsonValue;
 use tcms::serve::client::{control_request_line, schedule_request_line, simulate_request_line};
 use tcms::serve::{
-    Client, ScheduleOptions, ServeConfig, Server, SimulateOptions, DEFAULT_AUTO_PARTITION_OPS,
+    Client, ExecContext, ScheduleOptions, ServeConfig, Server, SimulateOptions,
+    DEFAULT_AUTO_PARTITION_OPS,
 };
 
 fn corpus_files() -> Vec<std::path::PathBuf> {
@@ -55,6 +58,14 @@ fn stat(client: &mut Client, field: &str) -> u64 {
     {
         v as u64
     }
+}
+
+/// A response body with its echoed `id` removed: everything the daemon
+/// computed for the request.
+fn without_id(body: &JsonValue) -> JsonValue {
+    let mut map = body.as_object().expect("response object").clone();
+    map.remove("id");
+    JsonValue::Object(map)
 }
 
 /// Every malformed corpus file must come back as the same typed wire
@@ -123,6 +134,7 @@ fn daemon_output_is_bit_identical_to_one_shot_cli() {
         verify: 2,
         ..ScheduleOptions::default()
     };
+    let mut first_hit = None;
     for (round, expected_cache) in [("cold", "miss"), ("warm", "hit")] {
         let resp = client
             .request(&schedule_request_line(round, &design, &opts, None))
@@ -130,6 +142,26 @@ fn daemon_output_is_bit_identical_to_one_shot_cli() {
         assert!(resp.is_ok(), "{round}: {resp:?}");
         assert_eq!(resp.cache(), Some(expected_cache), "{round}");
         assert_eq!(resp.output(), Some(one_shot.as_str()), "{round}");
+        if expected_cache == "hit" {
+            first_hit = Some(without_id(&resp.body));
+        }
+    }
+    // Second round: the same bytes again are answered from the answer
+    // index, and every field but the echoed id matches the first hit.
+    let first_hit = first_hit.expect("the warm round hit");
+    for round in ["again-1", "again-2"] {
+        let indexed_before = stat(&mut client, "cache_indexed");
+        let resp = client
+            .request(&schedule_request_line(round, &design, &opts, None))
+            .expect("response arrives");
+        assert_eq!(resp.cache(), Some("hit"), "{round}");
+        assert_eq!(resp.output(), Some(one_shot.as_str()), "{round}");
+        assert_eq!(without_id(&resp.body), first_hit, "{round}");
+        assert_eq!(
+            stat(&mut client, "cache_indexed"),
+            indexed_before + 1,
+            "{round} was answered from the index"
+        );
     }
 
     // `simulate` takes its schedule from the same pipeline, on the paper
@@ -744,4 +776,332 @@ fn client_timeout_flag_fails_fast_on_dead_addresses() {
     .expect_err("no daemon there");
     assert!(started.elapsed() < std::time::Duration::from_secs(5));
     assert_eq!(err.exit_code(), 3, "transport failures are I/O errors");
+}
+
+/// A small design and its declaration-order twin: one canonical form,
+/// so one cache entry, but different one-shot report bytes.
+const TWIN_A: &str = "resource add delay=1 area=1\nresource mul delay=2 area=4 pipelined\n\
+    process A\nblock body time=8\nop m0 mul\nop a0 add\nedge m0 a0\n\
+    process B\nblock body time=8\nop m0 mul\nop a0 add\nedge m0 a0\n";
+const TWIN_B: &str = "resource mul delay=2 area=4 pipelined\nresource add delay=1 area=1\n\
+    process B\nblock body time=8\nop a0 add\nop m0 mul\nedge m0 a0\n\
+    process A\nblock body time=8\nop a0 add\nop m0 mul\nedge m0 a0\n";
+/// A design with a different canonical form from the twins.
+const OTHER: &str =
+    "resource add delay=1 area=1\nprocess P\nblock body time=4\nop a0 add\nop a1 add\nedge a0 a1\n";
+
+fn global(period: u32) -> ScheduleOptions {
+    ScheduleOptions {
+        all_global: Some(period),
+        ..ScheduleOptions::default()
+    }
+}
+
+/// What the one-shot pipeline (the CLI's `schedule`) renders, and how
+/// many IFDS iterations it ran.
+fn one_shot(design: &str, opts: &ScheduleOptions) -> (String, u64) {
+    let arts = tcms::serve::schedule_request(design, opts, &ExecContext::default())
+        .expect("one-shot run succeeds");
+    (arts.text, arts.fresh_iterations)
+}
+
+fn iterations(resp: &tcms::serve::Response) -> u64 {
+    let n = resp
+        .body
+        .get("iterations")
+        .and_then(JsonValue::as_f64)
+        .expect("success responses carry `iterations`");
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    {
+        n as u64
+    }
+}
+
+/// Declaration-order twins share one content key, yet each gets the
+/// bytes its own one-shot run prints: the entry keeps one rendering,
+/// and a twin's request bytes never match it.
+#[test]
+fn declaration_order_twins_share_an_entry_but_keep_their_own_bytes() {
+    let server = start_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let opts = global(4);
+    let (want_a, _) = one_shot(TWIN_A, &opts);
+    let (want_b, _) = one_shot(TWIN_B, &opts);
+    assert_ne!(want_a, want_b, "the twins print in declaration order");
+    let steps = [
+        (TWIN_A, &want_a, "miss"),
+        (TWIN_B, &want_b, "hit"),
+        (TWIN_A, &want_a, "hit"),
+        (TWIN_A, &want_a, "hit"),
+        (TWIN_B, &want_b, "hit"),
+        (TWIN_B, &want_b, "hit"),
+    ];
+    for (i, (design, want, cache)) in steps.into_iter().enumerate() {
+        let resp = client
+            .request(&schedule_request_line(
+                &format!("t{i}"),
+                design,
+                &opts,
+                None,
+            ))
+            .expect("response arrives");
+        assert_eq!(resp.cache(), Some(cache), "step {i}: {resp:?}");
+        assert_eq!(resp.output(), Some(want.as_str()), "step {i}");
+    }
+    assert_eq!(stat(&mut client, "cache_entries"), 1, "one content key");
+    // Only the two immediate repeats matched the entry's rendering.
+    assert_eq!(stat(&mut client, "cache_indexed"), 2);
+    server.shutdown();
+    server.wait().unwrap();
+}
+
+/// The same design under another period or another `gantt` setting
+/// never shares an answer, even where it shares the content key.
+#[test]
+fn indexed_answers_never_cross_options() {
+    let server = start_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let variants: Vec<ScheduleOptions> = [(4, false), (5, false), (4, true), (5, true)]
+        .into_iter()
+        .map(|(period, gantt)| ScheduleOptions {
+            gantt,
+            ..global(period)
+        })
+        .collect();
+    let wants: Vec<String> = variants.iter().map(|o| one_shot(TWIN_A, o).0).collect();
+    for (i, a) in wants.iter().enumerate() {
+        for b in &wants[i + 1..] {
+            assert_ne!(a, b, "every variant renders differently");
+        }
+    }
+    for round in 0..2 {
+        for (opts, want) in variants.iter().zip(&wants) {
+            for repeat in 0..2 {
+                let id = format!("r{round}-{repeat}");
+                let resp = client
+                    .request(&schedule_request_line(&id, TWIN_A, opts, None))
+                    .expect("response arrives");
+                assert!(resp.is_ok(), "{id} {opts:?}: {resp:?}");
+                assert_eq!(resp.output(), Some(want.as_str()), "{id} {opts:?}");
+            }
+        }
+    }
+    assert_eq!(stat(&mut client, "scheduler_runs"), 2, "periods 4 and 5");
+    assert_eq!(stat(&mut client, "cache_indexed"), 8, "every repeat");
+    server.shutdown();
+    server.wait().unwrap();
+}
+
+/// A one-entry cache under two alternating designs evicts on every
+/// request: every reply is a miss with the full iteration count, and
+/// the index, which lives with the entries, never answers.
+#[test]
+fn tight_cache_alternation_misses_every_time() {
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        workers: 2,
+        cache_capacity: 1,
+        cache_shards: 1,
+        ..ServeConfig::default()
+    })
+    .expect("daemon starts");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let opts = global(4);
+    let expected: Vec<_> = [TWIN_A, OTHER]
+        .into_iter()
+        .map(|d| (d, one_shot(d, &opts)))
+        .collect();
+    for round in 0..3 {
+        for (design, (want, fresh)) in &expected {
+            let resp = client
+                .request(&schedule_request_line(
+                    &format!("{round}"),
+                    design,
+                    &opts,
+                    None,
+                ))
+                .expect("response arrives");
+            assert_eq!(resp.cache(), Some("miss"), "round {round}: {resp:?}");
+            assert_eq!(iterations(&resp), *fresh, "round {round}");
+            assert!(*fresh > 0);
+            assert_eq!(resp.output(), Some(want.as_str()), "round {round}");
+        }
+    }
+    assert_eq!(stat(&mut client, "scheduler_runs"), 6);
+    assert_eq!(stat(&mut client, "cache_evictions"), 5);
+    assert_eq!(stat(&mut client, "cache_indexed"), 0);
+    server.shutdown();
+    server.wait().unwrap();
+}
+
+/// The chaos panic marker lives in a comment, so a marked design has
+/// the same content key as its unmarked twin; its check still runs
+/// before the answer index, so it panics even after the twin was
+/// answered (and answered again from the index).
+#[test]
+fn chaos_marked_design_still_panics_after_its_twin_was_answered() {
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        workers: 2,
+        fault_marker: true,
+        ..ServeConfig::default()
+    })
+    .expect("daemon starts");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let opts = global(4);
+    for (id, cache) in [("u1", "miss"), ("u2", "hit")] {
+        let resp = client
+            .request(&schedule_request_line(id, TWIN_A, &opts, None))
+            .expect("response arrives");
+        assert_eq!(resp.cache(), Some(cache), "{id}: {resp:?}");
+    }
+    assert_eq!(stat(&mut client, "cache_indexed"), 1);
+    let marked = format!("{TWIN_A}{}\n", tcms::serve::PANIC_MARKER);
+    let resp = client
+        .request(&schedule_request_line("m", &marked, &opts, None))
+        .expect("response arrives");
+    let (class, code, _) = resp.error.clone().expect("the marker panics");
+    assert_eq!((class.as_str(), code), ("internal", 500), "{resp:?}");
+    assert_eq!(stat(&mut client, "worker_panics"), 1);
+    server.shutdown();
+    server.wait().unwrap();
+}
+
+/// Renderings are never persisted: the snapshot a daemon saves is the
+/// same file whether or not it answered repeats in between.
+#[test]
+fn repeated_requests_leave_the_snapshot_bytes_unchanged() {
+    let opts = global(4);
+    let snapshot_after = |tag: &str, designs: &[&str]| {
+        let dir = std::env::temp_dir().join(format!("tcms_e2e_index_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServeConfig {
+            listen: "127.0.0.1:0".into(),
+            workers: 2,
+            cache_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .expect("daemon starts");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        for (i, design) in designs.iter().enumerate() {
+            let resp = client
+                .request(&schedule_request_line(&format!("{i}"), design, &opts, None))
+                .expect("response arrives");
+            assert!(resp.is_ok(), "{tag} {i}: {resp:?}");
+        }
+        let indexed = stat(&mut client, "cache_indexed");
+        server.shutdown();
+        server.wait().unwrap();
+        let bytes = std::fs::read(tcms::serve::persist::snapshot_path(&dir)).expect("snapshot");
+        let _ = std::fs::remove_dir_all(&dir);
+        (bytes, indexed)
+    };
+    let (once, none) = snapshot_after("once", &[TWIN_A, OTHER]);
+    let (repeated, some) = snapshot_after(
+        "repeated",
+        &[TWIN_A, TWIN_A, OTHER, OTHER, TWIN_B, TWIN_B, TWIN_A, OTHER],
+    );
+    assert_eq!(none, 0);
+    assert!(some >= 3, "the repeats were indexed answers ({some})");
+    assert_eq!(once, repeated, "snapshot bytes are identical");
+}
+
+/// Counter deltas of one request: every numeric stats field and metric
+/// counter, plus every histogram's sample count. Gauges and the hit
+/// rate are levels, not counts, and are left out.
+fn deltas(before: &JsonValue, after: &JsonValue) -> std::collections::BTreeMap<String, f64> {
+    use tcms::obs::MetricsRegistry;
+    let mut out = std::collections::BTreeMap::new();
+    let levels = ["cache_hit_rate", "queue_depth", "inflight"];
+    for (name, value) in after.as_object().unwrap() {
+        if let (Some(a), false) = (value.as_f64(), levels.contains(&name.as_str())) {
+            let b = before.get(name).and_then(JsonValue::as_f64).unwrap_or(0.0);
+            out.insert(name.clone(), a - b);
+        }
+    }
+    let registry = |v: &JsonValue| MetricsRegistry::from_json(v.get("metrics").unwrap()).unwrap();
+    let (b, a) = (registry(before), registry(after));
+    for (name, n) in a.counters() {
+        #[allow(clippy::cast_precision_loss)]
+        out.insert(format!("counter {name}"), (n - b.counter(name)) as f64);
+    }
+    for (name, h) in a.histograms() {
+        let was = b.histogram(name).map_or(0, |h| h.count());
+        #[allow(clippy::cast_precision_loss)]
+        out.insert(format!("histogram {name}"), (h.count() - was) as f64);
+    }
+    out.insert(
+        "cache_shards".into(),
+        f64::from(u8::from(
+            before.get("cache_shards") != after.get("cache_shards"),
+        )),
+    );
+    out
+}
+
+/// An indexed hit is accounted exactly like a full-path hit: the same
+/// stats and metric deltas (apart from the indexed-answer counter) and
+/// the same journal key and disposition.
+#[test]
+fn indexed_hits_are_accounted_like_full_path_hits() {
+    let dir = std::env::temp_dir().join(format!("tcms_e2e_index_jnl_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(ServeConfig {
+        listen: "127.0.0.1:0".into(),
+        workers: 2,
+        journal_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("daemon starts");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let opts = global(4);
+    let stats = |client: &mut Client| {
+        client
+            .request(&control_request_line("stats", "stats"))
+            .expect("stats round-trip")
+            .body
+    };
+    let miss = client
+        .request(&schedule_request_line("a", TWIN_A, &opts, None))
+        .expect("response arrives");
+    assert_eq!(miss.cache(), Some("miss"));
+    // The twin's first request hits the entry through the full path (its
+    // bytes are not the rendering's); its repeat is an indexed answer.
+    let mut observed = Vec::new();
+    for id in ["b-full", "b-indexed"] {
+        let before = stats(&mut client);
+        let resp = client
+            .request(&schedule_request_line(id, TWIN_B, &opts, None))
+            .expect("response arrives");
+        assert_eq!(resp.cache(), Some("hit"), "{id}");
+        observed.push((deltas(&before, &stats(&mut client)), without_id(&resp.body)));
+    }
+    let (mut full, full_body) = observed.remove(0);
+    let (mut indexed, indexed_body) = observed.remove(0);
+    assert_eq!(full_body, indexed_body, "same response apart from the id");
+    assert_eq!(full.remove("cache_indexed"), Some(0.0));
+    assert_eq!(indexed.remove("cache_indexed"), Some(1.0));
+    assert_eq!(full.get("cache_hits"), Some(&1.0));
+    assert_eq!(full.get("histogram serve.exec_us.hit"), Some(&1.0));
+    assert_eq!(full, indexed, "stats deltas");
+    server.shutdown();
+    server.wait().unwrap();
+
+    let (records, _) = tcms::serve::load_journal(&tcms::serve::journal::journal_path(&dir))
+        .expect("journal loads");
+    assert_eq!(records.len(), 3);
+    let accounted = |r: &tcms::serve::JournalRecord| {
+        (
+            r.action.clone(),
+            r.spec,
+            r.config,
+            r.disposition.clone(),
+            r.outcome.clone(),
+            r.code,
+        )
+    };
+    assert_eq!(accounted(&records[1]), accounted(&records[2]), "journal");
+    assert_eq!(records[2].disposition.as_deref(), Some("hit"));
+    assert_eq!(records[0].spec, records[2].spec);
+    let _ = std::fs::remove_dir_all(&dir);
 }
