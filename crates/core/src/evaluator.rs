@@ -1056,6 +1056,128 @@ mod tests {
         assert_eq!(fresh.to_bits(), eval.force_naive(&after, &cand).to_bits());
     }
 
+    /// A global term prices `x = slotmax(modmax(D_{b,k} + δ), sib) − M_p`,
+    /// which reads every entry of `D_{b,k}`, not only its slot maxima
+    /// `D̂_{b,k}`. So a force cache keyed on a `D̂` version plus the ops a
+    /// candidate's walk touched would be unsound. This finds a commit of
+    /// the Table-1 run that moves `D` but no `D̂` (hence no `M_p` and no
+    /// `G_k`), and a candidate of the same block whose implied changes
+    /// the commit leaves alone, yet whose force moves.
+    #[test]
+    fn global_forces_read_all_of_d_not_only_its_slot_maxima() {
+        type Changes = Vec<(OpId, TimeFrame)>;
+        /// Delegates to the evaluator, checking each commit until one
+        /// shows the fact above.
+        struct Probe<'a> {
+            eval: ModuloEvaluator<'a>,
+            found: Option<(Changes, Changes)>,
+        }
+        fn bits(profile: &[f64]) -> Vec<u64> {
+            profile.iter().map(|v| v.to_bits()).collect()
+        }
+        impl ForceEvaluator for Probe<'_> {
+            fn force(&self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) -> f64 {
+                self.eval.force(frames, changed)
+            }
+            fn force_batch(
+                &self,
+                frames: &FrameTable,
+                candidates: &[&[(OpId, TimeFrame)]],
+                log: &mut TermLog,
+            ) -> Vec<f64> {
+                self.eval.force_batch(frames, candidates, log)
+            }
+            fn resum(&self, terms: Terms<'_>) -> f64 {
+                self.eval.resum(terms)
+            }
+            fn context_stamp(&self, block: BlockId) -> Option<u64> {
+                self.eval.context_stamp(block)
+            }
+            fn commit(&mut self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) {
+                if self.found.is_some() {
+                    return self.eval.commit(frames, changed);
+                }
+                let sys = self.eval.system;
+                let block = sys.op(changed[0].0).block();
+                let mut after = frames.clone();
+                for &(o, f) in changed {
+                    after.set(o, f);
+                }
+                let moved = |o: OpId| changed.iter().any(|&(q, _)| q == o);
+                let mut candidates = Vec::new();
+                for &o in sys.block(block).ops() {
+                    let f = after.get(o);
+                    if moved(o) || f.is_fixed() {
+                        continue;
+                    }
+                    for t in f.asap..=f.alap {
+                        let pin = TimeFrame::new(t, t);
+                        let c = narrowing_changes(sys, frames, o, pin);
+                        if c == narrowing_changes(sys, &after, o, pin)
+                            && c.iter().all(|&(q, _)| !moved(q))
+                        {
+                            candidates.push(c);
+                        }
+                    }
+                }
+                let before: Vec<u64> = candidates
+                    .iter()
+                    .map(|c| self.eval.force(frames, c).to_bits())
+                    .collect();
+                let mut types: Vec<_> = changed
+                    .iter()
+                    .map(|&(o, _)| sys.op(o).resource_type())
+                    .collect();
+                types.dedup();
+                let process = sys.block(block).process();
+                assert!(types
+                    .iter()
+                    .all(|&k| self.eval.field.spec().is_global_for(k, process)));
+                let layers = |eval: &ModuloEvaluator<'_>| -> Vec<_> {
+                    types
+                        .iter()
+                        .map(|&k| {
+                            let field = eval.field();
+                            (
+                                bits(field.distributions().get(block, k)),
+                                bits(field.block_profile(block, k)),
+                            )
+                        })
+                        .collect()
+                };
+                let old = layers(&self.eval);
+                self.eval.commit(frames, changed);
+                let new = layers(&self.eval);
+                let dist_changed = old.iter().zip(&new).any(|(a, b)| a.0 != b.0);
+                let dhat_changed = old.iter().zip(&new).any(|(a, b)| a.1 != b.1);
+                if !dist_changed || dhat_changed {
+                    return;
+                }
+                for (c, was) in candidates.into_iter().zip(before) {
+                    let now = self.eval.force(&after, &c);
+                    // A real move, not a rounding difference.
+                    if (now - f64::from_bits(was)).abs() > 1e-6 {
+                        self.found = Some((changed.to_vec(), c));
+                        return;
+                    }
+                }
+            }
+        }
+
+        let (sys, _) = paper_system().unwrap();
+        let spec = SharingSpec::all_global(&sys, 5);
+        let engine = IfdsEngine::new(&sys, sys.block_ids().collect());
+        let mut probe = Probe {
+            eval: ModuloEvaluator::new(&sys, spec, FdsConfig::default(), engine.frames()),
+            found: None,
+        };
+        engine.run(&mut probe).unwrap();
+        let (commit, candidate) = probe
+            .found
+            .expect("a D-only commit that moves an untouched candidate's force");
+        assert!(!commit.is_empty() && !candidate.is_empty());
+    }
+
     #[test]
     fn batched_forces_match_scalar_forces_bitwise() {
         let (sys, _) = paper_system().unwrap();

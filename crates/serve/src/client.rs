@@ -211,9 +211,9 @@ impl Client {
     ///
     /// Propagates write failures.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        // One write, so the line leaves as one segment on the `nodelay`
+        // socket.
+        self.writer.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Receives the next response line.

@@ -170,8 +170,13 @@ pub const DEFAULT_AUTO_PARTITION_OPS: usize = 500;
 /// deliberate panic (it lives in a `#` comment, so the design parses).
 pub const PANIC_MARKER: &str = "#chaos:panic";
 
+/// Whether `source` carries an armed [`PANIC_MARKER`].
+pub(crate) fn chaos_marked(fault_marker: bool, source: &str) -> bool {
+    fault_marker && source.contains(PANIC_MARKER)
+}
+
 fn chaos_panic_check(fault_marker: bool, source: &str) {
-    if fault_marker && source.contains(PANIC_MARKER) {
+    if chaos_marked(fault_marker, source) {
         panic!("chaos: deliberate panic marker in design");
     }
 }
@@ -292,7 +297,7 @@ pub struct ScheduleArtifacts {
 /// for `degrade` requests, which bypass the cache. The option prefix
 /// is `Debug`-rendered — quoted strings are escaped — and ends at the
 /// first NUL byte, so distinct requests never share bytes.
-fn answer_request(
+pub(crate) fn answer_request(
     source: &str,
     opts: &ScheduleOptions,
     auto_partition_ops: usize,
@@ -366,15 +371,11 @@ pub fn answer_schedule_request(
     let index = ctx
         .cache
         .zip(answer_request(source, opts, ctx.auto_partition_ops));
-    if let Some((cache, request)) = &index {
-        if let Some((key, text)) = cache.answer(request) {
-            return Ok(Answer {
-                text,
-                disposition: Disposition::Hit,
-                fresh_iterations: 0,
-                cache_key: Some(key),
-            });
-        }
+    if let Some(answer) = index
+        .as_ref()
+        .and_then(|(cache, request)| indexed_answer(cache, request))
+    {
+        return Ok(answer);
     }
     let arts = schedule_request(source, opts, ctx)?;
     let text: Arc<str> = arts.text.into();
@@ -386,6 +387,19 @@ pub fn answer_schedule_request(
         disposition: arts.disposition,
         fresh_iterations: arts.fresh_iterations,
         cache_key: arts.cache_key,
+    })
+}
+
+/// The answer `cache`'s index keeps for `request` (bytes made by
+/// [`answer_request`]), counted as a hit; `None` when those bytes were
+/// not answered before or their entry is gone. The daemon's connection
+/// threads call this directly to answer a repeat without queueing it.
+pub(crate) fn indexed_answer(cache: &SchedCache, request: &str) -> Option<Answer> {
+    cache.answer(request).map(|(key, text)| Answer {
+        text,
+        disposition: Disposition::Hit,
+        fresh_iterations: 0,
+        cache_key: Some(key),
     })
 }
 

@@ -6,22 +6,30 @@
 //!    body of an HTTP `POST /schedule` — and hands it to the one
 //!    admission function both front-ends share (`server/conn.rs`).
 //!    Control actions (`ping`, `stats`, `shutdown`) are answered
-//!    inline; work actions (`schedule`, `simulate`) are pushed onto the
-//!    bounded job queue.
-//! 2. If the queue is full the request is **shed immediately** with a
-//!    typed `overloaded` (429) error — backpressure is explicit, the
-//!    daemon never buffers unboundedly.
-//! 3. A worker pops the job. If its deadline already expired in the
+//!    inline.
+//! 2. So is a `schedule` request whose exact bytes the cache's answer
+//!    index has answered before, when this node would execute it
+//!    (standalone, `local` route mode, or a fleet key it holds a replica
+//!    of): the connection thread sends the kept report itself, with a
+//!    queue wait of 0. A hit costs four stages there: parse the request
+//!    line, look it up, render the response line, write it. Misses,
+//!    `simulate`, `degrade`, a spent deadline, shutdown and chaos-marked
+//!    designs go on.
+//! 3. The remaining work is pushed onto the bounded job queue. If the
+//!    queue is full the request is **shed immediately** with a typed
+//!    `overloaded` (429) error — backpressure is explicit, the daemon
+//!    never buffers unboundedly.
+//! 4. A worker pops the job. If its deadline already expired in the
 //!    queue it answers `deadline` (408) without scheduling; otherwise
 //!    the remaining time becomes the scheduler's [`RunBudget`]
 //!    wall-clock watchdog, so a deadline also bounds the IFDS run
 //!    itself.
-//! 4. The worker runs the shared [`pipeline`](crate::pipeline) —
-//!    through the content-addressed cache, whose answer index serves a
-//!    schedule request it has answered before straight from its kept
-//!    report — and writes the response line back on the requesting
-//!    connection. Responses arrive in completion order; the echoed `id`
-//!    correlates them.
+//! 5. The worker runs the shared [`pipeline`](crate::pipeline) through
+//!    the content-addressed cache and writes the response line back on
+//!    the requesting connection. Responses arrive in completion order
+//!    (an answer at admission may overtake a queued one); the echoed
+//!    `id` correlates them. Workers and admission answers share one
+//!    accounting and reply step, `Shared::finish`.
 //!
 //! Scheduling work itself fans out onto the vendored rayon pool, which
 //! is safe to enter from several worker threads at once (a contended
@@ -144,6 +152,16 @@ struct Job {
     /// replays verbatim bytes, not a re-serialisation) or when fleet
     /// proxying may forward it verbatim to the owner.
     raw: Option<String>,
+}
+
+/// Stage times of one answered work request, in µs: its wait in the
+/// queue (0 for a repeat answered at admission), its execution, and the
+/// two together.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    queue_us: u64,
+    exec_us: u64,
+    total_us: u64,
 }
 
 struct Shared {
@@ -290,7 +308,7 @@ impl Shared {
                         total_us: queue_us,
                         request,
                     });
-                    job.conn.send(&error_line(&job.id, &err));
+                    job.conn.send(error_line(&job.id, &err));
                     return;
                 };
                 RunBudget {
@@ -312,7 +330,7 @@ impl Shared {
         // to the key's owner and relays the answer verbatim, so the whole
         // fleet shares one logical cache with byte-identical responses.
         if let Some(line) = self.route_remote(&job, action, queue_us, budget.wall_deadline) {
-            job.conn.send(&line);
+            job.conn.send(line);
             return;
         }
         let inflight = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
@@ -344,20 +362,55 @@ impl Shared {
             });
         let exec_us = dur_us(exec_start.elapsed());
         let inflight = self.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
+        #[allow(clippy::cast_precision_loss)]
+        self.lock_metrics()
+            .gauge_set("serve.inflight", inflight as f64);
         let total_us = dur_us(job.enqueued.elapsed());
-        let disposition = outcome.as_ref().ok().map(|a| a.disposition);
+        self.finish(
+            job,
+            Timing {
+                queue_us,
+                exec_us,
+                total_us,
+            },
+            outcome,
+        );
+    }
+
+    /// Accounts one executed work request and sends its reply: the
+    /// latency histograms split by cache disposition, the cache and
+    /// scheduler counters, the journal record, then the response line.
+    /// A worker calls this after running a job, and a connection thread
+    /// after answering a repeat from the answer index at admission, so
+    /// both are accounted alike.
+    fn finish(&self, job: Job, timing: Timing, outcome: Result<Answer, ServeError>) {
+        let Timing {
+            queue_us,
+            exec_us,
+            total_us,
+        } = timing;
+        let action = action_label(&job.action);
         {
             let mut m = self.lock_metrics();
+            // Split by cache disposition (`error` when the request
+            // failed): a hit's ~µs lookup and a miss's ~ms scheduler run
+            // must not share buckets.
+            let split = outcome.as_ref().map_or("error", |a| a.disposition.as_str());
             #[allow(clippy::cast_precision_loss)]
             {
-                m.gauge_set("serve.inflight", inflight as f64);
-                // Split by cache disposition (`error` when the request
-                // failed): a hit's ~µs lookup and a miss's ~ms scheduler
-                // run must not share buckets.
-                let split = disposition.map_or("error", Disposition::as_str);
                 m.histogram_record(format!("serve.exec_us.{split}"), exec_us as f64);
                 m.histogram_record(format!("serve.total_us.{split}"), total_us as f64);
                 m.histogram_record("serve.latency_ms", total_us as f64 / 1_000.0);
+            }
+            match &outcome {
+                Ok(answer) => {
+                    m.counter_add(format!("serve.cache.{split}"), 1);
+                    if answer.disposition == Disposition::Miss {
+                        m.counter_add("serve.scheduler.runs", 1);
+                    }
+                    m.counter_add("serve.ifds.iterations", answer.fresh_iterations);
+                }
+                Err(_) => m.counter_add("serve.errors", 1),
             }
         }
         match outcome {
@@ -367,14 +420,6 @@ impl Shared {
                 fresh_iterations,
                 cache_key: key,
             }) => {
-                {
-                    let mut m = self.lock_metrics();
-                    m.counter_add(format!("serve.cache.{}", disposition.as_str()), 1);
-                    if disposition == Disposition::Miss {
-                        m.counter_add("serve.scheduler.runs", 1);
-                    }
-                    m.counter_add("serve.ifds.iterations", fresh_iterations);
-                }
                 // Journal before responding (non-blocking `try_send`): a
                 // client that has seen the response may immediately read
                 // `journal_stats`, which must already count this request.
@@ -392,7 +437,7 @@ impl Shared {
                 // The rendered report's iteration count mirrors the run
                 // that produced the cache entry; `fresh_iterations` in
                 // the metrics counts only *new* IFDS work.
-                job.conn.send(&success_line(
+                job.conn.send(success_line(
                     &job.id,
                     output_body(&output, disposition, fresh_iterations),
                 ));
@@ -405,7 +450,6 @@ impl Shared {
                 }
             }
             Err(e) => {
-                self.lock_metrics().counter_add("serve.errors", 1);
                 self.journal_record(job.raw, |request| JournalEntry {
                     action,
                     key: None,
@@ -417,7 +461,7 @@ impl Shared {
                     total_us,
                     request,
                 });
-                job.conn.send(&error_line(&job.id, &e));
+                job.conn.send(error_line(&job.id, &e));
             }
         }
     }
@@ -962,6 +1006,144 @@ mod tests {
         server.wait().unwrap();
     }
 
+    fn sample_opts() -> ScheduleOptions {
+        ScheduleOptions {
+            all_global: Some(4),
+            ..ScheduleOptions::default()
+        }
+    }
+
+    /// Answers `SAMPLE` once through `server`'s cache, as a worker does,
+    /// so that its answer index holds the request.
+    fn warm_index(server: &Server) {
+        let ctx = ExecContext {
+            cache: Some(server.cache()),
+            ..ExecContext::default()
+        };
+        let first = crate::pipeline::answer_schedule_request(SAMPLE, &sample_opts(), &ctx);
+        assert!(first.is_ok(), "{first:?}");
+    }
+
+    #[test]
+    fn indexed_repeat_with_a_spent_deadline_still_expires() {
+        let (server, addr) = start();
+        warm_index(&server);
+        let indexed = server.cache().stats().indexed;
+        let design = SAMPLE.replace('\n', "\\n");
+        let resp = roundtrip(
+            addr,
+            &format!(
+                r#"{{"id":"d","action":"schedule","design":"{design}","all_global":4,"deadline_ms":0}}"#
+            ),
+        );
+        let (class, code, _) = resp.error.expect("a spent deadline is not answered");
+        assert_eq!((class.as_str(), code), ("deadline", 408));
+        assert_eq!(server.cache().stats().indexed, indexed);
+        // Without the deadline the same request is an indexed answer.
+        assert_eq!(roundtrip(addr, &schedule_req("r")).cache(), Some("hit"));
+        assert_eq!(server.cache().stats().indexed, indexed + 1);
+        server.shutdown();
+        server.wait().unwrap();
+    }
+
+    #[test]
+    fn repeated_http_schedule_is_answered_at_admission() {
+        let dir = std::env::temp_dir().join(format!("tcms_serve_adm_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServeConfig {
+            workers: 2,
+            http_listen: Some("127.0.0.1:0".into()),
+            journal_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let http = server.local_http_addr().unwrap();
+        let design = SAMPLE.replace('\n', "\\n");
+        let req = format!(r#"{{"id":"h","design":"{design}","all_global":4}}"#);
+        let (status, miss) = http_roundtrip(http, "POST", "/schedule", &req);
+        assert_eq!(status, 200, "{miss}");
+        let mut repeats = Vec::new();
+        for _ in 0..2 {
+            let indexed = server.cache().stats().indexed;
+            let (status, body) = http_roundtrip(http, "POST", "/schedule", &req);
+            assert_eq!(status, 200, "{body}");
+            assert_eq!(server.cache().stats().indexed, indexed + 1);
+            repeats.push(body);
+        }
+        assert_eq!(repeats[0], repeats[1], "repeats are byte-equal");
+        let hit = parse_response(repeats[0].trim_end()).unwrap();
+        let miss = parse_response(miss.trim_end()).unwrap();
+        assert_eq!((miss.cache(), hit.cache()), (Some("miss"), Some("hit")));
+        assert_eq!(hit.output(), miss.output());
+        server.shutdown();
+        server.wait().unwrap();
+        let (records, _) =
+            crate::journal::load_journal(&crate::journal::journal_path(&dir)).unwrap();
+        let waits: Vec<_> = records
+            .iter()
+            .map(|r| (r.disposition.as_deref(), r.queue_us))
+            .skip(1)
+            .collect();
+        assert_eq!(waits, vec![(Some("hit"), 0), (Some("hit"), 0)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Both nodes hold the request in their answer index. The owner
+    /// runs without a queue, so it can answer only at admission; the
+    /// other node must still proxy it to the owner.
+    #[test]
+    fn fleet_repeats_are_answered_at_admission_only_by_a_replica() {
+        let peers = reserve_ports(2);
+        let key = sample_key();
+        let owner_addr = HashRing::new(&peers, 1).owner(&key).to_owned();
+        let servers: Vec<_> = peers
+            .iter()
+            .map(|addr| {
+                let server = Server::start(ServeConfig {
+                    listen: addr.clone(),
+                    workers: 2,
+                    queue_capacity: if *addr == owner_addr { 0 } else { 256 },
+                    fleet: Some(FleetConfig {
+                        replicas: 1,
+                        sync_interval: None,
+                        ..FleetConfig::new(addr.clone(), peers.clone())
+                    }),
+                    ..ServeConfig::default()
+                })
+                .unwrap();
+                warm_index(&server);
+                server
+            })
+            .collect();
+        let owner_idx = peers.iter().position(|p| *p == owner_addr).unwrap();
+        let (owner, other) = (&servers[owner_idx], &servers[1 - owner_idx]);
+        let indexed = |s: &Server| s.cache().stats().indexed;
+        let (owner_before, other_before) = (indexed(owner), indexed(other));
+
+        let at_owner = roundtrip(owner.local_addr(), &schedule_req("o"));
+        assert_eq!(at_owner.cache(), Some("hit"), "{:?}", at_owner.error);
+        assert_eq!(indexed(owner), owner_before + 1);
+
+        let via_other = roundtrip(other.local_addr(), &schedule_req("o"));
+        assert_eq!(via_other.cache(), Some("hit"), "{:?}", via_other.error);
+        assert_eq!(other.counter("serve.fleet.proxied"), 1);
+        assert_eq!(
+            indexed(other),
+            other_before,
+            "the other node's index is unread"
+        );
+        assert_eq!(
+            indexed(owner),
+            owner_before + 2,
+            "the owner answered the hop"
+        );
+        assert_eq!(via_other.output(), at_owner.output());
+        for server in servers {
+            server.shutdown();
+            server.wait().unwrap();
+        }
+    }
+
     #[test]
     fn client_shutdown_request_stops_the_daemon() {
         let (server, addr) = start();
@@ -1200,10 +1382,7 @@ mod tests {
     fn sample_key() -> CacheKey {
         request_cache_key(
             SAMPLE,
-            &ScheduleOptions {
-                all_global: Some(4),
-                ..ScheduleOptions::default()
-            },
+            &sample_opts(),
             crate::pipeline::DEFAULT_AUTO_PARTITION_OPS,
         )
         .unwrap()

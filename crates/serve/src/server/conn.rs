@@ -1,7 +1,7 @@
 //! The daemon's connections: NDJSON and HTTP/1.1 framing over one
 //! capped line reader, and [`submit`], the single admission path both
-//! front-ends feed — parse, answer control actions inline, or queue
-//! work behind the bounded queue.
+//! front-ends feed — parse, answer control actions and indexed repeats
+//! inline, or queue work behind the bounded queue.
 //!
 //! Pure HTTP parsing and rendering live in [`crate::fleet::http`]; this
 //! module is the socket plumbing around them.
@@ -14,10 +14,11 @@ use std::time::{Duration, Instant};
 
 use tcms_obs::json::JsonValue;
 
-use super::{action_label, Job, Shared};
+use super::{action_label, dur_us, Job, Shared, Timing};
 use crate::error::ServeError;
 use crate::fleet::{http, sync};
 use crate::journal::JournalEntry;
+use crate::pipeline::{answer_request, chaos_marked, indexed_answer, Answer};
 use crate::protocol::{
     error_line, parse_request, parse_response, success_line, Action, Request, RequestId,
 };
@@ -36,27 +37,30 @@ pub(super) enum Responder {
 
 impl Responder {
     /// Delivers one response line. Errors are swallowed in both arms: a
-    /// vanished client must not take a worker down.
-    pub(super) fn send(&self, line: &str) {
+    /// vanished client must not take a worker down. The NDJSON arm sends
+    /// the line and its terminator in one write: on the `nodelay` socket
+    /// two writes are two segments, and the client wakes for each.
+    pub(super) fn send(&self, mut line: String) {
         match self {
             Responder::Conn(stream) => {
+                line.push('\n');
                 let mut stream = stream.lock().unwrap_or_else(PoisonError::into_inner);
                 let _ = stream.write_all(line.as_bytes());
-                let _ = stream.write_all(b"\n");
-                let _ = stream.flush();
             }
             Responder::Channel(tx) => {
-                let _ = tx.try_send(line.to_owned());
+                let _ = tx.try_send(line);
             }
         }
     }
 }
 
 /// Admits one request line from either front-end: parses it, answers
-/// control actions inline, and queues work actions, shedding with a
-/// typed `overloaded` (429) error when the queue is full. `reply`
-/// receives exactly one line — here, or from the worker that runs the
-/// job. Returns the request id for the caller's own error replies.
+/// control actions inline, answers a repeated schedule request from the
+/// answer index (see [`indexed_at_admission`]), and queues the rest of
+/// the work, shedding with a typed `overloaded` (429) error when the
+/// queue is full. `reply` receives exactly one line — here, or from the
+/// worker that runs the job. Returns the request id for the caller's
+/// own error replies.
 pub(super) fn submit(shared: &Shared, line: &str, reply: Responder) -> RequestId {
     let Request {
         id,
@@ -74,7 +78,7 @@ pub(super) fn submit(shared: &Shared, line: &str, reply: Responder) -> RequestId
         .counter_add(format!("serve.requests.{}", action_label(&action)), 1);
     let work = match inline_response(shared, &id, action) {
         Ok(resp) => {
-            reply.send(&resp);
+            reply.send(resp);
             return id;
         }
         Err(work) => work,
@@ -94,6 +98,20 @@ pub(super) fn submit(shared: &Shared, line: &str, reply: Responder) -> RequestId
         conn: reply.clone(),
         raw: raw.clone(),
     };
+    if let Some(answer) = indexed_at_admission(shared, &job) {
+        // Accounted like a worker's hit, with no time in the queue.
+        let exec_us = dur_us(job.enqueued.elapsed());
+        shared
+            .lock_metrics()
+            .histogram_record("serve.queue_wait_us", 0.0);
+        let timing = Timing {
+            queue_us: 0,
+            exec_us,
+            total_us: exec_us,
+        };
+        shared.finish(job, timing, Ok(answer));
+        return id;
+    }
     if let Err(e) = shared.enqueue(job) {
         if matches!(e, ServeError::Overloaded { .. }) {
             shared.lock_metrics().counter_add("serve.shed", 1);
@@ -117,10 +135,40 @@ pub(super) fn submit(shared: &Shared, line: &str, reply: Responder) -> RequestId
     id
 }
 
+/// The answer to `job` from the answer index, when the connection
+/// thread can give it without queueing: a `schedule` request whose
+/// exact bytes were answered before, that this node would execute
+/// itself (standalone, `local` route mode, or a key it holds a replica
+/// of). Everything else is left to a worker, so that it queues and is
+/// answered as before: simulations, `degrade` runs, a daemon without a
+/// cache, chaos-marked designs (their panic belongs on a supervised
+/// worker, never on a connection thread), requests arriving during
+/// shutdown, and requests whose deadline is already spent.
+fn indexed_at_admission(shared: &Shared, job: &Job) -> Option<Answer> {
+    let Action::Schedule { design, opts } = &job.action else {
+        return None;
+    };
+    let config = &shared.config;
+    if config.cache_capacity == 0
+        || shared.shutting_down()
+        || job.deadline.is_some_and(|d| job.enqueued.elapsed() >= d)
+        || chaos_marked(config.fault_marker, design)
+    {
+        return None;
+    }
+    let request = answer_request(design, opts, config.auto_partition_ops)?;
+    if let Some(fleet) = shared.proxying_fleet() {
+        if !fleet.is_local(&shared.cache.answered_key(&request)?) {
+            return None;
+        }
+    }
+    indexed_answer(&shared.cache, &request)
+}
+
 /// Answers a request with a typed error, counting it in `serve.errors`.
 fn reject(shared: &Shared, reply: &Responder, id: &RequestId, err: &ServeError) {
     shared.lock_metrics().counter_add("serve.errors", 1);
-    reply.send(&error_line(id, err));
+    reply.send(error_line(id, err));
 }
 
 /// The typed `too-large` (413) line for a frame that outgrew the
@@ -283,7 +331,7 @@ pub(super) fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         match frame {
             Frame::Complete => {}
             Frame::Closed => return,
-            Frame::TooLarge => return writer.send(&too_large(shared, cap)),
+            Frame::TooLarge => return writer.send(too_large(shared, cap)),
         }
         let Ok(text) = String::from_utf8(line) else {
             shared.lock_metrics().counter_add("serve.requests", 1);

@@ -12,7 +12,7 @@ use tcms_obs::json::JsonValue;
 use super::{dur_us, Job, Shared};
 use crate::cache::CacheKey;
 use crate::error::ServeError;
-use crate::fleet::{sync, RouteMode};
+use crate::fleet::{sync, Fleet, RouteMode};
 use crate::journal::JournalEntry;
 use crate::pipeline::{routing_key, ScheduleOptions};
 use crate::protocol::{error_line, parse_response, Action};
@@ -59,9 +59,9 @@ impl PeerConn {
     /// One request/response exchange. Peers answer in order on a
     /// connection, so a plain `read_line` pairs correctly.
     fn request(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // One write, so the line leaves as one segment on the `nodelay`
+        // socket.
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut out = String::new();
         if self.reader.read_line(&mut out)? == 0 {
             return Err(std::io::Error::new(
@@ -126,6 +126,15 @@ impl Shared {
         routing_key(&self.cache, design, &opts, self.config.auto_partition_ops)
     }
 
+    /// The fleet this node proxies work into: `None` for a standalone
+    /// daemon and in `local` route mode, where every request executes
+    /// here.
+    pub(super) fn proxying_fleet(&self) -> Option<&Fleet> {
+        self.fleet
+            .as_ref()
+            .filter(|f| f.config.route == RouteMode::Proxy)
+    }
+
     /// Proxies a job to its owner when this node is not in the key's
     /// replica set. Returns the response line to relay (verbatim owner
     /// bytes, or a typed `peer-unavailable` error); `None` means
@@ -139,10 +148,7 @@ impl Shared {
         queue_us: u64,
         remaining: Option<Duration>,
     ) -> Option<String> {
-        let fleet = self.fleet.as_ref()?;
-        if fleet.config.route != RouteMode::Proxy {
-            return None;
-        }
+        let fleet = self.proxying_fleet()?;
         let raw = job.raw.as_deref()?;
         let key = self.work_cache_key(&job.action)?;
         if fleet.is_local(&key) {
