@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use tcms_bench::paper_spec;
 use tcms_core::ModuloEvaluator;
-use tcms_fds::{FdsConfig, ForceEvaluator, TermLog};
+use tcms_fds::{Candidate, FdsConfig, ForceEvaluator, TermLog};
 use tcms_ir::generators::paper_system;
 use tcms_ir::{FrameTable, OpId, TimeFrame};
 use tcms_obs::json::{self, JsonValue};
@@ -89,7 +89,11 @@ fn main() {
 
     // Correctness before speed: all three paths must agree bitwise.
     let mut log = TermLog::default();
-    let batched_scores = eval.force_batch(&frames, &views, &mut log);
+    let batched_scores = eval.force_batch(
+        &frames,
+        views.iter().copied().map(Candidate::Changes),
+        &mut log,
+    );
     for (i, cand) in views.iter().enumerate() {
         let scalar = eval.force(&frames, cand);
         let naive = eval.force_naive(&frames, cand);
@@ -128,7 +132,13 @@ fn main() {
     });
     let batched_sweep = time_sweep(rounds, &mut || {
         log.clear();
-        eval.force_batch(&frames, &views, &mut log).iter().sum()
+        eval.force_batch(
+            &frames,
+            views.iter().copied().map(Candidate::Changes),
+            &mut log,
+        )
+        .iter()
+        .sum()
     });
 
     let naive_ns = naive_sweep * 1e9 / n;

@@ -6,7 +6,12 @@
 //!
 //! `--node-cap <N>` bounds the exact search (systems that do not finish
 //! under the cap are skipped); `--seeds <N>` sets how many random
-//! systems are tried. CI runs a small-cap smoke configuration.
+//! systems are tried. CI runs a small-cap smoke configuration, and diffs
+//! a default run against `results/repro_optimality_gap.txt`.
+//!
+//! The exact search runs on one thread: split over several, its workers
+//! share one node counter and one incumbent, so the `nodes` column
+//! (though not the optimum) would vary from run to run.
 
 use tcms_bench::{ObsSession, TextTable};
 use tcms_core::exact::exact_schedule;
@@ -57,7 +62,10 @@ fn main() {
         if !tcms_core::period::spacing_feasible(&sys, &spec) {
             continue;
         }
-        let Some(exact) = exact_schedule(&sys, &spec, node_cap).expect("valid spec") else {
+        rayon::set_num_threads(1);
+        let exact = exact_schedule(&sys, &spec, node_cap).expect("valid spec");
+        rayon::set_num_threads(0);
+        let Some(exact) = exact else {
             continue;
         };
         if !exact.complete {

@@ -16,7 +16,7 @@
 use std::cell::Cell;
 
 use tcms_fds::slab::force_sum;
-use tcms_fds::{FdsConfig, ForceEvaluator, TermLog, Terms};
+use tcms_fds::{Candidate, FdsConfig, ForceEvaluator, TermLog, Terms};
 use tcms_ir::{BlockId, FrameTable, OpId, ResourceTypeId, System, TimeFrame};
 use tcms_obs::{Recorder, TimelinePoint};
 
@@ -40,12 +40,23 @@ use crate::field::{ExternalOccupancy, ModuloField};
 /// `G_k`, which the other processes of the sharing group move. What a
 /// global term prices on `G_k` is the displacement `x = M̃_p − M_p`, and
 /// that depends only on the candidate's own block and process. So
-/// [`ForceEvaluator::force_batch`] records the fold of every
-/// candidate with a global term — `(G_k, x)` per global key and
-/// `(D_{b,k}, lo, x)` per local key, in fold order — and
-/// [`ForceEvaluator::resum`] replays it against the live profiles. A
-/// commit in one process therefore leaves the cached forces of the other
-/// processes in its group valid at the price of a re-sum.
+/// [`ForceEvaluator::force_batch`] records the fold of every candidate,
+/// in fold order: per local key its delta span `(D_{b,k}, lo, x)`, which
+/// is also its term, and per global key its delta span followed by its
+/// term `(G_k, x)`. [`ForceEvaluator::resum`] replays the terms against
+/// the live profiles: a commit in one process therefore leaves the
+/// cached forces of the other processes in its group valid at the price
+/// of a re-sum.
+///
+/// # Kept deltas
+///
+/// The delta spans depend only on the frames the candidate's change set
+/// was walked from. While none of those moved, the engine hands the
+/// record back as [`Candidate::Kept`], and the spans are loaded into the
+/// delta buffers exactly as the delta build left them and folded by the
+/// same fold as a fresh evaluation, against the live `D_{b,k}`, sibling
+/// `D̂`, `M_p` and `G_k` — a fresh evaluation minus the walk and the
+/// delta build.
 #[derive(Debug, Clone)]
 pub struct ModuloEvaluator<'a> {
     system: &'a System,
@@ -133,7 +144,7 @@ impl<'a> ModuloEvaluator<'a> {
         let mut scratch = EvalScratch::default();
         let mut state = DeltaBufs::default();
         self.deltas_into(frames, changed, &mut state);
-        self.force_from_deltas(field, &state, &mut scratch, None)
+        self.force_from_deltas(field, &state, &mut scratch, None, false)
     }
 
     /// Force of one candidate given its per-`(block, type)` deltas,
@@ -149,32 +160,27 @@ impl<'a> ModuloEvaluator<'a> {
     /// for the never-`-0.0` distribution values, and a zero delta term
     /// contributes `±0.0`, which cannot move the running total.
     ///
-    /// With a `log`, a candidate with a global key has every term of its
-    /// fold recorded there (see [`ModuloEvaluator::resum`]); a candidate
-    /// with local keys only records nothing, since its stamp covers all
-    /// it reads.
+    /// With a `log`, the candidate's record is kept there (see
+    /// [`ModuloEvaluator`]): all of it with `spans`, else — for a refold,
+    /// whose spans are kept already — only its global terms.
     fn force_from_deltas<'f>(
         &self,
         field: &'f ModuloField<'_>,
         state: &DeltaBufs,
         scratch: &mut EvalScratch<'f>,
         mut log: Option<&mut TermLog>,
+        spans: bool,
     ) -> f64 {
         let bufs = &state.bufs;
-        if log.is_some()
-            && !state.keys.iter().any(|&(b, k)| {
-                let pos = scratch.plan_pos(self, field, b, k);
-                scratch.plans[pos].global.is_some()
-            })
-        {
-            log = None;
-        }
         let mut total = 0.0;
         for (i, &(b, k)) in state.keys.iter().enumerate() {
             let pos = scratch.plan_pos(self, field, b, k);
             let plan = &mut scratch.plans[pos];
             let (lo, hi) = state.spans[i];
             if let Some(g) = &mut plan.global {
+                if let Some(log) = log.as_deref_mut().filter(|_| spans) {
+                    log.push(self.pair_term(b, k) | DELTA_TERM, lo, &bufs[i][lo..hi]);
+                }
                 // Modified force: displacement of the balanced global
                 // profile (equations 7-10) from the plan's resolved
                 // slices — the fused fold of `D + delta` (equation 7),
@@ -222,8 +228,8 @@ impl<'a> ModuloEvaluator<'a> {
                     plan.weight,
                     self.config.lookahead,
                 );
-                if let Some(log) = log.as_deref_mut() {
-                    log.push(self.local_term(b, k), lo, x);
+                if let Some(log) = log.as_deref_mut().filter(|_| spans) {
+                    log.push(self.pair_term(b, k), lo, x);
                 }
             }
         }
@@ -260,24 +266,7 @@ impl<'a> ModuloEvaluator<'a> {
                 .keys
                 .iter()
                 .position(|&k| k == key)
-                .unwrap_or_else(|| {
-                    state.keys.push(key);
-                    let i = state.keys.len() - 1;
-                    let len = range as usize;
-                    if state.bufs.len() <= i {
-                        state.bufs.push(vec![0.0; len]);
-                        state.spans.push((0, 0));
-                    } else if state.bufs[i].len() == len {
-                        let (lo, hi) = state.spans[i];
-                        state.bufs[i][lo..hi].fill(0.0);
-                        state.spans[i] = (0, 0);
-                    } else {
-                        state.bufs[i].clear();
-                        state.bufs[i].resize(len, 0.0);
-                        state.spans[i] = (0, 0);
-                    }
-                    i
-                });
+                .unwrap_or_else(|| state.open(key, range as usize));
             if !state.cache_removals {
                 // One-shot evaluation: the removal term is used once, so
                 // accumulate both terms directly in the seed's order.
@@ -310,6 +299,20 @@ impl<'a> ModuloEvaluator<'a> {
         }
     }
 
+    /// Loads the delta spans of a kept record into the buffers of `state`
+    /// (see [`ModuloEvaluator`]): every value outside a span is `+0.0`,
+    /// as [`ModuloEvaluator::deltas_into`] left it.
+    fn kept_deltas_into(&self, kept: Terms<'_>, state: &mut DeltaBufs) {
+        state.keys.clear();
+        for (t, x) in kept.iter().filter(|(t, _)| t.key & GLOBAL_TERM == 0) {
+            let (b, k) = self.term_pair(t.key);
+            let i = state.open((b, k), self.system.block(b).time_range() as usize);
+            let lo = t.lo as usize;
+            state.bufs[i][lo..lo + x.len()].copy_from_slice(x);
+            state.spans[i] = (lo, lo + x.len());
+        }
+    }
+
     /// Batched fast path for the overwhelmingly common candidate shape:
     /// one op moved onto a global type. The removal term *and* the
     /// committed distribution are candidate-independent, so their sum is
@@ -328,8 +331,10 @@ impl<'a> ModuloEvaluator<'a> {
     /// never-`NaN`/`-0.0` profile values.
     ///
     /// Returns `None` (caller falls back to the generic path, and nothing
-    /// is recorded) for local pairs and empty blocks. Otherwise the one
-    /// global term is recorded in `log`.
+    /// is recorded) for local pairs and empty blocks. Otherwise the
+    /// candidate's delta span and its one global term are recorded in
+    /// `log`: the delta holds the removal term, plus the placement term
+    /// over the placement span — the buffer the generic path folds.
     #[allow(clippy::too_many_arguments)]
     fn force_single_fast<'f>(
         &self,
@@ -381,6 +386,7 @@ impl<'a> ModuloEvaluator<'a> {
             state.op_table_of = Some(o);
         }
         let (pre, suf) = &state.op_table;
+        let delta = log.push(self.pair_term(block, rtype) | DELTA_TERM, rlo, rbuf);
         let gdelta = &mut scratch.gdelta;
         if gdelta.len() != g.rho {
             gdelta.resize(g.rho, 0.0);
@@ -397,8 +403,8 @@ impl<'a> ModuloEvaluator<'a> {
         let mut count_cached = 0u32;
         let mut term = 0.0f64;
         let mut slot = plo % g.rho;
-        let rplace = &rbuf[plo - rlo..phi - rlo];
-        for ((t, &d), &r) in (plo..).zip(&plan.dist[plo..phi]).zip(rplace) {
+        let place = &mut delta[plo - rlo..phi - rlo];
+        for ((t, &d), x) in (plo..).zip(&plan.dist[plo..phi]).zip(place) {
             let t32 = t as u32;
             let lo = nf.asap.max(t32.saturating_sub(occ - 1));
             let hi = nf.alap.min(t32);
@@ -407,7 +413,8 @@ impl<'a> ModuloEvaluator<'a> {
                 count_cached = count;
                 term = f64::from(count) / width;
             }
-            gdelta[slot] = gdelta[slot].max(d + (r + term));
+            *x += term;
+            gdelta[slot] = gdelta[slot].max(d + *x);
             slot += 1;
             if slot == g.rho {
                 slot = 0;
@@ -422,17 +429,27 @@ impl<'a> ModuloEvaluator<'a> {
         Some(force)
     }
 
-    /// [`tcms_fds::ForceTerm::key`] of a local term: the pair number of
-    /// `D_{b,k}`.
-    fn local_term(&self, block: BlockId, rtype: ResourceTypeId) -> u32 {
+    /// [`tcms_fds::ForceTerm::key`] of a delta span of `D_{b,k}`: the
+    /// pair number. Unflagged, the span is also a local term.
+    fn pair_term(&self, block: BlockId, rtype: ResourceTypeId) -> u32 {
         let pair = block.index() * self.system.library().len() + rtype.index();
         let key = u32::try_from(pair).expect("pair number fits u32");
         assert_eq!(
-            key & GLOBAL_TERM,
+            key & (GLOBAL_TERM | DELTA_TERM),
             0,
-            "pair number fits below the global flag"
+            "pair number fits below the flags"
         );
         key
+    }
+
+    /// The `(block, type)` pair a delta-span key names.
+    fn term_pair(&self, key: u32) -> (BlockId, ResourceTypeId) {
+        let pair = (key & !DELTA_TERM) as usize;
+        let types = self.system.library().len();
+        (
+            BlockId::from_index(pair / types),
+            ResourceTypeId::from_index(pair % types),
+        )
     }
 
     /// Probability deltas of `changed`, grouped per `(block, type)`.
@@ -451,8 +468,13 @@ impl<'a> ModuloEvaluator<'a> {
 /// [`tcms_fds::ForceTerm::key`] flag of a term priced on the group profile
 /// `G_k`, whose type index fills the low bits; a key without it is the
 /// pair number of the distribution `D_{b,k}` (see
-/// [`ModuloEvaluator::local_term`]).
+/// [`ModuloEvaluator::pair_term`]).
 const GLOBAL_TERM: u32 = 1 << 31;
+
+/// [`tcms_fds::ForceTerm::key`] flag of the delta span of a global pair:
+/// kept for refolds, but not a term — the pair is priced through the
+/// [`GLOBAL_TERM`] that follows it.
+const DELTA_TERM: u32 = 1 << 30;
 
 /// Term key of the group profile `G_k`.
 fn global_term(rtype: ResourceTypeId) -> u32 {
@@ -486,6 +508,26 @@ struct DeltaBufs {
 }
 
 impl DeltaBufs {
+    /// Appends `key` with a zeroed buffer of `len` steps and an empty
+    /// span; returns its index.
+    fn open(&mut self, key: (BlockId, ResourceTypeId), len: usize) -> usize {
+        self.keys.push(key);
+        let i = self.keys.len() - 1;
+        if self.bufs.len() <= i {
+            self.bufs.push(vec![0.0; len]);
+            self.spans.push((0, 0));
+        } else if self.bufs[i].len() == len {
+            let (lo, hi) = self.spans[i];
+            self.bufs[i][lo..hi].fill(0.0);
+            self.spans[i] = (0, 0);
+        } else {
+            self.bufs[i].clear();
+            self.bufs[i].resize(len, 0.0);
+            self.spans[i] = (0, 0);
+        }
+        i
+    }
+
     /// Readies retired (or fresh) state for a batch over a system of
     /// `num_ops` operations.
     fn prepare(&mut self, num_ops: usize) {
@@ -736,9 +778,10 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
     }
 
     /// Scores every candidate against the current committed field,
-    /// bit-identical to calling [`ForceEvaluator::force`] per candidate,
-    /// and records the fold of every candidate with a global term: both
-    /// fold paths record the exact operands their last fold step reads.
+    /// bit-identical to calling [`ForceEvaluator::force`] per change set,
+    /// and keeps the record of every candidate: both fold paths record the
+    /// exact operands their last fold step reads. A kept record is
+    /// refolded from its delta spans (see [`ModuloEvaluator`]).
     ///
     /// The win over the default implementation: delta buffers are reused
     /// and every intermediate that depends only on committed state — the
@@ -755,10 +798,10 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
     /// The batch's buffers are taken from (and returned to) this thread's
     /// `KEPT_BUFS`, so a sweep that scores a batch every iteration stops
     /// allocating once the buffers have grown to fit.
-    fn force_batch(
+    fn force_batch<'c>(
         &self,
         frames: &FrameTable,
-        candidates: &[&[(OpId, TimeFrame)]],
+        candidates: impl IntoIterator<Item = Candidate<'c>>,
         log: &mut TermLog,
     ) -> Vec<f64> {
         let kept = KEPT_BUFS.take().unwrap_or_default();
@@ -772,16 +815,21 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
         };
         let mut block = None;
         let forces = candidates
-            .iter()
-            .map(|changed| {
-                let first = changed.first().map(|&(o, _)| self.op_meta[o.index()].0);
+            .into_iter()
+            .map(|candidate| {
+                let first = match candidate {
+                    Candidate::Changes(changed) => {
+                        changed.first().map(|&(o, _)| self.op_meta[o.index()].0)
+                    }
+                    Candidate::Kept(kept) => kept.terms.first().map(|t| self.term_pair(t.key).0),
+                };
                 if first != block {
                     scratch.reset();
                     state.retire_ops();
                     block = first;
                 }
-                let fast = match **changed {
-                    [(o, nf)] => self.force_single_fast(
+                let force = match candidate {
+                    Candidate::Changes(&[(o, nf)]) => self.force_single_fast(
                         &self.field,
                         o,
                         nf,
@@ -792,9 +840,19 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
                     ),
                     _ => None,
                 };
-                let force = fast.unwrap_or_else(|| {
-                    self.deltas_into(frames, changed, &mut state);
-                    self.force_from_deltas(&self.field, &state, &mut scratch, Some(&mut *log))
+                let force = force.unwrap_or_else(|| {
+                    let spans = match candidate {
+                        Candidate::Changes(changed) => {
+                            self.deltas_into(frames, changed, &mut state);
+                            true
+                        }
+                        Candidate::Kept(kept) => {
+                            self.kept_deltas_into(kept, &mut state);
+                            false
+                        }
+                    };
+                    let log = Some(&mut *log);
+                    self.force_from_deltas(&self.field, &state, &mut scratch, log, spans)
                 });
                 log.close();
                 force
@@ -811,30 +869,35 @@ impl ForceEvaluator for ModuloEvaluator<'_> {
         forces
     }
 
-    /// Replays a recorded fold against the live `G_k` and `D_{b,k}`:
-    /// `force_sum` over the same operands in the same order as the fold
-    /// that recorded it, threading one running total. While the stamp the
-    /// terms were recorded under holds, every displacement and every
-    /// `D_{b,k}` is bitwise what a fresh evaluation would compute, so the
-    /// result is bitwise that evaluation's force. (The single-op fast path
-    /// folds `force_sum(0, G, t − m)` like the generic path, so one replay
-    /// serves both.)
-    fn resum(&self, terms: Terms<'_>) -> f64 {
+    /// Replays the terms of a record against the live `G_k` and
+    /// `D_{b,k}`: `force_sum` over the same operands in the same order as
+    /// the fold that recorded it, threading one running total. While the
+    /// stamp the record was kept under holds, every displacement and
+    /// every `D_{b,k}` is bitwise what a fresh evaluation would compute,
+    /// so the result is bitwise that evaluation's force. (The single-op
+    /// fast path folds `force_sum(0, G, t − m)` like the generic path, so
+    /// one replay serves both.) A record without a global term prices
+    /// nothing the stamp does not cover, so its cached force stands.
+    fn resum(&self, terms: Terms<'_>) -> Option<f64> {
+        if !terms.terms.iter().any(|t| t.key & GLOBAL_TERM != 0) {
+            return None;
+        }
         let lib = self.system.library();
         let mut total = 0.0;
         for (t, x) in terms.iter() {
             let (k, profile) = if t.key & GLOBAL_TERM != 0 {
                 let k = ResourceTypeId::from_index((t.key & !GLOBAL_TERM) as usize);
                 (k, self.field.group_profile(k))
+            } else if t.key & DELTA_TERM != 0 {
+                continue;
             } else {
-                let (b, k) = (t.key as usize / lib.len(), t.key as usize % lib.len());
-                let (b, k) = (BlockId::from_index(b), ResourceTypeId::from_index(k));
+                let (b, k) = self.term_pair(t.key);
                 (k, &self.field.distributions().get(b, k)[t.lo as usize..])
             };
             let w = self.config.spring_weights.weight(lib, k);
             total = force_sum(total, profile, x, w, self.config.lookahead);
         }
-        total
+        Some(total)
     }
 
     fn commit(&mut self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) {
@@ -1032,9 +1095,13 @@ mod tests {
         let cand = narrowing_changes(&sys, &frames, z, TimeFrame::new(fz.alap, fz.alap));
         assert_eq!(cand.len(), 2, "pinning z must narrow m too");
         let mut log = TermLog::default();
-        let recorded = eval.force_batch(&frames, &[&cand], &mut log)[0];
+        let recorded = eval.force_batch(&frames, [Candidate::Changes(&cand)], &mut log)[0];
         let terms = log.candidate(0);
-        assert_eq!(terms.terms.len(), 2, "one global and one local term");
+        assert_eq!(
+            terms.terms.len(),
+            3,
+            "the global pair's delta span and term, and the local term"
+        );
         let stamp = eval.context_stamp(blk2);
         let g_before = eval.field().group_profile(types.add).to_vec();
 
@@ -1052,8 +1119,17 @@ mod tests {
 
         let fresh = eval.force(&after, &cand);
         assert_ne!(fresh.to_bits(), recorded.to_bits(), "P2's force must move");
-        assert_eq!(eval.resum(terms).to_bits(), fresh.to_bits());
+        assert_eq!(eval.resum(terms).unwrap().to_bits(), fresh.to_bits());
         assert_eq!(fresh.to_bits(), eval.force_naive(&after, &cand).to_bits());
+        // P2's frames did not move, so its kept deltas refold to the same
+        // force; the refold refreshes only the global term, whose
+        // `x = M̃_p − M_p` held.
+        let mut again = TermLog::default();
+        let refolded = eval.force_batch(&after, [Candidate::Kept(terms)], &mut again)[0];
+        assert_eq!(refolded.to_bits(), fresh.to_bits());
+        let refreshed = again.candidate(0);
+        assert_eq!(refreshed.terms, &terms.terms[1..2]);
+        assert_eq!(refreshed.xs, &terms.xs[4..6]);
     }
 
     /// A global term prices `x = slotmax(modmax(D_{b,k} + δ), sib) − M_p`,
@@ -1079,15 +1155,15 @@ mod tests {
             fn force(&self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) -> f64 {
                 self.eval.force(frames, changed)
             }
-            fn force_batch(
+            fn force_batch<'c>(
                 &self,
                 frames: &FrameTable,
-                candidates: &[&[(OpId, TimeFrame)]],
+                candidates: impl IntoIterator<Item = Candidate<'c>>,
                 log: &mut TermLog,
             ) -> Vec<f64> {
                 self.eval.force_batch(frames, candidates, log)
             }
-            fn resum(&self, terms: Terms<'_>) -> f64 {
+            fn resum(&self, terms: Terms<'_>) -> Option<f64> {
                 self.eval.resum(terms)
             }
             fn context_stamp(&self, block: BlockId) -> Option<u64> {
@@ -1193,7 +1269,11 @@ mod tests {
         }
         let views: Vec<&[(tcms_ir::OpId, TimeFrame)]> =
             candidates.iter().map(|c| c.as_slice()).collect();
-        let batched = eval.force_batch(&frames, &views, &mut TermLog::default());
+        let batched = eval.force_batch(
+            &frames,
+            views.iter().copied().map(Candidate::Changes),
+            &mut TermLog::default(),
+        );
         assert_eq!(batched.len(), views.len());
         for (i, c) in views.iter().enumerate() {
             let scalar = eval.force(&frames, c);

@@ -22,15 +22,28 @@
 //!   [`tcms_ir::FrameTable`] change tracking), and
 //! * the evaluator's [`ForceEvaluator::context_stamp`] for that block.
 //!
-//! Next to each force the cache keeps the terms of its fold that the
-//! evaluator recorded ([`ForceEvaluator::force_batch`]): the
-//! displacements priced on a profile the stamp does not cover — in the
-//! modulo evaluator, the group profile `G_k` that other processes move.
-//! When both keys are unchanged since the pair was computed, a force
-//! without terms is reused as it is, and a force with terms is re-summed
-//! ([`ForceEvaluator::resum`]) against the live profiles: the same fold
-//! over the same operands, so bit-identical to a fresh evaluation, at the
-//! cost of one multiply-add per recorded displacement value.
+//! Next to each placement's force the cache keeps the record the
+//! evaluator made of its fold ([`ForceEvaluator::force_batch`]), and the
+//! *read mask* of the walk that produced its change set
+//! ([`narrowing_changes_into`]). A placement is then scored by the
+//! cheapest of three tiers:
+//!
+//! * **hit** — both keys are unchanged since the pair was computed: the
+//!   force is reused as it is, or re-summed ([`ForceEvaluator::resum`])
+//!   from the recorded displacements priced on a profile the stamp does
+//!   not cover (in the modulo evaluator, the group profile `G_k` that
+//!   other processes move) — the same fold over the same operands, so
+//!   bit-identical to a fresh evaluation;
+//! * **refold** — a key moved, but no op the placement's walk read has
+//!   moved since: its change set, and so the probability deltas the
+//!   record keeps, are the same, and the evaluator folds them again
+//!   against the live state ([`Candidate::Kept`]);
+//! * **fresh** — the walk read an op that moved (or there is no record):
+//!   walk the implied changes and build the deltas anew.
+//!
+//! Each commit drops the records of the committed block whose read mask
+//! meets the ops it moved; the implied changes of a pin never leave its
+//! block, so no other record can be affected.
 //! [`IfdsEngine::run_naive`] runs the identical selection loop without the
 //! cache and serves as the oracle: its outcome must match `run` exactly.
 //!
@@ -42,7 +55,8 @@
 //! path at every thread count: the pending pairs are cut into contiguous
 //! chunks and each chunk is scored by one [`ForceEvaluator::force_batch`]
 //! call — a single chunk inline at one thread, one chunk per pool thread
-//! when the sweep is large enough. `force_batch` takes `&self` and returns
+//! when the sweep walks enough placements. Chunks are cut by cost, a
+//! walked placement counting as much as several refolded ones. `force_batch` takes `&self` and returns
 //! per candidate exactly what a lone `force` call would, so the chunking
 //! never changes a value; the epsilon tie-break of the selection
 //! (`diff > best + 1e-12`) is *non-associative*, which is why pass 3 stays
@@ -65,7 +79,7 @@ use tcms_obs::{span, NoopRecorder, Recorder, TimelinePoint};
 
 use crate::config::RunBudget;
 use crate::error::{BudgetAxis, EngineError};
-use crate::evaluator::{ForceEvaluator, ForceTerm, TermLog, Terms};
+use crate::evaluator::{Candidate, ForceEvaluator, ForceTerm, TermLog, Terms};
 use crate::schedule::Schedule;
 
 /// Instrumentation counters of one engine run (or several merged ones).
@@ -84,6 +98,10 @@ pub struct IfdsStats {
     /// against the live profiles ([`ForceEvaluator::resum`]) rather than by
     /// reusing the cached values.
     pub resums: u64,
+    /// Placements (sides of the pairs in `ops_evaluated`) scored by
+    /// refolding their kept deltas instead of walking their implied
+    /// changes; the other `2 * ops_evaluated - refolds` sides were walked.
+    pub refolds: u64,
     /// Candidate force pairs that had to be recomputed although the cache
     /// was enabled (stamp moved). `ops_evaluated - cache_misses` pairs were
     /// computed with caching unavailable or disabled.
@@ -112,6 +130,7 @@ impl IfdsStats {
         self.ops_evaluated += other.ops_evaluated;
         self.cache_hits += other.cache_hits;
         self.resums += other.resums;
+        self.refolds += other.refolds;
         self.cache_misses += other.cache_misses;
         self.parallel_evals += other.parallel_evals;
         self.batched_evals += other.batched_evals;
@@ -141,6 +160,7 @@ impl IfdsStats {
         rec.counter_add("ifds.ops_evaluated", self.ops_evaluated);
         rec.counter_add("ifds.cache_hits", self.cache_hits);
         rec.counter_add("ifds.resums", self.resums);
+        rec.counter_add("ifds.refolds", self.refolds);
         rec.counter_add("ifds.cache_misses", self.cache_misses);
         rec.counter_add("ifds.parallel_evals", self.parallel_evals);
         rec.counter_add("ifds.batched_evals", self.batched_evals);
@@ -182,34 +202,67 @@ enum CandSource {
     Pending(usize),
 }
 
-/// One force pair awaiting evaluation: the op, its time frame, and the
-/// cache write-back key `(block generation, context stamp)` when the
-/// incremental cache is on.
-type PendingEval = (OpId, TimeFrame, Option<(u64, u64)>);
+/// One force pair awaiting evaluation.
+#[derive(Clone, Copy)]
+struct PendingEval {
+    op: OpId,
+    frame: TimeFrame,
+    /// Cache write-back key `(block generation, context stamp)` when the
+    /// incremental cache is on.
+    key: Option<(u64, u64)>,
+    /// Per side (ASAP end, ALAP end): refold the kept record instead of
+    /// walking.
+    kept: [bool; 2],
+}
 
-/// Buffers of one sweep chunk: the placements it scores, their change
-/// sets back to back (`ends[i]` closes the i-th), the resulting force
-/// pairs and the fold terms the evaluator recorded for them. Kept across
-/// iterations, so once they fit the first (largest) sweep the candidate
-/// sweep stops reallocating them — allocating them afresh every iteration
-/// left the threads' heaps fragmented.
+impl PendingEval {
+    /// Placements of the pair that walk.
+    fn walks(&self) -> usize {
+        self.kept.iter().filter(|&&kept| !kept).count()
+    }
+
+    /// Relative cost of scoring the pair: a refold costs about a fifth of
+    /// a walked placement.
+    fn cost(&self) -> usize {
+        2 + 4 * self.walks()
+    }
+}
+
+/// One placement of a sweep chunk.
+#[derive(Clone, Copy)]
+enum Side {
+    /// Walk the implied changes of pinning the op to a start time.
+    Walk(OpId, u32),
+    /// Refold the record kept in this cache slot.
+    Kept(usize),
+}
+
+/// Buffers of one sweep chunk: the placements it scores, the change sets
+/// of the walked ones back to back (`ends[i]` closes the i-th), and per
+/// placement its read mask, its force and the record the evaluator kept.
+/// Kept across iterations, so once they fit the first (largest) sweep the
+/// candidate sweep stops reallocating them — allocating them afresh every
+/// iteration left the threads' heaps fragmented.
 #[derive(Default)]
 struct ChunkBufs {
-    placements: Vec<(OpId, u32)>,
+    sides: Vec<Side>,
     changes: Vec<(OpId, TimeFrame)>,
     ends: Vec<usize>,
-    forces: Vec<(f64, f64)>,
+    reads: Vec<u64>,
+    forces: Vec<f64>,
     log: TermLog,
 }
 
 /// The candidate-force cache of one run. `entries[op]` holds the block
 /// frame generation and evaluator context stamp the pair was computed
-/// under, and the pair `(f_lo, f_hi)`; slots `2 * op` (ASAP end) and
-/// `2 * op + 1` (ALAP end) of `terms`/`xs` hold the fold terms recorded
-/// for each placement. The sentinel generation `u64::MAX` is unreachable
-/// (generations count frame mutations), so fresh entries never match.
+/// under, and the pair `(f_lo, f_hi)`. Slots `2 * op` (ASAP end) and
+/// `2 * op + 1` (ALAP end) of `reads`, `terms` and `xs` hold each
+/// placement's read mask and kept record; an empty record is not kept.
+/// The sentinel generation `u64::MAX` is unreachable (generations count
+/// frame mutations), so fresh entries never match.
 struct ForceCache {
     entries: Vec<(u64, u64, f64, f64)>,
+    reads: Vec<u64>,
     terms: Regions<ForceTerm>,
     xs: Regions<f64>,
 }
@@ -218,23 +271,93 @@ impl ForceCache {
     fn new(num_ops: usize) -> Self {
         ForceCache {
             entries: vec![(u64::MAX, u64::MAX, 0.0, 0.0); num_ops],
+            reads: vec![0; 2 * num_ops],
             terms: Regions::new(2 * num_ops),
             xs: Regions::new(2 * num_ops),
         }
     }
 
+    /// The record kept in `slot`.
+    fn record(&self, slot: usize) -> Terms<'_> {
+        Terms {
+            terms: self.terms.get(slot),
+            xs: self.xs.get(slot),
+        }
+    }
+
+    /// Whether `slot` keeps a record to refold.
+    fn is_kept(&self, slot: usize) -> bool {
+        !self.terms.get(slot).is_empty()
+    }
+
     /// The force of one placement of `op` (`side` 0: ASAP end, 1: ALAP
-    /// end) re-summed from its recorded terms, or `None` when none were
-    /// recorded and the cached value stands as it is.
+    /// end) re-summed from its record, or `None` when the cached value
+    /// stands as it is.
     fn resum<E: ForceEvaluator>(&self, eval: &E, op: OpId, side: usize) -> Option<f64> {
         let slot = 2 * op.index() + side;
-        let terms = self.terms.get(slot);
-        (!terms.is_empty()).then(|| {
-            eval.resum(Terms {
-                terms,
-                xs: self.xs.get(slot),
-            })
-        })
+        self.is_kept(slot)
+            .then(|| eval.resum(self.record(slot)))
+            .flatten()
+    }
+
+    /// Stores the record and read mask of `slot`.
+    fn keep(&mut self, slot: usize, record: Terms<'_>, read: u64) {
+        self.terms.set(slot, record.terms);
+        self.xs.set(slot, record.xs);
+        self.reads[slot] = read;
+    }
+
+    /// Overwrites, in the record kept in `slot`, the values of the entries
+    /// `fresh` lists: each of its entries in turn replaces the next kept
+    /// entry with the same key, start and length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry of `fresh` matches no kept entry in that order.
+    fn refresh(&mut self, slot: usize, fresh: Terms<'_>) {
+        let kept = self.terms.get(slot);
+        let xs = self.xs.get_mut(slot);
+        let (mut k, mut at) = (0, 0);
+        for (t, values) in fresh.iter() {
+            while kept[k] != *t {
+                at += kept[k].len as usize;
+                k += 1;
+            }
+            xs[at..at + values.len()].copy_from_slice(values);
+            at += values.len();
+            k += 1;
+        }
+    }
+
+    /// After the commit of `changes` (`frames` already updated): drops
+    /// every record of the committed block whose walk read an op that
+    /// moved, and gives up the space of ops that are now fixed. Implied
+    /// changes never leave the block of the op they start from, so no
+    /// other record is affected.
+    fn forget_moved(
+        &mut self,
+        system: &System,
+        changes: &[(OpId, TimeFrame)],
+        frames: &FrameTable,
+    ) {
+        let Some(&(first, _)) = changes.first() else {
+            return;
+        };
+        let moved = changes
+            .iter()
+            .fold(0, |m, &(q, _)| m | 1 << (system.topo_position(q) % 64));
+        for &q in system.block(system.op(first).block()).ops() {
+            let fixed = frames.get(q).is_fixed();
+            for slot in [2 * q.index(), 2 * q.index() + 1] {
+                if fixed {
+                    self.terms.release(slot);
+                    self.xs.release(slot);
+                } else if self.reads[slot] & moved != 0 {
+                    self.terms.set(slot, &[]);
+                    self.xs.set(slot, &[]);
+                }
+            }
+        }
     }
 }
 
@@ -266,6 +389,11 @@ impl<T: Copy> Regions<T> {
         &self.data[at as usize..(at + len) as usize]
     }
 
+    fn get_mut(&mut self, slot: usize) -> &mut [T] {
+        let (at, len, _) = self.slots[slot];
+        &mut self.data[at as usize..(at + len) as usize]
+    }
+
     fn set(&mut self, slot: usize, src: &[T]) {
         let (at, _, cap) = self.slots[slot];
         let len = u32::try_from(src.len()).expect("region fits u32");
@@ -281,6 +409,12 @@ impl<T: Copy> Regions<T> {
         let at = u32::try_from(self.data.len()).expect("arena fits u32");
         self.slots[slot] = (at, len, len);
         self.data.extend_from_slice(src);
+    }
+
+    /// Empties `slot` and gives its region up to the next compaction.
+    fn release(&mut self, slot: usize) {
+        self.live -= self.slots[slot].2 as usize;
+        self.slots[slot] = (0, 0, 0);
     }
 
     /// Moves every region down over the space left behind, in arena order.
@@ -372,65 +506,109 @@ impl<'a> IfdsEngine<'a> {
         placements: &[(OpId, u32)],
     ) -> Vec<f64> {
         let mut bufs = ChunkBufs::default();
-        bufs.placements.extend_from_slice(placements);
-        self.score(eval, &mut bufs)
+        bufs.sides
+            .extend(placements.iter().map(|&(o, t)| Side::Walk(o, t)));
+        self.score(eval, &ForceCache::new(0), &mut bufs);
+        bufs.forces
     }
 
-    /// Scores `bufs.placements` through one
-    /// [`ForceEvaluator::force_batch`] call, collecting their change
-    /// sets back to back and their fold terms in `bufs`.
-    fn score<E: ForceEvaluator>(&self, eval: &E, bufs: &mut ChunkBufs) -> Vec<f64> {
-        bufs.changes.clear();
-        bufs.ends.clear();
-        for &(o, t) in &bufs.placements {
-            let pin = TimeFrame::new(t, t);
-            narrowing_changes_into(self.system, &self.frames, o, pin, &mut bufs.changes);
-            bufs.ends.push(bufs.changes.len());
+    /// Scores `bufs.sides` through one [`ForceEvaluator::force_batch`]
+    /// call — walked placements as their change sets, the others as the
+    /// records `cache` keeps — into `bufs.forces`, with each placement's
+    /// read mask in `bufs.reads` and its record in `bufs.log`.
+    fn score<E: ForceEvaluator>(&self, eval: &E, cache: &ForceCache, bufs: &mut ChunkBufs) {
+        let ChunkBufs {
+            sides,
+            changes,
+            ends,
+            reads,
+            forces,
+            log,
+        } = bufs;
+        changes.clear();
+        ends.clear();
+        reads.clear();
+        for &side in sides.iter() {
+            reads.push(match side {
+                Side::Walk(o, t) => {
+                    let pin = TimeFrame::new(t, t);
+                    let read = narrowing_changes_into(self.system, &self.frames, o, pin, changes);
+                    ends.push(changes.len());
+                    read
+                }
+                Side::Kept(slot) => cache.reads[slot],
+            });
         }
-        let views: Vec<&[(OpId, TimeFrame)]> = bufs
-            .ends
-            .iter()
-            .scan(0, |start, &end| {
-                Some(&bufs.changes[std::mem::replace(start, end)..end])
-            })
-            .collect();
-        bufs.log.clear();
-        eval.force_batch(&self.frames, &views, &mut bufs.log)
+        log.clear();
+        let mut walked = ends.iter().scan(0, |start, &end| {
+            Some(&changes[std::mem::replace(start, end)..end])
+        });
+        let candidates = sides.iter().map(|&side| match side {
+            Side::Walk(..) => Candidate::Changes(walked.next().expect("one change set per walk")),
+            Side::Kept(slot) => Candidate::Kept(cache.record(slot)),
+        });
+        *forces = eval.force_batch(&self.frames, candidates, log);
+    }
+
+    /// Under the oracle feature in debug builds: every refolded placement
+    /// of `bufs` scored bitwise what [`ForceEvaluator::force`] returns for
+    /// a fresh walk of it.
+    #[cfg(all(debug_assertions, any(test, feature = "naive-oracle")))]
+    fn check_refolds<E: ForceEvaluator>(&self, eval: &E, bufs: &ChunkBufs) {
+        for (&side, &force) in bufs.sides.iter().zip(&bufs.forces) {
+            if let Side::Kept(slot) = side {
+                let op = OpId::from_index(slot / 2);
+                let fr = self.frames.get(op);
+                let t = if slot % 2 == 0 { fr.asap } else { fr.alap };
+                let fresh = eval.force(
+                    &self.frames,
+                    &self.implied_changes(op, TimeFrame::new(t, t)),
+                );
+                assert_eq!(
+                    force.to_bits(),
+                    fresh.to_bits(),
+                    "refold of {op} at {t} differs from a fresh walk"
+                );
+            }
+        }
     }
 
     /// Forces of the two extreme placements `(f_lo, f_hi)` of every
-    /// pending candidate, into `forces`: one batch per contiguous chunk of
-    /// `pending`, chunk `c` scored with `bufs[c]`. One chunk runs inline on
-    /// the calling thread; more run one per pool thread.
-    /// [`ForceEvaluator::force_batch`] returns what a lone `force` call
-    /// would for every candidate whatever the batch holds, so the chunking
-    /// never changes a value. Returns the pairs per chunk: pending pair `j`
-    /// was scored as pair `j % per` of chunk `j / per`, whose log holds
-    /// its terms.
+    /// pending candidate of a round: one batch per contiguous chunk of
+    /// `pending`,
+    /// chunk `c` covering `pending[bounds[c]..bounds[c + 1]]` and scored
+    /// with `bufs[c]`, whose `forces` and `log` hold its placements two
+    /// per pair. One chunk runs inline on the calling thread; more run one
+    /// per pool thread. [`ForceEvaluator::force_batch`] returns what a
+    /// lone `force` call would for every candidate whatever the batch
+    /// holds, so the chunking never changes a value.
     fn pair_forces<E: ForceEvaluator + Sync>(
         &self,
         eval: &E,
+        cache: &ForceCache,
         pending: &[PendingEval],
+        bounds: &[usize],
         bufs: &mut [ChunkBufs],
-        forces: &mut Vec<(f64, f64)>,
-    ) -> usize {
-        let per = pending.len().div_ceil(bufs.len()).max(1);
-        let chunks = pending.len().div_ceil(per);
-        rayon::par_chunks_mut(&mut bufs[..chunks], 1, |c, b| {
+    ) {
+        rayon::par_chunks_mut(&mut bufs[..bounds.len() - 1], 1, |c, b| {
             let b = &mut b[0];
-            b.placements.clear();
-            for &(o, fr, _) in &pending[c * per..pending.len().min((c + 1) * per)] {
-                b.placements.extend([(o, fr.asap), (o, fr.alap)]);
+            b.sides.clear();
+            for p in &pending[bounds[c]..bounds[c + 1]] {
+                b.sides
+                    .extend(
+                        [p.frame.asap, p.frame.alap]
+                            .into_iter()
+                            .zip(0..)
+                            .map(|(t, side)| match p.kept[side] {
+                                true => Side::Kept(2 * p.op.index() + side),
+                                false => Side::Walk(p.op, t),
+                            }),
+                    );
             }
-            let f = self.score(eval, b);
-            b.forces.clear();
-            b.forces.extend(f.chunks_exact(2).map(|p| (p[0], p[1])));
+            self.score(eval, cache, b);
+            #[cfg(all(debug_assertions, any(test, feature = "naive-oracle")))]
+            self.check_refolds(eval, b);
         });
-        forces.clear();
-        for b in &bufs[..chunks] {
-            forces.extend_from_slice(&b.forces);
-        }
-        per
     }
 
     /// Runs gradual time-frame reduction to completion and extracts the
@@ -510,12 +688,15 @@ impl<'a> IfdsEngine<'a> {
         let _reduce_span = span!(rec, "ifds.reduce", ops = self.scope_ops.len());
         let mut stats = IfdsStats::default();
         // Thread count is resolved once per run; 1 keeps the whole sweep
-        // inline. A chunk gets at least this many pairs: handing a thread
-        // fewer is slower than computing them on the caller (a broadcast
-        // costs a few microseconds, and each chunk rebuilds the
-        // evaluator's batch-wide intermediates).
+        // inline. A chunk gets at least this many walked placements:
+        // handing a thread fewer is slower than computing them on the
+        // caller (a broadcast costs a few microseconds, and each chunk
+        // rebuilds the evaluator's batch-wide intermediates). A refold
+        // costs about a fifth of a walked placement, so it weighs that
+        // much when the chunks are cut.
         let threads = rayon::current_num_threads();
-        const PAR_MIN_PAIRS: usize = 16;
+        const PAR_MIN_WALKS: usize = 32;
+        const ROUND_WALKS: usize = 64;
         if rec.enabled() {
             rec.gauge_set("ifds.threads", threads as f64);
         }
@@ -536,6 +717,7 @@ impl<'a> IfdsEngine<'a> {
         let mut cands: Vec<(OpId, CandSource)> = Vec::new();
         let mut to_eval: Vec<PendingEval> = Vec::new();
         let mut forces: Vec<(f64, f64)> = Vec::new();
+        let mut bounds: Vec<usize> = Vec::new();
         let mut chunk_bufs: Vec<ChunkBufs> = (0..threads).map(|_| ChunkBufs::default()).collect();
         let mut iterations = 0;
         let watchdog_armed = !self.budget.is_unlimited();
@@ -581,7 +763,8 @@ impl<'a> IfdsEngine<'a> {
             }
             let eval_started = Instant::now();
             // Pass 1 (sequential, scope order): consult the cache and
-            // collect the force pairs that actually need computing.
+            // collect the force pairs that actually need computing, each
+            // side marked for a refold while its record is kept.
             cands.clear();
             to_eval.clear();
             for &o in &self.scope_ops {
@@ -589,37 +772,43 @@ impl<'a> IfdsEngine<'a> {
                 if fr.is_fixed() {
                     continue;
                 }
-                let src = if incremental {
+                let ctx = if incremental {
                     let block = self.system.op(o).block();
-                    match eval.context_stamp(block) {
-                        Some(ctx) => {
-                            let gen = block_gen[block.index()];
-                            let (g, c, f_lo, f_hi) = cache.entries[o.index()];
-                            if g == gen && c == ctx {
-                                stats.cache_hits += 1;
-                                let lo = cache.resum(&*eval, o, 0);
-                                let hi = cache.resum(&*eval, o, 1);
-                                if lo.is_some() || hi.is_some() {
-                                    stats.resums += 1;
-                                }
-                                CandSource::Cached(lo.unwrap_or(f_lo), hi.unwrap_or(f_hi))
-                            } else {
-                                stats.cache_misses += 1;
-                                stats.ops_evaluated += 1;
-                                to_eval.push((o, fr, Some((gen, ctx))));
-                                CandSource::Pending(to_eval.len() - 1)
-                            }
-                        }
-                        None => {
-                            stats.ops_evaluated += 1;
-                            to_eval.push((o, fr, None));
-                            CandSource::Pending(to_eval.len() - 1)
-                        }
-                    }
+                    eval.context_stamp(block)
+                        .map(|ctx| (block_gen[block.index()], ctx))
                 } else {
-                    stats.ops_evaluated += 1;
-                    to_eval.push((o, fr, None));
-                    CandSource::Pending(to_eval.len() - 1)
+                    None
+                };
+                let src = match ctx {
+                    Some(key)
+                        if (cache.entries[o.index()].0, cache.entries[o.index()].1) == key =>
+                    {
+                        let (_, _, f_lo, f_hi) = cache.entries[o.index()];
+                        stats.cache_hits += 1;
+                        let lo = cache.resum(&*eval, o, 0);
+                        let hi = cache.resum(&*eval, o, 1);
+                        if lo.is_some() || hi.is_some() {
+                            stats.resums += 1;
+                        }
+                        CandSource::Cached(lo.unwrap_or(f_lo), hi.unwrap_or(f_hi))
+                    }
+                    _ => {
+                        let kept =
+                            [0, 1].map(|side| ctx.is_some() && cache.is_kept(2 * o.index() + side));
+                        let pending = PendingEval {
+                            op: o,
+                            frame: fr,
+                            key: ctx,
+                            kept,
+                        };
+                        if ctx.is_some() {
+                            stats.cache_misses += 1;
+                        }
+                        stats.ops_evaluated += 1;
+                        stats.refolds += (2 - pending.walks()) as u64;
+                        to_eval.push(pending);
+                        CandSource::Pending(to_eval.len() - 1)
+                    }
                 };
                 cands.push((o, src));
             }
@@ -627,51 +816,82 @@ impl<'a> IfdsEngine<'a> {
             // through `force_batch`, so the evaluator shares candidate-
             // independent intermediates (delta scratch, sibling profiles,
             // per-op removal tables) across a whole chunk: one chunk at one
-            // thread, one chunk per thread when the sweep is big enough to
-            // pay for the fan-out. Only the *fold* order below matters for
+            // thread, one chunk per thread when the sweep walks enough
+            // placements to pay for the fan-out, cut into equal costs. A
+            // sweep that walks more than a round's worth of placements (the
+            // first iterations, before anything is kept) runs in rounds, so
+            // the chunks' logs hold a round's records at most. Each round
+            // is written back into the cache before the next, here on the
+            // engine thread. Only the selection fold of pass 3 matters for
             // the tie-break, and it does not depend on the chunking.
-            let mut per = 0;
+            forces.clear();
             if incremental {
-                let chunks = threads.min(to_eval.len() / PAR_MIN_PAIRS).max(1);
                 stats.batched_evals += to_eval.len() as u64;
-                if chunks > 1 {
-                    stats.parallel_evals += to_eval.len() as u64;
+                let mut start = 0;
+                while start < to_eval.len() {
+                    let mut end = start;
+                    let mut walks = 0;
+                    while end < to_eval.len() && walks < ROUND_WALKS {
+                        walks += to_eval[end].walks();
+                        end += 1;
+                    }
+                    let round = &to_eval[start..end];
+                    start = end;
+                    let chunks = threads.min(walks / PAR_MIN_WALKS).max(1);
+                    if chunks > 1 {
+                        stats.parallel_evals += round.len() as u64;
+                    }
+                    let total: usize = round.iter().map(PendingEval::cost).sum();
+                    bounds.clear();
+                    bounds.push(0);
+                    let mut acc = 0;
+                    for (j, p) in round.iter().enumerate() {
+                        acc += p.cost();
+                        if acc * chunks >= total * bounds.len() && bounds.len() < chunks {
+                            bounds.push(j + 1);
+                        }
+                    }
+                    bounds.push(round.len());
+                    self.pair_forces(&*eval, &cache, round, &bounds, &mut chunk_bufs);
+                    for (c, b) in chunk_bufs.iter().enumerate().take(chunks) {
+                        for (i, p) in round[bounds[c]..bounds[c + 1]].iter().enumerate() {
+                            let (f_lo, f_hi) = (b.forces[2 * i], b.forces[2 * i + 1]);
+                            forces.push((f_lo, f_hi));
+                            let Some((gen, ctx)) = p.key else { continue };
+                            cache.entries[p.op.index()] = (gen, ctx, f_lo, f_hi);
+                            for side in 0..2 {
+                                let slot = 2 * p.op.index() + side;
+                                let record = b.log.candidate(2 * i + side);
+                                if p.kept[side] {
+                                    cache.refresh(slot, record);
+                                } else {
+                                    cache.keep(slot, record, b.reads[2 * i + side]);
+                                }
+                            }
+                        }
+                    }
                 }
-                per = self.pair_forces(&*eval, &to_eval, &mut chunk_bufs[..chunks], &mut forces);
             } else {
                 // The oracle: one scalar `force` per placement, inline.
-                forces.clear();
-                forces.extend(to_eval.iter().map(|&(o, fr, _)| {
+                forces.extend(to_eval.iter().map(|p| {
                     let at = |t| {
-                        eval.force(&self.frames, &self.implied_changes(o, TimeFrame::new(t, t)))
+                        eval.force(
+                            &self.frames,
+                            &self.implied_changes(p.op, TimeFrame::new(t, t)),
+                        )
                     };
-                    (at(fr.asap), at(fr.alap))
+                    (at(p.frame.asap), at(p.frame.alap))
                 }));
             }
-            // Pass 3 (sequential, scope order): cache write-back and the
-            // selection fold. The epsilon tie-break is non-associative, so
-            // this fold must run in scope order on one thread — that is
-            // what keeps the parallel run bit-identical to the sequential
-            // loop. The write-back copies each pair's recorded terms out of
-            // its chunk's log into the cache's arenas, here on the engine
-            // thread.
+            // Pass 3 (sequential, scope order): the selection fold. The
+            // epsilon tie-break is non-associative, so this fold must run in
+            // scope order on one thread — that is what keeps the parallel
+            // run bit-identical to the sequential loop.
             let mut best: Option<(f64, OpId, bool)> = None;
             for &(o, src) in &cands {
                 let (f_lo, f_hi) = match src {
                     CandSource::Cached(f_lo, f_hi) => (f_lo, f_hi),
-                    CandSource::Pending(j) => {
-                        let (f_lo, f_hi) = forces[j];
-                        if let Some((gen, ctx)) = to_eval[j].2 {
-                            cache.entries[o.index()] = (gen, ctx, f_lo, f_hi);
-                            let log = &chunk_bufs[j / per].log;
-                            for side in 0..2 {
-                                let terms = log.candidate(2 * (j % per) + side);
-                                cache.terms.set(2 * o.index() + side, terms.terms);
-                                cache.xs.set(2 * o.index() + side, terms.xs);
-                            }
-                        }
-                        (f_lo, f_hi)
-                    }
+                    CandSource::Pending(j) => forces[j],
                 };
                 let diff = (f_lo - f_hi).abs();
                 // Shorten at the side with the higher force; on a tie keep
@@ -700,9 +920,8 @@ impl<'a> IfdsEngine<'a> {
                 self.frames.set(q, f);
             }
             if incremental {
-                for &(q, _) in &changes {
-                    block_gen[self.system.op(q).block().index()] = self.frames.generation();
-                }
+                block_gen[self.system.op(o).block().index()] = self.frames.generation();
+                cache.forget_moved(self.system, &changes, &self.frames);
             }
             let commit_elapsed = commit_started.elapsed();
             stats.commit_time += commit_elapsed;
@@ -757,7 +976,106 @@ mod tests {
     use crate::config::{FdsConfig, SpringWeights};
     use crate::evaluator::ClassicEvaluator;
     use tcms_ir::generators::{add_ewf_process, paper_library};
-    use tcms_ir::{ResourceLibrary, ResourceType, SystemBuilder};
+    use tcms_ir::{ResourceLibrary, ResourceType, ResourceTypeId, SystemBuilder};
+
+    /// The classical force model with kept records: each candidate keeps
+    /// its per-`(block, type)` probability deltas, as the modulo evaluator
+    /// does, and a kept record is refolded against the live distributions.
+    /// The fold is the classical one over the same operands, so every
+    /// force is bitwise [`ClassicEvaluator::force`]'s — which the engine
+    /// checks for every refold in test builds.
+    struct Refolding<'a> {
+        inner: ClassicEvaluator<'a>,
+        system: &'a System,
+        config: FdsConfig,
+    }
+
+    impl<'a> Refolding<'a> {
+        fn new(system: &'a System, scope: &[BlockId]) -> Self {
+            let config = FdsConfig::default();
+            Refolding {
+                inner: ClassicEvaluator::new(system, scope, config.clone()),
+                system,
+                config,
+            }
+        }
+
+        fn pair(&self, key: u32) -> (BlockId, ResourceTypeId) {
+            let types = self.system.library().len();
+            let key = key as usize;
+            (
+                BlockId::from_index(key / types),
+                ResourceTypeId::from_index(key % types),
+            )
+        }
+    }
+
+    impl ForceEvaluator for Refolding<'_> {
+        fn force(&self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) -> f64 {
+            self.inner.force(frames, changed)
+        }
+
+        fn force_batch<'c>(
+            &self,
+            frames: &FrameTable,
+            candidates: impl IntoIterator<Item = Candidate<'c>>,
+            log: &mut TermLog,
+        ) -> Vec<f64> {
+            let types = self.system.library().len();
+            let mut out = Vec::new();
+            for candidate in candidates {
+                let mut keys: Vec<u32> = Vec::new();
+                let mut deltas: Vec<Vec<f64>> = Vec::new();
+                match candidate {
+                    Candidate::Changes(changed) => {
+                        for &(o, nf) in changed {
+                            let op = self.system.op(o);
+                            let key =
+                                (op.block().index() * types + op.resource_type().index()) as u32;
+                            let i = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
+                                keys.push(key);
+                                let len = self.system.block(op.block()).time_range();
+                                deltas.push(vec![0.0; len as usize]);
+                                keys.len() - 1
+                            });
+                            let occ = self.system.occupancy(o);
+                            crate::prob::accumulate(&mut deltas[i], nf, occ, 1.0);
+                            crate::prob::accumulate(&mut deltas[i], frames.get(o), occ, -1.0);
+                        }
+                    }
+                    Candidate::Kept(kept) => {
+                        for (t, x) in kept.iter() {
+                            keys.push(t.key);
+                            deltas.push(x.to_vec());
+                        }
+                    }
+                }
+                let mut total = 0.0;
+                for (&key, x) in keys.iter().zip(&deltas) {
+                    let (b, k) = self.pair(key);
+                    let w = self.config.spring_weights.weight(self.system.library(), k);
+                    let d = self.inner.distributions().get(b, k);
+                    total = crate::slab::force_sum(total, d, x, w, self.config.lookahead);
+                    log.push(key, 0, x);
+                }
+                log.close();
+                out.push(total);
+            }
+            out
+        }
+
+        fn resum(&self, _: Terms<'_>) -> Option<f64> {
+            None
+        }
+
+        fn commit(&mut self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) {
+            self.inner.commit(frames, changed);
+        }
+
+        fn context_stamp(&self, block: BlockId) -> Option<u64> {
+            self.inner.context_stamp(block)
+        }
+    }
 
     fn two_adder_block() -> (System, BlockId, Vec<OpId>) {
         let mut lib = ResourceLibrary::new();
@@ -910,6 +1228,10 @@ mod tests {
         assert_eq!(r.get(2), &[9]);
     }
 
+    /// Both evaluators, at every thread count, schedule bit-identically:
+    /// the chunking never changes a value, and neither does refolding
+    /// kept records (the refolding run does refold, and each refold is
+    /// checked against a fresh walk).
     #[test]
     fn chunked_sweep_is_bit_identical_at_every_thread_count() {
         let (lib, types) = paper_library();
@@ -918,28 +1240,135 @@ mod tests {
         let (_, b2) = add_ewf_process(&mut b, "P2", 22, types).unwrap();
         let sys = b.build().unwrap();
         let scope = vec![b1, b2];
-        let run = |threads| {
+        let run = |threads, refold: bool| {
             rayon::set_num_threads(threads);
-            let mut eval = ClassicEvaluator::new(&sys, &scope, FdsConfig::default());
-            let out = IfdsEngine::new(&sys, scope.clone()).run(&mut eval).unwrap();
+            let engine = IfdsEngine::new(&sys, scope.clone());
+            let out = if refold {
+                engine.run(&mut Refolding::new(&sys, &scope))
+            } else {
+                engine.run(&mut ClassicEvaluator::new(
+                    &sys,
+                    &scope,
+                    FdsConfig::default(),
+                ))
+            };
             rayon::set_num_threads(0);
-            out
+            out.unwrap()
         };
-        let reference = run(1);
+        let reference = run(1, false);
         assert_eq!(
             reference.stats.parallel_evals, 0,
             "one thread never fans out"
         );
-        for threads in [2, 3, 4] {
-            let out = run(threads);
-            assert_eq!(out, reference, "threads = {threads}");
-            assert_eq!(out.schedule.starts(), reference.schedule.starts());
-            assert!(
-                out.stats.parallel_evals > 0,
-                "threads = {threads}: the 68-op sweep must be split over the pool"
-            );
-            assert_eq!(out.stats.batched_evals, out.stats.ops_evaluated);
+        assert_eq!(
+            reference.stats.refolds, 0,
+            "the classic model keeps nothing"
+        );
+        for threads in [1, 2, 3, 4] {
+            for refold in [false, true] {
+                let out = run(threads, refold);
+                assert_eq!(out, reference, "threads = {threads}, refold = {refold}");
+                assert_eq!(out.schedule.starts(), reference.schedule.starts());
+                assert_eq!(out.stats.ops_evaluated, reference.stats.ops_evaluated);
+                assert_eq!(out.stats.batched_evals, out.stats.ops_evaluated);
+                if threads > 1 {
+                    assert!(
+                        out.stats.parallel_evals > 0,
+                        "threads = {threads}: the 68-op sweep must be split over the pool"
+                    );
+                }
+                if refold {
+                    assert!(out.stats.refolds > 0, "threads = {threads}: no refold");
+                    assert!(out.stats.refolds < 2 * out.stats.ops_evaluated);
+                }
+            }
         }
+    }
+
+    /// A commit that moves an op a placement's walk read but did not
+    /// change — here an op that absorbed the narrowing — drops that
+    /// placement's record, so it is walked again rather than refolded.
+    #[test]
+    fn commit_drops_records_whose_walk_read_a_moved_op() {
+        let mut lib = ResourceLibrary::new();
+        let add = lib.add(ResourceType::new("add", 1)).unwrap();
+        let mut b = SystemBuilder::new(lib);
+        let p = b.add_process("p");
+        let blk = b.add_block(p, "b", 6).unwrap();
+        let op = |b: &mut SystemBuilder, name| b.add_op(blk, name, add).unwrap();
+        // a -> x -> y -> z bounds a to [0, 2]; e -> f -> g -> s and
+        // a -> s hold s at 3 or later, so pinning a at 2 leaves s alone.
+        let [a, x, y, z, e, f, g, s] =
+            ["a", "x", "y", "z", "e", "f", "g", "s"].map(|n| op(&mut b, n));
+        for (from, to) in [(a, x), (x, y), (y, z), (e, f), (f, g), (g, s), (a, s)] {
+            b.add_dep(from, to).unwrap();
+        }
+        let sys = b.build().unwrap();
+        let mut frames = FrameTable::initial(&sys);
+        assert_eq!(
+            (frames.get(a), frames.get(s)),
+            (TimeFrame::new(0, 2), TimeFrame::new(3, 5))
+        );
+
+        let mut cache = ForceCache::new(sys.num_ops());
+        let mut walk = Vec::new();
+        let read = narrowing_changes_into(&sys, &frames, a, TimeFrame::new(2, 2), &mut walk);
+        assert_eq!(walk.iter().map(|c| c.0).collect::<Vec<_>>(), [a, x, y, z]);
+        let alap_side = 2 * a.index() + 1;
+        let record = [ForceTerm {
+            key: 0,
+            lo: 0,
+            len: 1,
+        }];
+        cache.keep(
+            alap_side,
+            Terms {
+                terms: &record,
+                xs: &[1.0],
+            },
+            read,
+        );
+
+        // Moving z, which the walk changed, drops the record ...
+        let commit = narrowing_changes(&sys, &frames, z, TimeFrame::new(4, 4));
+        let mut after = frames.clone();
+        for &(q, fr) in &commit {
+            after.set(q, fr);
+        }
+        let mut dropped = ForceCache::new(sys.num_ops());
+        dropped.keep(
+            alap_side,
+            Terms {
+                terms: &record,
+                xs: &[1.0],
+            },
+            read,
+        );
+        dropped.forget_moved(&sys, &commit, &after);
+        assert!(!dropped.is_kept(alap_side));
+
+        // ... and so does moving s, which the walk only read.
+        let commit = narrowing_changes(&sys, &frames, s, TimeFrame::new(4, 5));
+        assert_eq!(commit, [(s, TimeFrame::new(4, 5))], "only s moves");
+        for &(q, fr) in &commit {
+            frames.set(q, fr);
+        }
+        cache.forget_moved(&sys, &commit, &frames);
+        assert!(!cache.is_kept(alap_side), "the walk read s, which moved");
+        let mut rewalk = Vec::new();
+        narrowing_changes_into(&sys, &frames, a, TimeFrame::new(2, 2), &mut rewalk);
+        assert_eq!(rewalk, walk, "here the walk still implies the same changes");
+
+        // A whole run on this block refolds, and matches the oracle.
+        let scope = vec![blk];
+        let cached = IfdsEngine::new(&sys, scope.clone())
+            .run(&mut Refolding::new(&sys, &scope))
+            .unwrap();
+        let naive = IfdsEngine::new(&sys, scope.clone())
+            .run_naive(&mut Refolding::new(&sys, &scope))
+            .unwrap();
+        assert_eq!(cached, naive);
+        assert!(cached.stats.refolds > 0);
     }
 
     #[test]

@@ -27,59 +27,73 @@ use crate::prob;
 /// block, except for profiles a force reads through recorded terms. As
 /// long as the stamp of a block is unchanged, a force for a change rooted
 /// in that block is reproduced bit for bit either by its cached value —
-/// when [`ForceEvaluator::force_batch`] recorded no terms for it —
-/// or by [`ForceEvaluator::resum`] over the terms it recorded. Evaluators
-/// that cannot provide this guarantee return `None` from `context_stamp`
-/// (the default), which disables caching.
+/// when [`ForceEvaluator::resum`] finds nothing to re-sum in the record
+/// [`ForceEvaluator::force_batch`] kept for it — or by the re-sum.
+///
+/// A record may also keep the candidate's probability deltas. Those
+/// depend only on the frames its change set was walked from, so while
+/// none of those frames moves, the record is scored again as
+/// [`Candidate::Kept`] — against the live state, whatever the stamp —
+/// instead of walking the change set again. Evaluators that cannot
+/// provide the stamp guarantee return `None` from `context_stamp` (the
+/// default), which disables caching.
 pub trait ForceEvaluator {
     /// Force of tentatively applying `changed` on top of `frames`.
     /// Lower is better; negative values reduce expected concurrency.
     fn force(&self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) -> f64;
 
-    /// Batched evaluation: the forces of several candidate change sets
-    /// against the *same* committed state, in order, with the terms of
-    /// each candidate's force fold recorded into `log` (one
-    /// [`TermLog::close`] per candidate, also for candidates with no
-    /// terms).
+    /// Batched evaluation: the forces of several candidates against the
+    /// *same* committed state, in order, with the record of each
+    /// candidate's fold kept in `log` (one [`TermLog::close`] per
+    /// candidate, also for candidates with an empty record).
     ///
-    /// Must return exactly what [`ForceEvaluator::force`] would return for
-    /// each candidate (bit-identically) — implementations may only share
-    /// state-dependent intermediates across candidates, never change the
-    /// per-candidate arithmetic. The engine's candidate sweep scores every
-    /// candidate through this entry point; evaluators with expensive state
-    /// folds (the modulo evaluator's sibling-block slot maxima) amortize
-    /// them across the batch. Terms let a cached force be re-summed with
+    /// A candidate is a change set, or a record this evaluator kept in an
+    /// earlier batch for a change set that `frames` still implies
+    /// unchanged. The record of a kept candidate only refreshes it: each
+    /// of its entries replaces the values of the next kept entry with the
+    /// same key, start and length, and the kept entries it does not list
+    /// stand. Must return exactly what [`ForceEvaluator::force`]
+    /// would return for each change set (bit-identically) —
+    /// implementations may only share state-dependent intermediates
+    /// across candidates, never change the per-candidate arithmetic. The
+    /// engine's candidate sweep scores every candidate through this entry
+    /// point; evaluators with expensive state folds (the modulo
+    /// evaluator's sibling-block slot maxima) amortize them across the
+    /// batch. A record lets a cached force be re-summed with
     /// [`ForceEvaluator::resum`] when a profile outside the context stamp
-    /// moved. The default computes each candidate independently and
-    /// records no terms, so every cached force is reused as it is.
-    fn force_batch(
+    /// moved, and be refolded as [`Candidate::Kept`] when the stamp moved.
+    /// The default computes each change set independently and keeps empty
+    /// records, so every cached force is reused as it is and no kept
+    /// candidate is ever passed in.
+    fn force_batch<'c>(
         &self,
         frames: &FrameTable,
-        candidates: &[&[(OpId, TimeFrame)]],
+        candidates: impl IntoIterator<Item = Candidate<'c>>,
         log: &mut TermLog,
     ) -> Vec<f64> {
         candidates
-            .iter()
+            .into_iter()
             .map(|c| {
                 log.close();
-                self.force(frames, c)
+                self.force(frames, c.changes())
             })
             .collect()
     }
 
-    /// Replays the recorded terms of one candidate against the live
-    /// profiles. Called only with non-empty terms this evaluator recorded,
-    /// and only while the candidate's frame generation and context stamp
-    /// are those it was recorded under; must then return exactly what
-    /// [`ForceEvaluator::force`] would.
+    /// Replays the record of one candidate against the live profiles.
+    /// Called only with non-empty records this evaluator kept, and only
+    /// while the candidate's frame generation and context stamp are those
+    /// it was kept under. Returns `None` when the record prices nothing
+    /// outside the stamp, so the cached force stands; otherwise exactly
+    /// what [`ForceEvaluator::force`] would return.
     ///
     /// # Panics
     ///
-    /// The default panics: an evaluator that records no terms is never
+    /// The default panics: an evaluator that keeps no records is never
     /// asked to re-sum them.
-    fn resum(&self, terms: Terms<'_>) -> f64 {
+    fn resum(&self, terms: Terms<'_>) -> Option<f64> {
         let _ = terms;
-        unreachable!("this evaluator records no force terms")
+        unreachable!("this evaluator keeps no force records")
     }
 
     /// Commits `changed`. `frames` is the state *before* the change; the
@@ -104,25 +118,48 @@ pub trait ForceEvaluator {
     }
 }
 
-/// One recorded term of a force fold. The evaluator that recorded it
-/// replays it as `force_sum(total, &profile[lo..], x, w_k, lookahead)`
-/// ([`crate::slab::force_sum`]), where `profile` is the live profile
-/// `key` names, `w_k` the spring weight of its type and `x` the `len`
-/// displacement values stored with it.
+/// One candidate of a [`ForceEvaluator::force_batch`] call.
+#[derive(Debug, Clone, Copy)]
+pub enum Candidate<'a> {
+    /// A change set, walked from the committed frames.
+    Changes(&'a [(OpId, TimeFrame)]),
+    /// The record the evaluator kept for a change set in an earlier
+    /// batch, passed only while every frame that walk read is unmoved.
+    Kept(Terms<'a>),
+}
+
+impl<'a> Candidate<'a> {
+    /// The change set of a [`Candidate::Changes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a kept record: only evaluators that keep records are
+    /// handed them back.
+    pub fn changes(self) -> &'a [(OpId, TimeFrame)] {
+        match self {
+            Candidate::Changes(changed) => changed,
+            Candidate::Kept(_) => unreachable!("this evaluator keeps no force records"),
+        }
+    }
+}
+
+/// One entry of a kept force record: a displacement (or probability
+/// delta) over a profile. The evaluator that recorded it decides what
+/// `key` names and how it replays the entry; the engine only stores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForceTerm {
-    /// Evaluator-defined name of the profile the term is priced on.
+    /// Evaluator-defined name of the profile the entry is priced on.
     pub key: u32,
-    /// First profile step the displacement covers.
+    /// First profile step the values cover.
     pub lo: u32,
-    /// Number of displacement values.
+    /// Number of values.
     pub len: u32,
 }
 
-/// The fold terms of a sequence of candidates, back to back: each
-/// candidate's [`ForceTerm`]s in fold order, and their displacement
-/// values concatenated in the same order. Cleared and refilled per batch,
-/// so its buffers keep their capacity.
+/// The records of a sequence of candidates, back to back: each
+/// candidate's [`ForceTerm`]s in fold order, and their values
+/// concatenated in the same order. Cleared and refilled per batch, so its
+/// buffers keep their capacity.
 #[derive(Debug, Clone, Default)]
 pub struct TermLog {
     terms: Vec<ForceTerm>,
@@ -139,22 +176,25 @@ impl TermLog {
         self.ends.clear();
     }
 
-    /// Appends a term with displacement `x` to the open candidate.
-    pub fn push(&mut self, key: u32, lo: usize, x: &[f64]) {
+    /// Appends an entry with values `x` to the open candidate and returns
+    /// the stored values, for callers that finish them in place.
+    pub fn push(&mut self, key: u32, lo: usize, x: &[f64]) -> &mut [f64] {
         self.terms.push(ForceTerm {
             key,
             lo: u32::try_from(lo).expect("profile step fits u32"),
-            len: u32::try_from(x.len()).expect("displacement length fits u32"),
+            len: u32::try_from(x.len()).expect("value count fits u32"),
         });
+        let at = self.xs.len();
         self.xs.extend_from_slice(x);
+        &mut self.xs[at..]
     }
 
-    /// Closes the open candidate: the terms pushed since the last close.
+    /// Closes the open candidate: the entries pushed since the last close.
     pub fn close(&mut self) {
         self.ends.push((self.terms.len(), self.xs.len()));
     }
 
-    /// The terms of closed candidate `i`.
+    /// The record of closed candidate `i`.
     pub fn candidate(&self, i: usize) -> Terms<'_> {
         let (t0, x0) = if i == 0 { (0, 0) } else { self.ends[i - 1] };
         let (t1, x1) = self.ends[i];
@@ -165,18 +205,18 @@ impl TermLog {
     }
 }
 
-/// The recorded terms of one candidate: its [`ForceTerm`]s in fold order
-/// and their displacement values back to back.
+/// The record of one candidate: its [`ForceTerm`]s in fold order and
+/// their values back to back.
 #[derive(Debug, Clone, Copy)]
 pub struct Terms<'a> {
-    /// The terms, in fold order.
+    /// The entries, in fold order.
     pub terms: &'a [ForceTerm],
-    /// The displacement values of `terms`, concatenated.
+    /// The values of `terms`, concatenated.
     pub xs: &'a [f64],
 }
 
 impl<'a> Terms<'a> {
-    /// Each term with its displacement values, in fold order.
+    /// Each entry with its values, in fold order.
     pub fn iter(&self) -> impl Iterator<Item = (&'a ForceTerm, &'a [f64])> + 'a {
         let xs = self.xs;
         self.terms.iter().scan(0, move |at, t| {
@@ -313,33 +353,35 @@ impl ForceEvaluator for ClassicEvaluator<'_> {
     /// Batched scoring sharing the delta scratch buffers across
     /// candidates; the per-candidate arithmetic is identical to
     /// [`ForceEvaluator::force`], so the results are bit-identical. The
-    /// stamp covers every input, so no terms are recorded.
-    fn force_batch(
+    /// stamp covers every input, so the records stay empty and nothing is
+    /// ever refolded.
+    fn force_batch<'c>(
         &self,
         frames: &FrameTable,
-        candidates: &[&[(OpId, TimeFrame)]],
+        candidates: impl IntoIterator<Item = Candidate<'c>>,
         log: &mut TermLog,
     ) -> Vec<f64> {
         let mut keys = Vec::new();
         let mut bufs = Vec::new();
-        let mut out = Vec::with_capacity(candidates.len());
-        for &changed in candidates {
-            self.deltas_into(frames, changed, &mut keys, &mut bufs);
-            let mut total = 0.0;
-            for (i, &(b, k)) in keys.iter().enumerate() {
-                let w = self.config.spring_weights.weight(self.system.library(), k);
-                total = crate::slab::force_sum(
-                    total,
-                    self.dist.get(b, k),
-                    &bufs[i],
-                    w,
-                    self.config.lookahead,
-                );
-            }
-            log.close();
-            out.push(total);
-        }
-        out
+        candidates
+            .into_iter()
+            .map(|c| {
+                self.deltas_into(frames, c.changes(), &mut keys, &mut bufs);
+                let mut total = 0.0;
+                for (i, &(b, k)) in keys.iter().enumerate() {
+                    let w = self.config.spring_weights.weight(self.system.library(), k);
+                    total = crate::slab::force_sum(
+                        total,
+                        self.dist.get(b, k),
+                        &bufs[i],
+                        w,
+                        self.config.lookahead,
+                    );
+                }
+                log.close();
+                total
+            })
+            .collect()
     }
 
     fn commit(&mut self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) {

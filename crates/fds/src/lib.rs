@@ -63,7 +63,7 @@ pub mod threads {
 pub use config::{FdsConfig, RunBudget, SpringWeights};
 pub use engine::{IfdsEngine, IfdsOutcome, IfdsStats};
 pub use error::{BudgetAxis, EngineError};
-pub use evaluator::{ClassicEvaluator, ForceEvaluator, ForceTerm, TermLog, Terms};
+pub use evaluator::{Candidate, ClassicEvaluator, ForceEvaluator, ForceTerm, TermLog, Terms};
 pub use schedule::{Schedule, ScheduleError};
 
 use tcms_ir::{BlockId, System};

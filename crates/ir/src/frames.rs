@@ -244,6 +244,18 @@ pub fn narrowing_changes(
 /// kept and ignored), so callers collecting many change sets can keep
 /// them in one buffer.
 ///
+/// Returns the walk's *read mask*: bit `topo_position % 64` is set for
+/// `op` and for every neighbour whose frame the walk examined, changed or
+/// not. The changes are a function of the frames of these ops alone, so
+/// while none of them moves, the same call lists the same changes; ops
+/// of a block sharing a bit only make the mask more conservative.
+///
+/// The walk keeps no state between calls but a per-thread scratch
+/// indexed by topological position (frames stamped per walk, and bitsets
+/// of the pending and the changed positions), so it allocates nothing
+/// once the scratch fits the largest block. The changes come out of the
+/// changed bitset in topological order.
+///
 /// # Panics
 ///
 /// Same as [`narrowing_changes`].
@@ -253,81 +265,176 @@ pub fn narrowing_changes_into(
     op: OpId,
     frame: TimeFrame,
     out: &mut Vec<(OpId, TimeFrame)>,
-) {
+) -> u64 {
     let current = frames.get(op);
     assert!(
         current.intersect(frame) == Some(frame),
         "pinned frame must be within the current frame"
     );
     if frame == current {
-        return;
+        return read_bit(system.topo_position(op));
     }
-    let start = out.len();
-    out.push((op, frame));
-    let mut pending = Vec::new();
-    if frame.asap > current.asap {
-        pending.push(op);
-        while let Some(q) = pop_extreme(system, &mut pending, true) {
-            let earliest = frame_in(frames, &out[start..], q).asap + system.delay(q);
-            for &s in system.succs(q) {
-                let f = frame_in(frames, &out[start..], s);
-                if earliest > f.asap {
-                    set_in(out, start, s, TimeFrame::new(earliest, f.alap));
-                    if !pending.contains(&s) {
-                        pending.push(s);
+    WALK.with(|walk| {
+        walk.borrow_mut()
+            .narrow(system, frames, op, frame, current, out)
+    })
+}
+
+/// Bit of the topological position `pos` in a read mask.
+#[inline]
+fn read_bit(pos: usize) -> u64 {
+    1 << (pos % 64)
+}
+
+thread_local! {
+    /// The scratch of [`narrowing_changes_into`] on this thread.
+    static WALK: std::cell::RefCell<WalkScratch> = std::cell::RefCell::default();
+}
+
+/// Reused state of one narrowing walk, indexed by topological position
+/// within the walked block.
+#[derive(Default)]
+struct WalkScratch {
+    /// Stamp of the current walk; a position's entry in `frames` belongs
+    /// to this walk only if it carries this stamp.
+    stamp: u32,
+    /// The new frame of each changed position, with the stamp of the walk
+    /// that set it.
+    frames: Vec<(u32, TimeFrame)>,
+    /// Positions still to relax. Empty between walks.
+    pending: Vec<u64>,
+    /// Positions whose frame this walk changed. Empty between walks.
+    changed: Vec<u64>,
+}
+
+impl WalkScratch {
+    /// Walks the narrowing of `op` from `current` to `frame` and appends
+    /// the changes to `out` in topological order; returns the read mask.
+    fn narrow(
+        &mut self,
+        system: &System,
+        frames: &FrameTable,
+        op: OpId,
+        frame: TimeFrame,
+        current: TimeFrame,
+        out: &mut Vec<(OpId, TimeFrame)>,
+    ) -> u64 {
+        let order = system.topo_order(system.op(op).block());
+        if self.frames.len() < order.len() {
+            self.frames.resize(order.len(), (0, frame));
+            self.pending.resize(order.len().div_ceil(64), 0);
+            self.changed.resize(order.len().div_ceil(64), 0);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.frames.fill((0, frame));
+            self.stamp = 1;
+        }
+        let at = system.topo_position(op);
+        let mut read = read_bit(at);
+        self.set(at, frame);
+        if frame.asap > current.asap {
+            // Forward: raise the earliest starts of the descendants, in
+            // topological order — the lowest pending position next, and
+            // successors always sit above the op that reaches them.
+            self.pending[at / 64] |= 1 << (at % 64);
+            let mut word = at / 64;
+            while let Some(q_at) = next_up(&mut self.pending, &mut word) {
+                let q = order[q_at];
+                let earliest = self.get(frames, q_at, q).asap + system.delay(q);
+                for &s in system.succs(q) {
+                    let s_at = system.topo_position(s);
+                    read |= read_bit(s_at);
+                    let f = self.get(frames, s_at, s);
+                    if earliest > f.asap {
+                        self.set(s_at, TimeFrame::new(earliest, f.alap));
+                        self.pending[s_at / 64] |= 1 << (s_at % 64);
                     }
                 }
             }
         }
-    }
-    if frame.alap < current.alap {
-        pending.push(op);
-        while let Some(q) = pop_extreme(system, &mut pending, false) {
-            let bound = frame_in(frames, &out[start..], q).alap;
-            for &p in system.preds(q) {
-                let f = frame_in(frames, &out[start..], p);
-                let latest = bound
-                    .checked_sub(system.delay(p))
-                    .expect("narrowing a consistent frame stays feasible");
-                if latest < f.alap {
-                    set_in(out, start, p, TimeFrame::new(f.asap, latest));
-                    if !pending.contains(&p) {
-                        pending.push(p);
+        if frame.alap < current.alap {
+            // Backward: lower the latest starts of the ancestors, in
+            // reverse topological order.
+            self.pending[at / 64] |= 1 << (at % 64);
+            let mut word = at / 64;
+            while let Some(q_at) = next_down(&mut self.pending, &mut word) {
+                let q = order[q_at];
+                let bound = self.get(frames, q_at, q).alap;
+                for &p in system.preds(q) {
+                    let p_at = system.topo_position(p);
+                    read |= read_bit(p_at);
+                    let f = self.get(frames, p_at, p);
+                    let latest = bound
+                        .checked_sub(system.delay(p))
+                        .expect("narrowing a consistent frame stays feasible");
+                    if latest < f.alap {
+                        self.set(p_at, TimeFrame::new(f.asap, latest));
+                        self.pending[p_at / 64] |= 1 << (p_at % 64);
                     }
                 }
             }
         }
+        for (w, bits) in self.changed.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let pos = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out.push((order[pos], self.frames[pos].1));
+            }
+        }
+        read
     }
-    out[start..].sort_unstable_by_key(|&(q, _)| system.topo_position(q));
-}
 
-/// The frame of `q` with the changes collected so far applied.
-fn frame_in(frames: &FrameTable, changes: &[(OpId, TimeFrame)], q: OpId) -> TimeFrame {
-    changes
-        .iter()
-        .find(|c| c.0 == q)
-        .map_or_else(|| frames.get(q), |c| c.1)
-}
+    /// The frame of the op `q` at position `pos` with this walk's changes
+    /// applied.
+    #[inline]
+    fn get(&self, frames: &FrameTable, pos: usize, q: OpId) -> TimeFrame {
+        match self.frames[pos] {
+            (stamp, f) if stamp == self.stamp => f,
+            _ => frames.get(q),
+        }
+    }
 
-/// Records `q`'s new frame in the changes `out[start..]`, replacing an
-/// earlier change of `q`.
-fn set_in(out: &mut Vec<(OpId, TimeFrame)>, start: usize, q: OpId, f: TimeFrame) {
-    match out[start..].iter_mut().find(|c| c.0 == q) {
-        Some(c) => c.1 = f,
-        None => out.push((q, f)),
+    /// Records `f` as the new frame of position `pos`.
+    #[inline]
+    fn set(&mut self, pos: usize, f: TimeFrame) {
+        self.frames[pos] = (self.stamp, f);
+        self.changed[pos / 64] |= 1 << (pos % 64);
     }
 }
 
-/// Removes and returns the pending op first (`earliest`) or last in
-/// topological order.
-fn pop_extreme(system: &System, pending: &mut Vec<OpId>, earliest: bool) -> Option<OpId> {
-    let key = |q: &OpId| system.topo_position(*q);
-    let at = if earliest {
-        (0..pending.len()).min_by_key(|&i| key(&pending[i]))?
-    } else {
-        (0..pending.len()).max_by_key(|&i| key(&pending[i]))?
-    };
-    Some(pending.swap_remove(at))
+/// Clears and returns the lowest set position of `bits` at or above word
+/// `*word`, advancing `*word` to it.
+#[inline]
+fn next_up(bits: &mut [u64], word: &mut usize) -> Option<usize> {
+    while *word < bits.len() {
+        let w = bits[*word];
+        if w != 0 {
+            bits[*word] = w & (w - 1);
+            return Some(*word * 64 + w.trailing_zeros() as usize);
+        }
+        *word += 1;
+    }
+    None
+}
+
+/// Clears and returns the highest set position of `bits` at or below word
+/// `*word`, moving `*word` down to it.
+#[inline]
+fn next_down(bits: &mut [u64], word: &mut usize) -> Option<usize> {
+    loop {
+        let w = bits[*word];
+        if w != 0 {
+            let b = 63 - w.leading_zeros() as usize;
+            bits[*word] = w & !(1 << b);
+            return Some(*word * 64 + b);
+        }
+        if *word == 0 {
+            return None;
+        }
+        *word -= 1;
+    }
 }
 
 /// Recomputes consistent frames for all operations of `block`, treating
@@ -494,6 +601,37 @@ mod tests {
                 (ops[1], TimeFrame::new(1, 1))
             ]
         );
+    }
+
+    /// The read mask covers the pinned op and every neighbour the walk
+    /// examined, including one that absorbs the narrowing unchanged.
+    #[test]
+    fn read_mask_covers_absorbing_neighbours() {
+        let mut lib = ResourceLibrary::new();
+        let add = lib.add(ResourceType::new("add", 1)).unwrap();
+        let mul = lib.add(ResourceType::new("mul", 2).pipelined()).unwrap();
+        let mut b = SystemBuilder::new(lib);
+        let p = b.add_process("p");
+        let blk = b.add_block(p, "b", 8).unwrap();
+        // a(1) -> c(1) <- m(2): c cannot start before 2 anyway.
+        let a = b.add_op(blk, "a", add).unwrap();
+        let m = b.add_op(blk, "m", mul).unwrap();
+        let c = b.add_op(blk, "c", add).unwrap();
+        b.add_dep(a, c).unwrap();
+        b.add_dep(m, c).unwrap();
+        let sys = b.build().unwrap();
+        let ft = FrameTable::initial(&sys);
+        assert_eq!(ft.get(c), TimeFrame::new(2, 7));
+        let bit = |o: OpId| 1u64 << sys.topo_position(o);
+        let mut out = Vec::new();
+        let read = narrowing_changes_into(&sys, &ft, a, TimeFrame::new(1, 1), &mut out);
+        assert_eq!(out, vec![(a, TimeFrame::new(1, 1))], "c absorbs a at 1");
+        assert_eq!(read, bit(a) | bit(c));
+        // Pinning c late reads both predecessors and changes both.
+        out.clear();
+        let read = narrowing_changes_into(&sys, &ft, c, TimeFrame::new(2, 2), &mut out);
+        assert_eq!(read, bit(a) | bit(m) | bit(c));
+        assert_eq!(out.len(), 3);
     }
 
     #[test]

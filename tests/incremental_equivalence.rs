@@ -18,7 +18,9 @@
 //!    their recorded terms are covered here too: with all types global,
 //!    with one type local (local terms interleaved with global ones),
 //!    and with frozen external baselines seeding `G_k`, as the
-//!    partitioned scheduler runs the engine.
+//!    partitioned scheduler runs the engine. So are placements refolded
+//!    from their kept deltas: the engine checks each refold bitwise
+//!    against a fresh walk in these (debug) builds.
 //!
 //! Random systems come from `tcms::ir::generators::random_system`;
 //! commit sequences are random single-op frame shrinks propagated with
@@ -28,7 +30,7 @@
 use proptest::prelude::*;
 
 use tcms::fds::dist::DistributionSet;
-use tcms::fds::{ClassicEvaluator, FdsConfig, ForceEvaluator, TermLog};
+use tcms::fds::{Candidate, ClassicEvaluator, FdsConfig, ForceEvaluator, TermLog};
 use tcms::ir::generators::{random_system, RandomSystemConfig};
 use tcms::ir::{FrameTable, OpId, System, TimeFrame};
 use tcms::modulo::{ExternalOccupancy, ModuloEvaluator, ModuloScheduler, SharingSpec};
@@ -272,7 +274,11 @@ proptest! {
         }
         let views: Vec<&[(OpId, TimeFrame)]> =
             candidates.iter().map(|c| c.as_slice()).collect();
-        let batched = eval.force_batch(&frames, &views, &mut TermLog::default());
+        let batched = eval.force_batch(
+            &frames,
+            views.iter().copied().map(Candidate::Changes),
+            &mut TermLog::default(),
+        );
         prop_assert_eq!(batched.len(), views.len());
         for (i, cand) in views.iter().enumerate() {
             let scalar = eval.force(&frames, cand);
@@ -317,6 +323,7 @@ proptest! {
             external.set(k, profile);
         }
 
+        let mut refolds = 0;
         for (spec, external) in [(spec.clone(), none.clone()), (mixed, none), (spec, external)] {
             let run = |naive: bool| {
                 let scheduler = ModuloScheduler::new(&system, spec.clone())
@@ -335,7 +342,13 @@ proptest! {
             prop_assert!(cached.stats.ops_evaluated <= naive.stats.ops_evaluated);
             prop_assert!(cached.stats.resums <= cached.stats.cache_hits);
             prop_assert_eq!(naive.stats.cache_hits, 0);
+            // Refolds (each checked bitwise against a fresh walk in debug
+            // builds) score placements of evaluated pairs only.
+            prop_assert!(cached.stats.refolds <= 2 * cached.stats.ops_evaluated);
+            prop_assert_eq!(naive.stats.refolds, 0);
+            refolds += cached.stats.refolds;
         }
+        prop_assert!(refolds > 0, "seed {}: no placement was refolded", seed);
     }
 }
 
