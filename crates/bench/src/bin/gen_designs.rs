@@ -7,8 +7,9 @@
 //! Without flags, rewrites `designs/paper_table1.dfg` from the paper
 //! generator — the historical behavior. With any sizing flag, emits a
 //! seeded synthetic multi-process design of roughly `N` operations
-//! spread over `P` processes (the inputs the partition-scaling study
-//! consumes). The same flags always produce the same bytes.
+//! spread over `P` processes (the large-design inputs of the CI
+//! `large-design` step and of the scaling measurements). The same flags
+//! always produce the same bytes.
 
 use tcms_bench::workload::scaling_config;
 use tcms_ir::generators::random_system;

@@ -6,10 +6,9 @@
 //! `--trace`/`--timeline` are prefixed with the child's name
 //! (`trace.json` → `repro_table1.trace.json`) so the children do not
 //! overwrite each other's sink files. The harness-style binaries
-//! (`repro_force_kernel`, `repro_replay`, `repro_chaos`,
-//! `repro_partition_scaling`) take their own flag sets, so forwarded
-//! observability flags are stripped for them and the defaults listed in
-//! `EXTRA_ARGS` are appended instead.
+//! (`repro_force_kernel`, `repro_replay`, `repro_chaos`) take their own
+//! flag sets, so they run with their defaults and get no forwarded
+//! flags.
 
 use std::path::Path;
 use std::process::Command;
@@ -29,21 +28,11 @@ const TARGETS: &[&str] = &[
     "repro_force_kernel",
     "repro_replay",
     "repro_chaos",
-    "repro_partition_scaling",
 ];
 
 /// Targets with their own flag vocabulary: observability flags are not
 /// forwarded to them (an unknown flag is a hard error in every child).
-const RAW_TARGETS: &[&str] = &[
-    "repro_force_kernel",
-    "repro_replay",
-    "repro_chaos",
-    "repro_partition_scaling",
-];
-
-/// Default arguments appended to raw targets so the full harness stays
-/// one-shot-sized (each binary still runs its full study standalone).
-const EXTRA_ARGS: &[(&str, &[&str])] = &[("repro_partition_scaling", &["--quick"])];
+const RAW_TARGETS: &[&str] = &["repro_force_kernel", "repro_replay", "repro_chaos"];
 
 /// Prefixes the file name of an observability sink path with the target
 /// name, keeping any directory components.
@@ -63,14 +52,10 @@ fn per_target_path(target: &str, path: &str) -> String {
 }
 
 /// Rewrites `--trace`/`--timeline` file arguments for one child; raw
-/// targets get only their `EXTRA_ARGS` defaults.
+/// targets get none.
 fn args_for(target: &str, forwarded: &[String]) -> Vec<String> {
     if RAW_TARGETS.contains(&target) {
-        return EXTRA_ARGS
-            .iter()
-            .find(|(t, _)| *t == target)
-            .map(|(_, extra)| extra.iter().map(|a| (*a).to_owned()).collect())
-            .unwrap_or_default();
+        return Vec::new();
     }
     let mut out = Vec::with_capacity(forwarded.len());
     let mut it = forwarded.iter();

@@ -36,7 +36,7 @@ use tcms_obs::NoopRecorder;
 use tcms_serve::fleet::sync;
 use tcms_serve::{
     schedule_request, Client, ExecContext, FleetConfig, RetryPolicy, ScheduleOptions, ServeClient,
-    ServeConfig, Server, DEFAULT_AUTO_PARTITION_OPS,
+    ServeConfig, Server,
 };
 
 /// Reserves `n` distinct loopback ports by bind-and-drop, so the fleet
@@ -114,7 +114,6 @@ fn oneshot(design: &str) -> String {
         budget: tcms_fds::RunBudget::UNLIMITED,
         rec: &NoopRecorder,
         fault_marker: false,
-        auto_partition_ops: DEFAULT_AUTO_PARTITION_OPS,
     };
     schedule_request(
         design,

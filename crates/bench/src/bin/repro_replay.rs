@@ -101,9 +101,6 @@ fn one_shot(line: &str) -> Outcome {
         budget: RunBudget::UNLIMITED,
         rec: &NoopRecorder,
         fault_marker: false,
-        // Match the replay daemons' ServeConfig default so auto-routing
-        // decisions (and thus response bytes) line up.
-        auto_partition_ops: tcms_serve::DEFAULT_AUTO_PARTITION_OPS,
     };
     let wire = |e: &tcms_serve::ServeError| Outcome::Err(e.class().to_owned(), e.code());
     match parse_request(line) {
@@ -134,7 +131,7 @@ struct RunResult {
 }
 
 /// Replays `lines` against a fresh daemon with `workers` workers and
-/// `REPLAY_CLIENTS` concurrent clients (round-robin partition), checking
+/// `REPLAY_CLIENTS` concurrent clients (lines dealt round-robin), checking
 /// every deterministic response against `expected`.
 fn replay(
     lines: &[String],

@@ -19,7 +19,6 @@
 //! | `repro_figure2` | Figure 2: unmodified vs. modified force ratings |
 //! | `repro_period_sweep` | §3.2 period trade-off curve |
 //! | `repro_scope_ablation` | per-type local/global ablation of step (S1) |
-//! | `repro_partition_scaling` | partitioned vs monolithic scheduling (DESIGN §13) |
 //!
 //! Criterion benches (`cargo bench -p tcms-bench`) measure the scheduling
 //! runtimes the paper reports alongside Table 1, the FDS-vs-IFDS baseline

@@ -12,8 +12,9 @@ use tcms_serve::ScheduleOptions;
 
 /// Sizes the layered-DAG generator so the expected op count lands near
 /// `ops` over `processes` processes: each layer draws 3..=5 ops (mean 4)
-/// per process. Shared by `gen_designs` and the partition-scaling study
-/// so both produce the same specs for the same sizing flags.
+/// per process. Shared by `gen_designs` and the tests that build the
+/// large-design specs, so both produce the same specs for the same
+/// sizing flags.
 #[must_use]
 pub fn scaling_config(ops: usize, processes: usize) -> RandomSystemConfig {
     let per_process = ops.div_ceil(processes).max(1);

@@ -183,25 +183,6 @@ impl SharingSpec {
     ///
     /// See [`CoreError`]; the first violation found is returned.
     pub fn validate(&self, system: &System) -> Result<(), CoreError> {
-        self.validate_impl(system, false)
-    }
-
-    /// Like [`SharingSpec::validate`], but accepts singleton sharing
-    /// groups. Partition shards legitimately hold a single local member of
-    /// a group whose remaining users live in other partitions (they enter
-    /// the force model as frozen external occupancy), so the
-    /// [`CoreError::GroupTooSmall`] screen does not apply there. All other
-    /// checks — zero periods, duplicates, non-users, grid overflow —
-    /// remain in force.
-    ///
-    /// # Errors
-    ///
-    /// See [`CoreError`]; the first violation found is returned.
-    pub fn validate_relaxed(&self, system: &System) -> Result<(), CoreError> {
-        self.validate_impl(system, true)
-    }
-
-    fn validate_impl(&self, system: &System, allow_singletons: bool) -> Result<(), CoreError> {
         for (k, rt) in system.library().iter() {
             let Scope::Global { group, period } = &self.scopes[k.index()] else {
                 continue;
@@ -211,7 +192,7 @@ impl SharingSpec {
                     rtype: rt.name().to_owned(),
                 });
             }
-            if group.len() < if allow_singletons { 1 } else { 2 } {
+            if group.len() < 2 {
                 return Err(CoreError::GroupTooSmall {
                     rtype: rt.name().to_owned(),
                 });
@@ -310,31 +291,6 @@ mod tests {
         assert!(matches!(
             spec.validate(&sys),
             Err(CoreError::GroupTooSmall { .. })
-        ));
-    }
-
-    #[test]
-    fn relaxed_validation_accepts_singletons_but_not_empties() {
-        let (sys, t) = paper_system().unwrap();
-        let mut spec = SharingSpec::all_local(&sys);
-        spec.set_global(t.add, vec![sys.process_ids().next().unwrap()], 5);
-        assert!(matches!(
-            spec.validate(&sys),
-            Err(CoreError::GroupTooSmall { .. })
-        ));
-        spec.validate_relaxed(&sys).unwrap();
-        let mut empty = SharingSpec::all_local(&sys);
-        empty.set_global(t.add, Vec::new(), 5);
-        assert!(matches!(
-            empty.validate_relaxed(&sys),
-            Err(CoreError::GroupTooSmall { .. })
-        ));
-        // Other screens still apply under relaxation.
-        let mut zero = SharingSpec::all_local(&sys);
-        zero.set_global(t.add, sys.users_of_type(t.add), 0);
-        assert!(matches!(
-            zero.validate_relaxed(&sys),
-            Err(CoreError::ZeroPeriod { .. })
         ));
     }
 

@@ -21,7 +21,7 @@ use tcms_ir::{BlockId, FrameTable, OpId, ResourceTypeId, System, TimeFrame};
 use tcms_obs::{Recorder, TimelinePoint};
 
 use crate::assign::SharingSpec;
-use crate::field::{ExternalOccupancy, ModuloField};
+use crate::field::ModuloField;
 
 /// Force evaluator implementing the two-part modification of the IFDS
 /// algorithm. Plugs into [`tcms_fds::IfdsEngine`].
@@ -82,20 +82,6 @@ impl<'a> ModuloEvaluator<'a> {
         config: FdsConfig,
         frames: &FrameTable,
     ) -> Self {
-        let external = ExternalOccupancy::empty(system.library().len());
-        Self::with_external(system, spec, config, frames, external)
-    }
-
-    /// Builds the evaluator with frozen cross-partition baselines seeding
-    /// the group profiles (see [`ExternalOccupancy`]); an empty occupancy
-    /// reproduces [`ModuloEvaluator::new`] bit-for-bit.
-    pub fn with_external(
-        system: &'a System,
-        spec: SharingSpec,
-        config: FdsConfig,
-        frames: &FrameTable,
-        external: ExternalOccupancy,
-    ) -> Self {
         let op_meta = system
             .op_ids()
             .map(|o| {
@@ -107,7 +93,7 @@ impl<'a> ModuloEvaluator<'a> {
         ModuloEvaluator {
             system,
             config,
-            field: ModuloField::with_external(system, spec, frames, external),
+            field: ModuloField::new(system, spec, frames),
             counter: 0,
             block_epoch: vec![0; system.num_blocks()],
             proc_epoch: vec![0; system.num_processes()],
@@ -126,12 +112,7 @@ impl<'a> ModuloEvaluator<'a> {
     /// `naive-oracle` feature.
     #[cfg(any(test, feature = "naive-oracle"))]
     pub fn force_naive(&self, frames: &FrameTable, changed: &[(OpId, TimeFrame)]) -> f64 {
-        let rebuilt = ModuloField::with_external(
-            self.system,
-            self.field.spec().clone(),
-            frames,
-            self.field.external().clone(),
-        );
+        let rebuilt = ModuloField::new(self.system, self.field.spec().clone(), frames);
         self.force_with_field(&rebuilt, frames, changed)
     }
 

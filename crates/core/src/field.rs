@@ -61,62 +61,11 @@ impl Layer {
     }
 }
 
-/// Frozen foreign usage of global resource types, expressed as one
-/// period-length profile per type: slot `τ` holds the (integer-valued, but
-/// stored as `f64`) number of instances of type `k` that processes *outside*
-/// this field's system occupy in slot `τ` of every period.
-///
-/// Partitioned scheduling (`tcms-core`'s `partition` module) freezes the
-/// merged grant profiles of all other partitions into this shape, so a
-/// partition's force model prices displacement against cross-partition usage
-/// exactly like usage of its own group members: the baseline seeds the group
-/// fold `G_k` and therefore raises [`ModuloField::group_peak`] wherever
-/// foreign processes are already busy.
-///
-/// An empty occupancy (no profiles set) reproduces the monolithic field
-/// bit-for-bit — the group fold then starts from zero exactly as before.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExternalOccupancy {
-    /// `profiles[k]`: baseline for resource type of index `k`, length ρ_k.
-    profiles: Vec<Option<Vec<f64>>>,
-}
-
-impl ExternalOccupancy {
-    /// An occupancy with no external usage for any of `num_types` types.
-    pub fn empty(num_types: usize) -> Self {
-        ExternalOccupancy {
-            profiles: vec![None; num_types],
-        }
-    }
-
-    /// Sets the baseline profile (length = the type's period ρ) for `rtype`.
-    pub fn set(&mut self, rtype: ResourceTypeId, profile: Vec<f64>) {
-        if self.profiles.len() <= rtype.index() {
-            self.profiles.resize(rtype.index() + 1, None);
-        }
-        self.profiles[rtype.index()] = Some(profile);
-    }
-
-    /// The baseline profile for `rtype`, if one was set.
-    pub fn get(&self, rtype: ResourceTypeId) -> Option<&[f64]> {
-        self.profiles.get(rtype.index()).and_then(|p| p.as_deref())
-    }
-
-    /// `true` if no type carries a (non-zero) baseline.
-    pub fn is_empty(&self) -> bool {
-        self.profiles
-            .iter()
-            .all(|p| p.as_ref().is_none_or(|v| v.iter().all(|&x| x == 0.0)))
-    }
-}
-
 /// Incrementally maintained distributions for the modified force model.
 #[derive(Debug, Clone)]
 pub struct ModuloField<'a> {
     system: &'a System,
     spec: SharingSpec,
-    /// Frozen cross-partition baselines seeding the group fold.
-    external: ExternalOccupancy,
     dist: DistributionSet,
     /// `periods[k]`: ρ of a globally shared type, 0 for local types
     /// (cached off the spec — the hot paths must not chase spec lookups).
@@ -135,24 +84,6 @@ pub struct ModuloField<'a> {
 impl<'a> ModuloField<'a> {
     /// Builds the field from the initial time frames.
     pub fn new(system: &'a System, spec: SharingSpec, frames: &FrameTable) -> Self {
-        let external = ExternalOccupancy::empty(system.library().len());
-        Self::with_external(system, spec, frames, external)
-    }
-
-    /// Builds the field with frozen external baselines seeding the group
-    /// fold (see [`ExternalOccupancy`]). With an empty occupancy this is
-    /// exactly [`ModuloField::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a baseline profile exists for a global type but its length
-    /// is not the type's period.
-    pub fn with_external(
-        system: &'a System,
-        spec: SharingSpec,
-        frames: &FrameTable,
-        external: ExternalOccupancy,
-    ) -> Self {
         let num_types = system.library().len();
         let dist = DistributionSet::build(system, frames);
         let mut periods = vec![0u32; num_types];
@@ -164,9 +95,6 @@ impl<'a> ModuloField<'a> {
                 continue;
             };
             let rho = rho as usize;
-            if let Some(base) = external.get(k) {
-                assert_eq!(base.len(), rho, "external baseline must cover one period");
-            }
             periods[k.index()] = rho as u32;
             for &p in spec.group(k).expect("global") {
                 for &b in system.process(p).blocks() {
@@ -179,7 +107,6 @@ impl<'a> ModuloField<'a> {
         let mut field = ModuloField {
             system,
             spec,
-            external,
             dist,
             periods,
             dhat,
@@ -206,11 +133,6 @@ impl<'a> ModuloField<'a> {
     /// The sharing specification driving this field.
     pub fn spec(&self) -> &SharingSpec {
         &self.spec
-    }
-
-    /// The frozen external baselines seeding the group fold.
-    pub fn external(&self) -> &ExternalOccupancy {
-        &self.external
     }
 
     /// The classical per-block distributions.
@@ -301,15 +223,12 @@ impl<'a> ModuloField<'a> {
         }
     }
 
-    /// Refolds `G_k` from the group's `M_p` profiles (sum in group order),
-    /// seeded with the frozen external baseline when one is set.
+    /// Refolds `G_k` from the group's `M_p` profiles (zero-seeded sum in
+    /// group order).
     fn fold_group(&mut self, rtype: ResourceTypeId) {
         let rho = self.slot_count(rtype);
         let acc = self.gdist.slice_mut(rtype.index(), rho);
-        match self.external.get(rtype) {
-            Some(base) => acc.copy_from_slice(base),
-            None => acc.fill(0.0),
-        }
+        acc.fill(0.0);
         for &p in self.spec.group(rtype).expect("global") {
             let mkey = p.index() * self.periods.len() + rtype.index();
             let m = self
@@ -460,9 +379,9 @@ impl<'a> ModuloField<'a> {
             if *m & MPROC_DIRTY == 0 {
                 continue;
             }
-            // Per-slot replay of `fold_group` (baseline-seeded sum in
-            // group order).
-            let mut v = self.external.get(rtype).map_or(0.0f64, |base| base[slot]);
+            // Per-slot replay of `fold_group` (zero-seeded sum in group
+            // order).
+            let mut v = 0.0f64;
             for &p in self.spec.group(rtype).expect("global") {
                 let off = self.mproc.off[p.index() * nt + rtype.index()] as usize;
                 v += self.mproc.data[off + slot];
@@ -603,79 +522,6 @@ mod tests {
             let rebuilt = ModuloField::new(&sys, spec.clone(), &frames);
             for (a, b) in field.group_profile(k).iter().zip(rebuilt.group_profile(k)) {
                 assert!((a - b).abs() < 1e-9, "gdist drifted from rebuild");
-            }
-        }
-    }
-
-    #[test]
-    fn external_baseline_seeds_group_fold() {
-        let (sys, t) = paper_system().unwrap();
-        let spec = SharingSpec::all_global(&sys, 5);
-        let frames = FrameTable::initial(&sys);
-        let plain = ModuloField::new(&sys, spec.clone(), &frames);
-        let mut ext = ExternalOccupancy::empty(sys.library().len());
-        ext.set(t.mul, vec![2.0, 0.0, 1.0, 0.0, 3.0]);
-        let seeded = ModuloField::with_external(&sys, spec, &frames, ext);
-        let base = [2.0, 0.0, 1.0, 0.0, 3.0];
-        for (slot, &b) in base.iter().enumerate() {
-            let expect = b + plain.group_profile(t.mul)[slot];
-            let got = seeded.group_profile(t.mul)[slot];
-            assert!((got - expect).abs() < 1e-12, "slot {slot}");
-        }
-        // Types without a baseline are untouched bit-for-bit.
-        assert_eq!(plain.group_profile(t.add), seeded.group_profile(t.add));
-        assert!(seeded.group_peak(t.mul) >= plain.group_peak(t.mul));
-    }
-
-    #[test]
-    fn empty_external_is_bit_identical_to_new() {
-        let (sys, t) = paper_system().unwrap();
-        let spec = SharingSpec::all_global(&sys, 5);
-        let frames = FrameTable::initial(&sys);
-        let plain = ModuloField::new(&sys, spec.clone(), &frames);
-        let ext = ExternalOccupancy::empty(sys.library().len());
-        assert!(ext.is_empty());
-        let seeded = ModuloField::with_external(&sys, spec, &frames, ext);
-        for k in [t.add, t.mul] {
-            assert_eq!(
-                plain
-                    .group_profile(k)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                seeded
-                    .group_profile(k)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn external_survives_apply_delta_replay() {
-        // The dirty-region group replay must stay bit-identical to a full
-        // baseline-seeded refold after a committed delta.
-        let (sys, t) = paper_system().unwrap();
-        let spec = SharingSpec::all_global(&sys, 5);
-        let mut frames = FrameTable::initial(&sys);
-        let mut ext = ExternalOccupancy::empty(sys.library().len());
-        ext.set(t.add, vec![1.0, 2.0, 0.0, 1.0, 0.0]);
-        let mut field = ModuloField::with_external(&sys, spec.clone(), &frames, ext.clone());
-        let block = sys.block_ids().next().unwrap();
-        let op = sys.block(block).ops()[0];
-        let fr = frames.get(op);
-        let nf = tcms_ir::TimeFrame::new(fr.asap, fr.asap);
-        let len = sys.block(block).time_range() as usize;
-        let mut delta = vec![0.0; len];
-        tcms_fds::prob::accumulate(&mut delta, nf, sys.occupancy(op), 1.0);
-        tcms_fds::prob::accumulate(&mut delta, fr, sys.occupancy(op), -1.0);
-        field.apply_delta(block, sys.op(op).resource_type(), &delta);
-        frames.set(op, nf);
-        let rebuilt = ModuloField::with_external(&sys, spec, &frames, ext);
-        for k in [t.add, t.mul] {
-            for (a, b) in field.group_profile(k).iter().zip(rebuilt.group_profile(k)) {
-                assert!((a - b).abs() < 1e-9, "replay drifted from seeded refold");
             }
         }
     }

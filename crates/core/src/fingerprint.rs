@@ -27,48 +27,23 @@
 //! resubmission of the same design replays to a verified-valid schedule
 //! without an IFDS run.
 
+use std::convert::Infallible;
+
 use tcms_fds::{FdsConfig, Schedule, SpringWeights};
 use tcms_ir::canon::{Canonicalization, Fnv64};
 use tcms_ir::System;
 
 use crate::assign::{Scope, SharingSpec};
-use crate::partition::{PartitionConfig, PartitionCount};
 
 /// Stable 64-bit fingerprint of everything the schedule depends on
 /// besides the design itself: the sharing specification (in canonical
 /// type/process coordinates) and the deterministic [`FdsConfig`] knobs.
-///
-/// Equivalent to [`config_fingerprint_with`] with no partitioning —
-/// the two produce identical fingerprints for monolithic runs, so
-/// snapshots written before partitioned results became cacheable stay
-/// warm.
 #[must_use]
 pub fn config_fingerprint(
     system: &System,
     canon: &Canonicalization,
     spec: &SharingSpec,
     config: &FdsConfig,
-) -> u64 {
-    config_fingerprint_with(system, canon, spec, config, None)
-}
-
-/// [`config_fingerprint`] extended with the partition configuration.
-///
-/// Feedback-guided partitioned runs ([`crate::schedule_partitioned`])
-/// are deterministic functions of the design *and* the partition knobs
-/// (subgraph count policy, partitioner seed, feedback-round cap, verify
-/// seeds, polish passes), so those knobs must separate cache entries:
-/// the same design scheduled monolithically, partitioned into K=2 and
-/// partitioned into K=4 are three distinct content addresses. `None`
-/// serializes exactly like the original v1 text, keeping pre-existing
-/// monolithic fingerprints (and on-disk snapshots) valid.
-#[must_use]
-pub fn config_fingerprint_with(
-    system: &System,
-    canon: &Canonicalization,
-    spec: &SharingSpec,
-    config: &FdsConfig,
-    partition: Option<&PartitionConfig>,
 ) -> u64 {
     let mut text = String::from("tcms-config v1\n");
     // Scopes in canonical type order, groups in canonical process order:
@@ -100,23 +75,23 @@ pub fn config_fingerprint_with(
         "max_iterations={:?} max_evals={:?}\n",
         config.budget.max_iterations, config.budget.max_evals
     ));
-    // Partition knobs, only when partitioning is requested: the `None`
-    // text stays byte-identical to the pre-partition v1 format so
-    // monolithic fingerprints (and persisted snapshots) are unchanged.
-    if let Some(p) = partition {
-        let count = match p.count {
-            PartitionCount::Auto => "auto".to_owned(),
-            PartitionCount::Fixed(k) => k.to_string(),
-        };
-        text.push_str(&format!(
-            "partition count={count} seed={} max_rounds={} verify_seeds={} polish_passes={}\n",
-            p.seed, p.max_rounds, p.verify_seeds, p.polish_passes
-        ));
-    }
     let _ = system;
     let mut h = Fnv64::new();
     h.update(text.as_bytes());
     h.finish()
+}
+
+/// [`config_fingerprint`] under its old name, kept because the
+/// `tcms_benchmark` package calls it (the last argument has no values).
+#[must_use]
+pub fn config_fingerprint_with(
+    system: &System,
+    canon: &Canonicalization,
+    spec: &SharingSpec,
+    config: &FdsConfig,
+    _: Option<&Infallible>,
+) -> u64 {
+    config_fingerprint(system, canon, spec, config)
 }
 
 /// A finished schedule in cache-portable form: start times in canonical
@@ -128,9 +103,9 @@ pub struct CacheableResult {
     /// Frame-reduction iterations of the original run (reported verbatim
     /// on replay so cached and fresh responses render identically).
     pub iterations: u64,
-    /// Optional provenance line of the original run (the partition
-    /// telemetry note), re-rendered verbatim on every hit so cached and
-    /// fresh partitioned responses stay byte-identical.
+    /// Optional provenance line of the original run, re-rendered
+    /// verbatim on every hit. Fresh runs store none; snapshot entries
+    /// that carry one still load and render as recorded.
     pub note: Option<String>,
 }
 
@@ -344,11 +319,11 @@ edge m0 a0
             note: Some(note.to_owned()),
             ..a.clone()
         };
-        let noted = with_note("partitioned: 2 subgraphs");
+        let noted = with_note("provenance: run 2");
         assert_ne!(a.integrity(), noted.integrity());
         assert_ne!(
             noted.integrity(),
-            with_note("partitioned: 3 subgraphs").integrity()
+            with_note("provenance: run 3").integrity()
         );
     }
 
@@ -357,49 +332,14 @@ edge m0 a0
         let a = CacheableResult {
             starts: vec![4, 5],
             iterations: 2,
-            note: Some("partitioned: 2 subgraphs, 1 feedback rounds, 0 cut edges".into()),
+            note: Some("provenance: run 2".into()),
         };
         let fields = a.to_json_fields();
-        assert!(fields.contains("\"note\":\"partitioned: 2 subgraphs"));
+        assert!(fields.contains("\"note\":\"provenance: run 2\""));
         let bare = CacheableResult {
             note: None,
             ..a.clone()
         };
         assert!(!bare.to_json_fields().contains("note"));
-    }
-
-    #[test]
-    fn partition_config_separates_fingerprints() {
-        let sys = parse_system(A).unwrap();
-        let canon = Canonicalization::of(&sys);
-        let cfg = FdsConfig::default();
-        let spec = SharingSpec::all_global(&sys, 4);
-        let mono = config_fingerprint(&sys, &canon, &spec, &cfg);
-        // `None` is byte-compatible with the original fingerprint text.
-        assert_eq!(
-            mono,
-            config_fingerprint_with(&sys, &canon, &spec, &cfg, None)
-        );
-        let p2 = PartitionConfig {
-            count: PartitionCount::Fixed(2),
-            ..PartitionConfig::default()
-        };
-        let p4 = PartitionConfig {
-            count: PartitionCount::Fixed(4),
-            ..PartitionConfig::default()
-        };
-        let auto = PartitionConfig::default();
-        let f2 = config_fingerprint_with(&sys, &canon, &spec, &cfg, Some(&p2));
-        let f4 = config_fingerprint_with(&sys, &canon, &spec, &cfg, Some(&p4));
-        let fa = config_fingerprint_with(&sys, &canon, &spec, &cfg, Some(&auto));
-        assert_ne!(mono, f2, "partitioned separates from monolithic");
-        assert_ne!(f2, f4, "K separates entries");
-        assert_ne!(fa, f2, "auto is its own policy");
-        let reseeded = PartitionConfig { seed: 99, ..p2 };
-        assert_ne!(
-            f2,
-            config_fingerprint_with(&sys, &canon, &spec, &cfg, Some(&reseeded)),
-            "partitioner seed separates entries"
-        );
     }
 }

@@ -62,7 +62,6 @@ pub mod fingerprint;
 pub mod kernel;
 pub mod latency;
 pub mod modulo;
-pub mod partition;
 pub mod period;
 pub mod rc;
 pub mod report;
@@ -74,14 +73,9 @@ pub use authorize::AuthorizationTable;
 pub use degrade::{schedule_with_degradation, LadderConfig, LadderOutcome, Rung};
 pub use error::{CoreError, ScheduleError};
 pub use evaluator::ModuloEvaluator;
-pub use field::ExternalOccupancy;
 pub use field::ModuloField;
 pub use fingerprint::{config_fingerprint, config_fingerprint_with, CacheableResult};
 pub use latency::{latency_bounds, LatencyBound};
-pub use partition::{
-    schedule_partitioned, schedule_partitioned_recorded, PartitionConfig, PartitionCount,
-    PartitionOutcome,
-};
 pub use report::{compute_report, ScheduleReport, TypeReport};
 pub use scheduler::{ModuloOutcome, ModuloScheduler};
 pub use verify::{check_execution, exhaustive_check, random_activations, Activation, VerifyError};

@@ -14,7 +14,6 @@ use tcms_obs::{span, NoopRecorder, Recorder};
 use crate::assign::SharingSpec;
 use crate::error::{CoreError, ScheduleError};
 use crate::evaluator::ModuloEvaluator;
-use crate::field::ExternalOccupancy;
 use crate::period::spacing_budget;
 use crate::report::{compute_report, ScheduleReport};
 
@@ -42,9 +41,6 @@ pub struct ModuloScheduler<'a> {
     /// Borrowed when the caller schedules many candidates under one
     /// configuration (the exploration fan-outs), owned otherwise.
     config: Cow<'a, FdsConfig>,
-    /// Frozen cross-partition occupancy seeding the group profiles; empty
-    /// outside partitioned runs.
-    external: ExternalOccupancy,
 }
 
 impl<'a> ModuloScheduler<'a> {
@@ -59,34 +55,7 @@ impl<'a> ModuloScheduler<'a> {
             system,
             spec,
             config: Cow::Owned(FdsConfig::default()),
-            external: ExternalOccupancy::default(),
         })
-    }
-
-    /// Creates a scheduler for a partition shard: validation accepts
-    /// singleton sharing groups, because a shard may hold only one local
-    /// member of a group whose other users live in foreign partitions and
-    /// appear solely through [`ExternalOccupancy`] baselines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SharingSpec::validate_relaxed`] errors.
-    pub fn new_relaxed(system: &'a System, spec: SharingSpec) -> Result<Self, CoreError> {
-        spec.validate_relaxed(system)?;
-        Ok(ModuloScheduler {
-            system,
-            spec,
-            config: Cow::Owned(FdsConfig::default()),
-            external: ExternalOccupancy::default(),
-        })
-    }
-
-    /// Seeds the group profiles with frozen cross-partition occupancy.
-    /// An empty occupancy leaves the run bit-identical to an unseeded one.
-    #[must_use]
-    pub fn with_external_occupancy(mut self, external: ExternalOccupancy) -> Self {
-        self.external = external;
-        self
     }
 
     /// Overrides the force-model configuration.
@@ -185,12 +154,11 @@ impl<'a> ModuloScheduler<'a> {
             ops = self.system.num_ops()
         );
         let engine = IfdsEngine::new(self.system, scope).with_budget(self.config.budget);
-        let mut eval = ModuloEvaluator::with_external(
+        let mut eval = ModuloEvaluator::new(
             self.system,
             self.spec.clone(),
             self.config.as_ref().clone(),
             engine.frames(),
-            self.external.clone(),
         );
         #[cfg(any(test, feature = "naive-oracle"))]
         let out = if naive {

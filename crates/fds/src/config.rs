@@ -59,28 +59,6 @@ impl RunBudget {
     pub fn is_unlimited(&self) -> bool {
         self.max_iterations.is_none() && self.wall_deadline.is_none() && self.max_evals.is_none()
     }
-
-    /// Divides the budget across `parts` concurrent sub-runs.
-    ///
-    /// The deterministic axes (`max_iterations`, `max_evals`) are split by
-    /// ceiling division (never below 1, so a tiny budget over many parts
-    /// still lets every part make progress). The wall deadline is kept as
-    /// is: the sub-runs execute concurrently, so each may use the full
-    /// remaining wall time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts == 0`.
-    #[must_use]
-    pub fn split(&self, parts: u64) -> RunBudget {
-        assert!(parts > 0, "cannot split a budget across zero parts");
-        let divide = |limit: Option<u64>| limit.map(|n| n.div_ceil(parts).max(1));
-        RunBudget {
-            max_iterations: divide(self.max_iterations),
-            wall_deadline: self.wall_deadline,
-            max_evals: divide(self.max_evals),
-        }
-    }
 }
 
 /// Configuration of the force model.
@@ -138,23 +116,6 @@ mod tests {
         assert_eq!(SpringWeights::Uniform.weight(&lib, t.mul), 1.0);
         assert_eq!(SpringWeights::Area.weight(&lib, t.mul), 4.0);
         assert_eq!(SpringWeights::Area.weight(&lib, t.add), 1.0);
-    }
-
-    #[test]
-    fn split_divides_deterministic_axes_only() {
-        let b = RunBudget {
-            max_iterations: Some(10),
-            wall_deadline: Some(Duration::from_millis(250)),
-            max_evals: Some(3),
-        };
-        let s = b.split(4);
-        assert_eq!(s.max_iterations, Some(3)); // ceil(10/4)
-        assert_eq!(s.max_evals, Some(1)); // ceil(3/4), floored at 1
-        assert_eq!(s.wall_deadline, Some(Duration::from_millis(250)));
-        // Splitting the unlimited budget is the identity.
-        assert!(RunBudget::UNLIMITED.split(8).is_unlimited());
-        // split(1) is the identity on every axis.
-        assert_eq!(b.split(1), b);
     }
 
     #[test]

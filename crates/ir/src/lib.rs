@@ -49,7 +49,6 @@ pub mod generators;
 pub mod graph;
 pub mod op;
 pub mod parse;
-pub mod partition;
 pub mod process;
 pub mod resource;
 pub mod system;
@@ -60,9 +59,6 @@ pub use canon::{Canonicalization, SpecHash};
 pub use error::IrError;
 pub use frames::{FrameTable, TimeFrame};
 pub use op::{OpId, Operation};
-pub use partition::{
-    auto_partition_count, extract_subsystem, partition_processes, Partitioning, SubsystemMap,
-};
 pub use process::{Process, ProcessId};
 pub use resource::{ResourceLibrary, ResourceType, ResourceTypeId};
 pub use system::{System, SystemBuilder};

@@ -38,7 +38,6 @@ use tcms_obs::json::{self, JsonValue};
 
 use crate::pipeline::{ScheduleOptions, SimulateOptions};
 use crate::protocol::{parse_response, Response};
-use tcms_core::PartitionCount;
 
 /// A connected client.
 pub struct Client {
@@ -60,16 +59,6 @@ pub fn schedule_request_line(
     map.insert("degrade".into(), JsonValue::Bool(opts.degrade));
     #[allow(clippy::cast_precision_loss)]
     map.insert("verify".into(), JsonValue::Number(opts.verify as f64));
-    match opts.partition {
-        None => {}
-        Some(PartitionCount::Auto) => {
-            map.insert("partition".into(), JsonValue::String("auto".into()));
-        }
-        #[allow(clippy::cast_precision_loss)]
-        Some(PartitionCount::Fixed(k)) => {
-            map.insert("partition".into(), JsonValue::Number(k as f64));
-        }
-    }
     json::to_string(&JsonValue::Object(map))
 }
 
@@ -490,7 +479,6 @@ mod tests {
             gantt: true,
             verify: 3,
             degrade: false,
-            partition: Some(tcms_core::PartitionCount::Fixed(2)),
         };
         let line = schedule_request_line("req-1", "design text", &opts, Some(500));
         let req = parse_request(&line).unwrap();

@@ -53,7 +53,7 @@ pub enum ServeError {
     /// The daemon is shutting down and no longer accepts work.
     ShuttingDown,
     /// The fleet peer owning this request's content address did not
-    /// answer (dead, partitioned away, or mid-restart). Retryable: a
+    /// answer (dead, cut off by the network, or mid-restart). Retryable: a
     /// later attempt — or another node — may reach the owner or serve
     /// the entry after anti-entropy replicates it.
     PeerUnavailable {

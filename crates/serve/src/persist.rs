@@ -302,7 +302,7 @@ mod tests {
                         iterations: u64::from(n) + 10,
                         // Exercise both shapes: entry 0 carries a
                         // provenance note, the rest are bare.
-                        note: (n == 0).then(|| format!("partitioned: {n} subgraphs")),
+                        note: (n == 0).then(|| format!("provenance: run {n}")),
                     }),
                 )
             })

@@ -26,10 +26,8 @@
 //! responses byte for byte. On a hit the replayed schedule is the one
 //! the original miss produced (same canonical form ⇒ same translation),
 //! so hits render the same bytes too — with **zero** IFDS iterations of
-//! new work. Partitioned runs are content-addressed like monolithic
-//! ones: the partition knobs are part of the fingerprint and the
-//! telemetry note is stored in the entry. The degradation ladder
-//! rewrites the system itself, so `degrade` requests bypass the cache.
+//! new work. The degradation ladder rewrites the system itself, so
+//! `degrade` requests bypass the cache.
 //!
 //! # Indexed answers
 //!
@@ -49,8 +47,8 @@ use std::sync::Arc;
 
 use tcms_core::degrade::schedule_with_degradation_recorded;
 use tcms_core::{
-    check_execution, config_fingerprint_with, random_activations, schedule_partitioned_recorded,
-    CacheableResult, LadderConfig, ModuloScheduler, PartitionConfig, PartitionCount, SharingSpec,
+    check_execution, config_fingerprint, random_activations, CacheableResult, LadderConfig,
+    ModuloScheduler, SharingSpec,
 };
 use tcms_fds::{gantt, FdsConfig, RunBudget, Schedule};
 use tcms_ir::canon::Canonicalization;
@@ -128,14 +126,6 @@ pub struct ScheduleOptions {
     /// Retry failures through the degradation ladder (`--degrade`);
     /// bypasses the cache.
     pub degrade: bool,
-    /// Feedback-guided subgraph decomposition (`--partition <K|auto>`).
-    /// Partitioned runs are content-addressed like monolithic ones —
-    /// the partition knobs are folded into the config fingerprint
-    /// ([`tcms_core::config_fingerprint_with`]) and the telemetry note
-    /// rides in the cache entry, so hits replay byte-identically.
-    /// `None` follows the context's size threshold
-    /// ([`ExecContext::auto_partition_ops`]).
-    pub partition: Option<PartitionCount>,
 }
 
 /// Execution context of one pipeline run.
@@ -154,16 +144,10 @@ pub struct ExecContext<'a> {
     /// fault-injection harness exercises worker supervision without a
     /// real scheduler bug; production servers leave it disabled.
     pub fault_marker: bool,
-    /// Specs with at least this many operations are routed through the
-    /// feedback-guided partitioner even when the request does not ask
-    /// for it (`0` disables the automatic routing). Requests that set
-    /// [`ScheduleOptions::partition`] explicitly always win.
-    pub auto_partition_ops: usize,
 }
 
-/// Default [`ExecContext::auto_partition_ops`]: specs of this size and
-/// above decompose into parallel partitions (a pure function of the
-/// design, so one-shot CLI runs and daemon responses stay identical).
+/// An op count that no longer routes anything, kept because the
+/// `tcms_benchmark` package imports it.
 pub const DEFAULT_AUTO_PARTITION_OPS: usize = 500;
 
 /// The design token that [`ExecContext::fault_marker`] turns into a
@@ -188,42 +172,21 @@ impl Default for ExecContext<'_> {
             budget: RunBudget::UNLIMITED,
             rec: &NoopRecorder,
             fault_marker: false,
-            auto_partition_ops: DEFAULT_AUTO_PARTITION_OPS,
         }
     }
 }
 
-/// Resolves the partition rule: an explicit `--partition` always wins;
-/// otherwise specs of at least `auto_partition_ops` operations route
-/// through the partitioner automatically (`0` disables that).
-fn partition_config(
-    system: &System,
-    opts: &ScheduleOptions,
-    auto_partition_ops: usize,
-) -> Option<PartitionConfig> {
-    opts.partition
-        .or_else(|| {
-            (auto_partition_ops > 0 && system.num_ops() >= auto_partition_ops)
-                .then_some(PartitionCount::Auto)
-        })
-        .map(|count| PartitionConfig {
-            count,
-            ..PartitionConfig::default()
-        })
-}
-
 /// The content address of a (non-degrade) request: the canonical design
-/// hash plus the configuration fingerprint, partition knobs included.
+/// hash plus the configuration fingerprint.
 fn content_address(
     system: &System,
     canon: &Canonicalization,
     spec: &SharingSpec,
     config: &FdsConfig,
-    pcfg: Option<&PartitionConfig>,
 ) -> CacheKey {
     CacheKey {
         spec: canon.hash(),
-        config: config_fingerprint_with(system, canon, spec, config, pcfg),
+        config: config_fingerprint(system, canon, spec, config),
     }
 }
 
@@ -245,24 +208,25 @@ fn content_address(
 /// The same parse/spec classes as [`schedule_request`] — a malformed
 /// design fails here exactly as it would fail executing, so callers can
 /// simply handle such requests locally.
+///
+/// The third argument is ignored; it stays because the `tcms_benchmark`
+/// package passes it.
 pub fn request_cache_key(
     source: &str,
     opts: &ScheduleOptions,
-    auto_partition_ops: usize,
+    _: usize,
 ) -> Result<Option<CacheKey>, ServeError> {
     if opts.degrade {
         return Ok(None);
     }
     let system = load_system(source)?;
     let spec = build_spec(&system, opts.all_global, &opts.globals)?;
-    let pcfg = partition_config(&system, opts, auto_partition_ops);
     let canon = Canonicalization::of(&system);
     Ok(Some(content_address(
         &system,
         &canon,
         &spec,
         &FdsConfig::default(),
-        pcfg.as_ref(),
     )))
 }
 
@@ -292,16 +256,11 @@ pub struct ScheduleArtifacts {
 }
 
 /// The bytes an indexed answer is matched on: every option the rendered
-/// report depends on (the partition threshold included, since it can
-/// change the content address), then the design text verbatim. `None`
+/// report depends on, then the design text verbatim. `None`
 /// for `degrade` requests, which bypass the cache. The option prefix
 /// is `Debug`-rendered — quoted strings are escaped — and ends at the
 /// first NUL byte, so distinct requests never share bytes.
-pub(crate) fn answer_request(
-    source: &str,
-    opts: &ScheduleOptions,
-    auto_partition_ops: usize,
-) -> Option<String> {
+pub(crate) fn answer_request(source: &str, opts: &ScheduleOptions) -> Option<String> {
     // Destructured so that a new option cannot be left out silently.
     let ScheduleOptions {
         all_global,
@@ -309,13 +268,11 @@ pub(crate) fn answer_request(
         gantt,
         verify,
         degrade,
-        partition,
     } = opts;
     if *degrade {
         return None;
     }
-    let mut request =
-        format!("{all_global:?} {globals:?} {gantt} {verify} {partition:?} {auto_partition_ops}\0");
+    let mut request = format!("{all_global:?} {globals:?} {gantt} {verify}\0");
     request.push_str(source);
     Some(request)
 }
@@ -327,15 +284,10 @@ pub(crate) fn routing_key(
     cache: &SchedCache,
     source: &str,
     opts: &ScheduleOptions,
-    auto_partition_ops: usize,
 ) -> Option<CacheKey> {
-    answer_request(source, opts, auto_partition_ops)
+    answer_request(source, opts)
         .and_then(|request| cache.answered_key(&request))
-        .or_else(|| {
-            request_cache_key(source, opts, auto_partition_ops)
-                .ok()
-                .flatten()
-        })
+        .or_else(|| request_cache_key(source, opts, 0).ok().flatten())
 }
 
 /// The daemon's answer to one work request.
@@ -368,9 +320,7 @@ pub fn answer_schedule_request(
     ctx: &ExecContext<'_>,
 ) -> Result<Answer, ServeError> {
     chaos_panic_check(ctx.fault_marker, source);
-    let index = ctx
-        .cache
-        .zip(answer_request(source, opts, ctx.auto_partition_ops));
+    let index = ctx.cache.zip(answer_request(source, opts));
     if let Some(answer) = index
         .as_ref()
         .and_then(|(cache, request)| indexed_answer(cache, request))
@@ -403,38 +353,23 @@ pub(crate) fn indexed_answer(cache: &SchedCache, request: &str) -> Option<Answer
     })
 }
 
-/// One fresh, verified scheduler run — monolithic, or partitioned when
-/// `pcfg` is set — returning the schedule, its iteration count and the
-/// partition telemetry note. The cached miss and the cache-less path
-/// both call this, so they render identical bytes.
+/// One fresh, verified scheduler run, returning the schedule and its
+/// iteration count. The cached miss and the cache-less path both call
+/// this, so they render identical bytes.
 fn run_fresh(
     system: &System,
     spec: &SharingSpec,
     config: &FdsConfig,
-    pcfg: Option<&PartitionConfig>,
     rec: &dyn Recorder,
-) -> Result<(Schedule, u64, Option<String>), ServeError> {
-    let (schedule, iterations, note) = match pcfg {
-        Some(pcfg) => {
-            let out = schedule_partitioned_recorded(system, spec.clone(), config, pcfg, rec)?;
-            let note = format!(
-                "partitioned: {} subgraphs, {} feedback rounds, {} cut edges",
-                out.partitions, out.rounds, out.cut_edges
-            );
-            let iterations = out.iterations();
-            (out.schedule, iterations, Some(note))
-        }
-        None => {
-            let outcome = ModuloScheduler::new(system, spec.clone())?
-                .with_config(config.clone())
-                .run_recorded(rec)?;
-            (outcome.schedule, outcome.iterations, None)
-        }
-    };
-    schedule
+) -> Result<(Schedule, u64), ServeError> {
+    let outcome = ModuloScheduler::new(system, spec.clone())?
+        .with_config(config.clone())
+        .run_recorded(rec)?;
+    outcome
+        .schedule
         .verify(system)
         .map_err(|e| ServeError::Verify(e.to_string()))?;
-    Ok((schedule, iterations, note))
+    Ok((outcome.schedule, outcome.iterations))
 }
 
 /// Runs the full schedule pipeline on `source`.
@@ -486,23 +421,14 @@ pub fn schedule_request(
             Some(note),
         )
     } else {
-        let pcfg = partition_config(&system, opts, ctx.auto_partition_ops);
         match ctx.cache {
-            // Monolithic and partitioned runs are both content-addressed:
-            // the partition knobs separate the fingerprint, and the
-            // partition telemetry note rides inside the cache entry so a
-            // hit replays the original run byte for byte.
             Some(cache) => {
                 let canon = Canonicalization::of(&system);
-                let key = content_address(&system, &canon, &spec, &config, pcfg.as_ref());
+                let key = content_address(&system, &canon, &spec, &config);
                 cache_key = Some(key);
                 let (result, disposition) = cache.get_or_compute(key, || {
-                    let (schedule, iterations, note) =
-                        run_fresh(&system, &spec, &config, pcfg.as_ref(), ctx.rec)?;
-                    Ok(CacheableResult {
-                        note,
-                        ..CacheableResult::capture(&canon, &schedule, iterations)
-                    })
+                    let (schedule, iterations) = run_fresh(&system, &spec, &config, ctx.rec)?;
+                    Ok(CacheableResult::capture(&canon, &schedule, iterations))
                 });
                 let cached = result?;
                 let schedule = cached
@@ -531,8 +457,7 @@ pub fn schedule_request(
                 )
             }
             None => {
-                let (schedule, iterations, note) =
-                    run_fresh(&system, &spec, &config, pcfg.as_ref(), ctx.rec)?;
+                let (schedule, iterations) = run_fresh(&system, &spec, &config, ctx.rec)?;
                 (
                     system,
                     spec,
@@ -540,7 +465,7 @@ pub fn schedule_request(
                     iterations,
                     iterations,
                     Disposition::Miss,
-                    note,
+                    None,
                 )
             }
         }
@@ -567,8 +492,9 @@ pub fn schedule_request(
 }
 
 /// Renders the schedule report exactly as `tcms schedule` prints it.
-/// `note` is an optional self-describing provenance line (degradation
-/// summary, partition telemetry) printed verbatim below the summary.
+/// `note` is an optional self-describing provenance line (the
+/// degradation summary, or a note stored with a cache entry) printed
+/// verbatim below the summary.
 ///
 /// # Errors
 ///
@@ -933,98 +859,43 @@ edge m0 a0
     }
 
     #[test]
-    fn partition_requests_are_cached_with_their_note() {
-        let cache = SchedCache::new(16, 2);
-        let ctx = ExecContext {
-            cache: Some(&cache),
-            ..ExecContext::default()
+    fn large_designs_take_the_one_coupled_run() {
+        // The 635-op, 40-process design of `tests/serve_e2e.rs`
+        // (`tcms_bench::scaling_config(520, 40)`, seed 3): every design
+        // size schedules through one `ModuloScheduler` run.
+        let cfg = tcms_ir::generators::RandomSystemConfig {
+            processes: 40,
+            blocks_per_process: 1,
+            layers: 4,
+            ops_per_layer: (3, 5),
+            edge_prob: 0.35,
+            slack: 2.0,
+            type_weights: [4, 1, 2],
         };
-        let opts = ScheduleOptions {
-            partition: Some(PartitionCount::Fixed(2)),
-            ..opts_global(4)
-        };
-        let a = schedule_request(SAMPLE, &opts, &ctx).unwrap();
-        assert_eq!(cache.len(), 1, "partitioned results are content-addressed");
-        assert_eq!(a.disposition, Disposition::Miss);
-        assert!(a.fresh_iterations > 0);
-        assert!(
-            a.text.contains("partitioned: 2 subgraphs"),
-            "report names the split: {}",
-            a.text
-        );
-        // The hit replays the stored note: identical bytes, zero work.
-        let b = schedule_request(SAMPLE, &opts, &ctx).unwrap();
-        assert_eq!(b.disposition, Disposition::Hit);
-        assert_eq!(b.fresh_iterations, 0);
-        assert_eq!(b.text, a.text, "partitioned hits are byte-identical");
-        // A different K is a different content address, and the plain
-        // (monolithic) run is a third one.
-        let opts4 = ScheduleOptions {
-            partition: Some(PartitionCount::Fixed(4)),
-            ..opts_global(4)
-        };
-        let c = schedule_request(SAMPLE, &opts4, &ctx).unwrap();
-        assert_eq!(c.disposition, Disposition::Miss);
-        let plain = schedule_request(SAMPLE, &opts_global(4), &ctx).unwrap();
-        assert_eq!(plain.disposition, Disposition::Miss);
-        assert!(!plain.text.contains("partitioned:"));
-        assert_eq!(cache.len(), 3);
-    }
+        let (large, _) = tcms_ir::generators::random_system(&cfg, 3).unwrap();
+        assert_eq!(large.num_ops(), 635);
+        let source = display::to_dfg(&large);
+        let served = schedule_request(&source, &opts_global(5), &ExecContext::default()).unwrap();
 
-    #[test]
-    fn cacheless_and_cached_partition_runs_render_identical_bytes() {
-        let opts = ScheduleOptions {
-            partition: Some(PartitionCount::Fixed(2)),
-            ..opts_global(4)
-        };
-        let plain = schedule_request(SAMPLE, &opts, &ExecContext::default()).unwrap();
-        let cache = SchedCache::new(16, 2);
-        let ctx = ExecContext {
-            cache: Some(&cache),
-            ..ExecContext::default()
-        };
-        let miss = schedule_request(SAMPLE, &opts, &ctx).unwrap();
-        let hit = schedule_request(SAMPLE, &opts, &ctx).unwrap();
-        assert_eq!(miss.text, plain.text);
-        assert_eq!(hit.text, plain.text);
-    }
-
-    #[test]
-    fn single_partition_renders_identical_bytes_to_monolithic() {
-        let plain = schedule_request(SAMPLE, &opts_global(4), &ExecContext::default()).unwrap();
-        let opts = ScheduleOptions {
-            partition: Some(PartitionCount::Fixed(1)),
-            ..opts_global(4)
-        };
-        let one = schedule_request(SAMPLE, &opts, &ExecContext::default()).unwrap();
-        // K=1 delegates to the monolithic scheduler; only the note line
-        // differs from a plain run.
-        let strip = |t: &str| {
-            t.lines()
-                .filter(|l| !l.starts_with("partitioned:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&one.text), strip(&plain.text));
-        assert!(one.text.contains("partitioned: 1 subgraphs"));
-    }
-
-    #[test]
-    fn auto_partition_threshold_routes_large_specs() {
-        // Threshold at/below the op count → auto-partitioned note; the
-        // explicit field still wins over the context default.
-        let ctx = ExecContext {
-            auto_partition_ops: 4,
-            ..ExecContext::default()
-        };
-        let auto = schedule_request(SAMPLE, &opts_global(4), &ctx).unwrap();
-        assert!(auto.text.contains("partitioned:"), "{}", auto.text);
-        let off = ExecContext {
-            auto_partition_ops: 0,
-            ..ExecContext::default()
-        };
-        let plain = schedule_request(SAMPLE, &opts_global(4), &off).unwrap();
-        assert!(!plain.text.contains("partitioned:"));
+        let system = load_system(&source).unwrap();
+        let spec = build_spec(&system, Some(5), &[]).unwrap();
+        let out = ModuloScheduler::new(&system, spec.clone())
+            .unwrap()
+            .run()
+            .unwrap();
+        let direct = render_schedule_report(
+            &system,
+            &spec,
+            &out.schedule,
+            out.iterations,
+            None,
+            false,
+            0,
+        )
+        .unwrap();
+        assert_eq!(served.text, direct);
+        // No provenance line between the summary and the iteration count.
+        assert!(direct.lines().nth(1).unwrap().starts_with("iterations: "));
     }
 
     #[test]
@@ -1034,15 +905,8 @@ edge m0 a0
             cache: Some(&cache),
             ..ExecContext::default()
         };
-        for opts in [
-            opts_global(4),
-            opts_global(2),
-            ScheduleOptions {
-                partition: Some(PartitionCount::Fixed(2)),
-                ..opts_global(4)
-            },
-        ] {
-            let routed = request_cache_key(SAMPLE, &opts, ctx.auto_partition_ops).unwrap();
+        for opts in [opts_global(4), opts_global(2)] {
+            let routed = request_cache_key(SAMPLE, &opts, 0).unwrap();
             let executed = schedule_request(SAMPLE, &opts, &ctx).unwrap().cache_key;
             assert_eq!(routed, executed, "{opts:?}");
             assert!(routed.is_some());
@@ -1057,10 +921,6 @@ edge m0 a0
             ..opts_global(4)
         };
         assert_eq!(request_cache_key(SAMPLE, &degrade, 0).unwrap(), None);
-        // The auto-partition threshold changes the address exactly as it
-        // changes execution.
-        let auto = request_cache_key(SAMPLE, &opts_global(4), 4).unwrap();
-        assert_ne!(auto, a, "auto-partitioned specs address differently");
     }
 
     #[test]
@@ -1092,27 +952,26 @@ edge m0 a0
             assert_eq!(again.cache_key, first.cache_key);
         }
         // Routing reads the key from the index, and it is the parsed one.
-        let request = answer_request(SAMPLE, &opts_global(2), ctx.auto_partition_ops).unwrap();
+        let request = answer_request(SAMPLE, &opts_global(2)).unwrap();
         assert!(cache.answered_key(&request).is_some());
         assert_eq!(
-            routing_key(&cache, SAMPLE, &opts_global(2), ctx.auto_partition_ops),
-            request_cache_key(SAMPLE, &opts_global(2), ctx.auto_partition_ops).unwrap()
+            routing_key(&cache, SAMPLE, &opts_global(2)),
+            request_cache_key(SAMPLE, &opts_global(2), 0).unwrap()
         );
     }
 
     #[test]
     fn answer_request_bytes_separate_every_option() {
-        let base = answer_request(SAMPLE, &opts_global(4), 500).unwrap();
+        let base = answer_request(SAMPLE, &opts_global(4)).unwrap();
         let variants = [
-            answer_request(SAMPLE, &opts_global(5), 500),
-            answer_request(SAMPLE, &ScheduleOptions::default(), 500),
+            answer_request(SAMPLE, &opts_global(5)),
+            answer_request(SAMPLE, &ScheduleOptions::default()),
             answer_request(
                 SAMPLE,
                 &ScheduleOptions {
                     globals: vec![("mul".into(), 2)],
                     ..opts_global(4)
                 },
-                500,
             ),
             answer_request(
                 SAMPLE,
@@ -1120,7 +979,6 @@ edge m0 a0
                     gantt: true,
                     ..opts_global(4)
                 },
-                500,
             ),
             answer_request(
                 SAMPLE,
@@ -1128,18 +986,8 @@ edge m0 a0
                     verify: 1,
                     ..opts_global(4)
                 },
-                500,
             ),
-            answer_request(
-                SAMPLE,
-                &ScheduleOptions {
-                    partition: Some(PartitionCount::Auto),
-                    ..opts_global(4)
-                },
-                500,
-            ),
-            answer_request(SAMPLE, &opts_global(4), 4),
-            answer_request(SAMPLE_SHUFFLED, &opts_global(4), 500),
+            answer_request(SAMPLE_SHUFFLED, &opts_global(4)),
         ];
         for v in &variants {
             assert_ne!(v.as_deref(), Some(base.as_str()));
@@ -1148,7 +996,7 @@ edge m0 a0
             degrade: true,
             ..opts_global(4)
         };
-        assert_eq!(answer_request(SAMPLE, &degrade, 500), None);
+        assert_eq!(answer_request(SAMPLE, &degrade), None);
     }
 
     #[test]
@@ -1178,7 +1026,7 @@ edge m0 a0
         }
         assert_eq!(cache.stats().indexed, 0);
         // The simulation cached its schedule but kept no rendering.
-        let request = answer_request(SAMPLE, &opts_global(4), ctx.auto_partition_ops).unwrap();
+        let request = answer_request(SAMPLE, &opts_global(4)).unwrap();
         assert_eq!(cache.answered_key(&request), None);
     }
 
@@ -1221,5 +1069,28 @@ edge m0 a0
         assert!(a.cache_key.is_some(), "cached runs expose their key");
         assert_eq!(a.text, b.text, "simulation output is deterministic");
         assert!(a.text.contains("simulated 500 steps"));
+    }
+    /// Table 1 at `--all-global 5` keeps the content address monolithic
+    /// runs have always had: persisted snapshots, sync batches and fleet
+    /// ring placement all key on these values.
+    #[test]
+    fn table1_content_address_is_pinned() {
+        const TABLE1: &str = include_str!("../../../designs/paper_table1.dfg");
+        let system = load_system(TABLE1).unwrap();
+        let spec = build_spec(&system, Some(5), &[]).unwrap();
+        let canon = Canonicalization::of(&system);
+        let fingerprint =
+            tcms_core::config_fingerprint(&system, &canon, &spec, &FdsConfig::default());
+        assert_eq!(fingerprint, 0x115d_1bee_2e2c_41e2);
+        let key = request_cache_key(TABLE1, &opts_global(5), DEFAULT_AUTO_PARTITION_OPS)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            key,
+            CacheKey {
+                spec: tcms_ir::SpecHash::parse("d07f969044d78e773715844c09ed378b").unwrap(),
+                config: 0x115d_1bee_2e2c_41e2,
+            }
+        );
     }
 }

@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use tcms_core::{CacheableResult, PartitionCount};
+use tcms_core::CacheableResult;
 use tcms_ir::SpecHash;
 use tcms_obs::json::{self, JsonValue};
 
@@ -134,25 +134,6 @@ fn field_bool(obj: &JsonValue, key: &str) -> Result<bool, ServeError> {
     }
 }
 
-/// Parses `partition`: the string `"auto"` or a positive partition
-/// count.
-fn field_partition(obj: &JsonValue) -> Result<Option<PartitionCount>, ServeError> {
-    let bad = || ServeError::BadRequest("`partition` must be `auto` or a positive count".into());
-    match obj.get("partition") {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(JsonValue::String(s)) if s == "auto" => Ok(Some(PartitionCount::Auto)),
-        Some(v) => {
-            let n = to_u64(v)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(bad)?;
-            if n == 0 {
-                return Err(bad());
-            }
-            Ok(Some(PartitionCount::Fixed(n)))
-        }
-    }
-}
-
 fn field_design(obj: &JsonValue) -> Result<String, ServeError> {
     obj.get("design")
         .and_then(JsonValue::as_str)
@@ -240,7 +221,6 @@ fn parse_body(v: &JsonValue) -> Result<(Action, Option<u64>), ServeError> {
                 verify: usize::try_from(field_u64(v, "verify")?.unwrap_or(0))
                     .map_err(|_| ServeError::BadRequest("`verify` out of range".into()))?,
                 degrade: field_bool(v, "degrade")?,
-                partition: field_partition(v)?,
             },
         },
         "simulate" => {
@@ -446,36 +426,19 @@ mod tests {
                 assert!(opts.gantt);
                 assert_eq!(opts.verify, 3);
                 assert!(!opts.degrade);
-                assert_eq!(opts.partition, None);
             }
             other => panic!("unexpected action {other:?}"),
         }
     }
 
     #[test]
-    fn partition_field_round_trips() {
-        let opts_of = |line: &str| match parse_request(line).unwrap().action {
-            Action::Schedule { opts, .. } => opts,
-            other => panic!("unexpected action {other:?}"),
-        };
-        let auto = opts_of(r#"{"action":"schedule","design":"x","partition":"auto"}"#);
-        assert_eq!(auto.partition, Some(PartitionCount::Auto));
-        let fixed = opts_of(r#"{"action":"schedule","design":"x","partition":4}"#);
-        assert_eq!(fixed.partition, Some(PartitionCount::Fixed(4)));
-        let absent = opts_of(r#"{"action":"schedule","design":"x"}"#);
-        assert_eq!(absent.partition, None);
-        // The client renders what the daemon parses.
-        for opts in [auto, fixed, absent] {
-            let line = crate::client::schedule_request_line("t", "x", &opts, None);
-            assert_eq!(opts_of(&line), opts);
-        }
-        for bad in [
-            r#"{"action":"schedule","design":"x","partition":0}"#,
-            r#"{"action":"schedule","design":"x","partition":"many"}"#,
-            r#"{"action":"schedule","design":"x","partition":true}"#,
-        ] {
-            assert!(parse_request(bad).is_err(), "{bad}");
-        }
+    fn unknown_fields_are_ignored() {
+        let plain = parse_request(r#"{"action":"schedule","design":"x","all_global":4}"#).unwrap();
+        let extra = parse_request(
+            r#"{"action":"schedule","design":"x","all_global":4,"shards":"auto","mode":7}"#,
+        )
+        .unwrap();
+        assert_eq!(extra.action, plain.action);
     }
 
     #[test]

@@ -106,12 +106,6 @@ pub struct ServeConfig {
     /// ([`PANIC_MARKER`](crate::pipeline::PANIC_MARKER)) in design text —
     /// test/bench harness support, never enabled in production serving.
     pub fault_marker: bool,
-    /// Route designs with at least this many operations through the
-    /// feedback-guided partitioner (0 disables automatic routing; an
-    /// explicit `partition` request field always wins). Defaults to
-    /// [`crate::pipeline::DEFAULT_AUTO_PARTITION_OPS`], matching the
-    /// one-shot CLI so responses stay bit-identical.
-    pub auto_partition_ops: usize,
     /// Fleet membership (`--peers`); `None` runs a standalone daemon.
     pub fleet: Option<FleetConfig>,
     /// HTTP/1.1 listen address (`--http`); `None` disables the HTTP
@@ -134,7 +128,6 @@ impl Default for ServeConfig {
             journal_rotate_bytes: 0,
             max_request_bytes: 1 << 20,
             fault_marker: false,
-            auto_partition_ops: crate::pipeline::DEFAULT_AUTO_PARTITION_OPS,
             fleet: None,
             http_listen: None,
         }
@@ -324,7 +317,6 @@ impl Shared {
             budget,
             rec: &NoopRecorder,
             fault_marker: self.config.fault_marker,
-            auto_partition_ops: self.config.auto_partition_ops,
         };
         // Fleet routing: a non-owner in proxy mode forwards the raw line
         // to the key's owner and relays the answer verbatim, so the whole
@@ -1380,13 +1372,9 @@ mod tests {
     }
 
     fn sample_key() -> CacheKey {
-        request_cache_key(
-            SAMPLE,
-            &sample_opts(),
-            crate::pipeline::DEFAULT_AUTO_PARTITION_OPS,
-        )
-        .unwrap()
-        .unwrap()
+        request_cache_key(SAMPLE, &sample_opts(), 0)
+            .unwrap()
+            .unwrap()
     }
 
     #[test]

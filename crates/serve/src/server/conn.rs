@@ -156,7 +156,7 @@ fn indexed_at_admission(shared: &Shared, job: &Job) -> Option<Answer> {
     {
         return None;
     }
-    let request = answer_request(design, opts, config.auto_partition_ops)?;
+    let request = answer_request(design, opts)?;
     if let Some(fleet) = shared.proxying_fleet() {
         if !fleet.is_local(&shared.cache.answered_key(&request)?) {
             return None;

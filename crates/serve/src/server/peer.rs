@@ -123,7 +123,7 @@ impl Shared {
             ),
             _ => return None,
         };
-        routing_key(&self.cache, design, &opts, self.config.auto_partition_ops)
+        routing_key(&self.cache, design, &opts)
     }
 
     /// The fleet this node proxies work into: `None` for a standalone

@@ -12,7 +12,7 @@ use tcms_serve::fleet::sync;
 use tcms_serve::protocol::parse_response;
 use tcms_serve::{
     request_cache_key, schedule_request, CacheKey, ExecContext, FleetConfig, HashRing, SchedCache,
-    ScheduleOptions, ServeConfig, Server, DEFAULT_AUTO_PARTITION_OPS,
+    ScheduleOptions, ServeConfig, Server,
 };
 
 /// Deterministic xorshift64 — the repo's standard seeded generator.
@@ -183,9 +183,7 @@ fn a_spec_scheduled_on_node_a_is_a_verbatim_hit_from_node_b_on_both_wires() {
         all_global: Some(4),
         ..ScheduleOptions::default()
     };
-    let key = request_cache_key(SAMPLE, &opts, DEFAULT_AUTO_PARTITION_OPS)
-        .unwrap()
-        .unwrap();
+    let key = request_cache_key(SAMPLE, &opts, 0).unwrap().unwrap();
     // R=1 so exactly one node owns the key and the other must proxy.
     let ring = HashRing::new(&peers, 1);
     let owner_idx = peers.iter().position(|p| p == ring.owner(&key)).unwrap();
@@ -214,7 +212,6 @@ fn a_spec_scheduled_on_node_a_is_a_verbatim_hit_from_node_b_on_both_wires() {
         budget: tcms_fds::RunBudget::UNLIMITED,
         rec: &NoopRecorder,
         fault_marker: false,
-        auto_partition_ops: DEFAULT_AUTO_PARTITION_OPS,
     };
     let oneshot = schedule_request(SAMPLE, &opts, &ctx).unwrap();
     let design = SAMPLE.replace('\n', "\\n");

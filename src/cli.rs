@@ -391,13 +391,6 @@ SCHEDULE OPTIONS:
   --save <file.sched>     write the schedule to disk
   --degrade               on failure, retry through the degradation ladder
                           (relax periods, demote groups, widen time, rc fallback)
-  --partition <K|auto>    decompose into K subgraphs (or one per ~250 ops with
-                          `auto`) scheduled in parallel with feedback-frozen
-                          cross-partition profiles; `--partition 1` is
-                          bit-identical to a monolithic run. Designs with 500+
-                          operations partition automatically (in schedule,
-                          simulate and vhdl alike); results are re-verified
-                          against the full spec
   --threads <N>           worker threads for candidate-force evaluation
                           (0 = auto; also via the TCMS_THREADS env var);
                           results are bit-identical at every thread count
@@ -432,9 +425,6 @@ SERVE OPTIONS:
   --cache-capacity <N>    result-cache entries (default 1024; 0 disables)
   --cache-dir <DIR>       load/save the cache snapshot across restarts
   --deadline-ms <N>       default per-job deadline
-  --auto-partition-ops <N>
-                          route designs with N+ operations through the
-                          parallel partitioner (default 500; 0 disables)
   --journal-dir <DIR>     capture an append-only workload journal
                           (JSONL; replayable with the repro_replay bench,
                           checkable with trace_check --journal)
@@ -682,7 +672,6 @@ fn schedule_options<'a>(
             "--gantt" => opts.gantt = true,
             "--degrade" => opts.degrade = true,
             "--verify" => opts.verify = num(it, opt)?,
-            "--partition" => opts.partition = Some(parse_partition(&value(it, opt)?)?),
             _ => return spec_flag(opt, it, &mut opts.all_global, &mut opts.globals),
         }
         Ok(true)
@@ -713,19 +702,6 @@ fn simulate_options<'a>(
     Ok(opts)
 }
 
-/// Parses the `--partition` value: `auto` or a positive subgraph count.
-fn parse_partition(v: &str) -> Result<crate::modulo::PartitionCount, String> {
-    if v == "auto" {
-        return Ok(crate::modulo::PartitionCount::Auto);
-    }
-    match v.parse::<usize>() {
-        Ok(k) if k > 0 => Ok(crate::modulo::PartitionCount::Fixed(k)),
-        _ => Err(format!(
-            "bad partition count `{v}` (positive number or `auto`)"
-        )),
-    }
-}
-
 /// Parses the `serve` flags onto [`ServeConfig::default`] listening on
 /// `127.0.0.1:7733`.
 fn parse_serve(it: &mut Args<'_>) -> Result<Command, String> {
@@ -747,7 +723,6 @@ fn parse_serve(it: &mut Args<'_>) -> Result<Command, String> {
             "--cache-capacity" => config.cache_capacity = num(it, opt)?,
             "--cache-dir" => config.cache_dir = Some(value(it, opt)?.into()),
             "--deadline-ms" => config.default_deadline_ms = Some(num(it, opt)?),
-            "--auto-partition-ops" => config.auto_partition_ops = num(it, opt)?,
             "--journal-dir" => config.journal_dir = Some(value(it, opt)?.into()),
             "--journal-rotate-bytes" => config.journal_rotate_bytes = num(it, opt)?,
             "--http" => config.http_listen = Some(value(it, opt)?),
@@ -1246,45 +1221,6 @@ edge m0 a0
     }
 
     #[test]
-    fn parse_partition_option() {
-        use crate::modulo::PartitionCount;
-        let cmd = parse_args(&args(&["schedule", "x.dfg", "--partition", "auto"])).unwrap();
-        match cmd {
-            Command::Schedule { opts, .. } => {
-                assert_eq!(opts.partition, Some(PartitionCount::Auto));
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        let cmd = parse_args(&args(&["schedule", "x.dfg", "--partition", "4"])).unwrap();
-        match cmd {
-            Command::Schedule { opts, .. } => {
-                assert_eq!(opts.partition, Some(PartitionCount::Fixed(4)));
-            }
-            other => panic!("unexpected command {other:?}"),
-        }
-        // The client subcommand accepts the same flag.
-        let cmd = parse_args(&args(&[
-            "client",
-            "127.0.0.1:1",
-            "schedule",
-            "x.dfg",
-            "--partition",
-            "2",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Client {
-                action: ClientCommand::Schedule { opts, .. },
-                ..
-            } => assert_eq!(opts.partition, Some(PartitionCount::Fixed(2))),
-            other => panic!("unexpected command {other:?}"),
-        }
-        assert!(parse_args(&args(&["schedule", "x.dfg", "--partition"])).is_err());
-        assert!(parse_args(&args(&["schedule", "x.dfg", "--partition", "0"])).is_err());
-        assert!(parse_args(&args(&["schedule", "x.dfg", "--partition", "soon"])).is_err());
-    }
-
-    #[test]
     fn parse_simulate_options() {
         let cmd = parse_args(&args(&[
             "simulate",
@@ -1316,7 +1252,6 @@ edge m0 a0
 
     #[test]
     fn one_shot_and_client_forms_parse_the_same_request_options() {
-        use crate::modulo::PartitionCount;
         let one_shot =
             |verb: &str, flags: &[&str]| parse_args(&args(&[&[verb, "x.dfg"], flags].concat()));
         let client = |verb: &str, flags: &[&str]| {
@@ -1334,8 +1269,6 @@ edge m0 a0
             "--verify",
             "3",
             "--degrade",
-            "--partition",
-            "auto",
         ];
         match (one_shot("schedule", &flags), client("schedule", &flags)) {
             (
@@ -1354,7 +1287,6 @@ edge m0 a0
                         gantt: true,
                         verify: 3,
                         degrade: true,
-                        partition: Some(PartitionCount::Auto),
                     }
                 );
             }
@@ -1793,11 +1725,6 @@ process b time=8 { z := p * q; }
         assert!(parse_args(&args(&["serve", "--queue", "0"])).is_err());
         assert!(parse_args(&args(&["serve", "--bogus"])).is_err());
         assert!(parse_args(&args(&["serve", "--journal-dir"])).is_err());
-        assert!(matches!(
-            parse_args(&args(&["serve", "--auto-partition-ops", "0"])).unwrap(),
-            Command::Serve { config, .. } if config.auto_partition_ops == 0
-        ));
-        assert!(parse_args(&args(&["serve", "--auto-partition-ops", "x"])).is_err());
         assert!(matches!(
             parse_args(&args(&["serve", "--journal-rotate-bytes", "65536"])).unwrap(),
             Command::Serve { config, .. } if config.journal_rotate_bytes == 65536

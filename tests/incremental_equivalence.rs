@@ -15,12 +15,11 @@
 //!    requirement is *bit-identity* of the produced schedules, because
 //!    both paths fold the same incremental distribution and the cache
 //!    may only skip work, never change a value. Forces re-summed from
-//!    their recorded terms are covered here too: with all types global,
-//!    with one type local (local terms interleaved with global ones),
-//!    and with frozen external baselines seeding `G_k`, as the
-//!    partitioned scheduler runs the engine. So are placements refolded
-//!    from their kept deltas: the engine checks each refold bitwise
-//!    against a fresh walk in these (debug) builds.
+//!    their recorded terms are covered here too: with all types global
+//!    and with one type local (local terms interleaved with global
+//!    ones). So are placements refolded from their kept deltas: the
+//!    engine checks each refold bitwise against a fresh walk in these
+//!    (debug) builds.
 //!
 //! Random systems come from `tcms::ir::generators::random_system`;
 //! commit sequences are random single-op frame shrinks propagated with
@@ -33,7 +32,7 @@ use tcms::fds::dist::DistributionSet;
 use tcms::fds::{Candidate, ClassicEvaluator, FdsConfig, ForceEvaluator, TermLog};
 use tcms::ir::generators::{random_system, RandomSystemConfig};
 use tcms::ir::{FrameTable, OpId, System, TimeFrame};
-use tcms::modulo::{ExternalOccupancy, ModuloEvaluator, ModuloScheduler, SharingSpec};
+use tcms::modulo::{ModuloEvaluator, ModuloScheduler, SharingSpec};
 
 const TOL: f64 = 1e-9;
 
@@ -297,38 +296,25 @@ proptest! {
 
     /// Layer 3: the cached scheduler run is bit-identical to the
     /// cache-free reference run — same start times, same iteration
-    /// count, same allocation — on random multi-process systems. Three
-    /// specs per system: every type global; one type local, so cached
-    /// local terms are re-summed alongside the global ones; and every
-    /// type global with frozen external baselines seeding each `G_k`, as
-    /// in the feedback rounds of `schedule_partitioned`.
+    /// count, same allocation — on random multi-process systems. Two
+    /// specs per system: every type global; and one type local, so
+    /// cached local terms are re-summed alongside the global ones.
     #[test]
     fn cached_scheduler_run_is_bit_identical(
         seed in 0u64..200,
         period in 1u32..7,
         local_pick in 0usize..3,
-        base in prop::collection::vec(0u32..4, 4),
     ) {
         let (system, types) = random_system(&small_config(), seed).unwrap();
         let spec = SharingSpec::all_global(&system, period);
         prop_assume!(tcms::modulo::period::spacing_feasible(&system, &spec));
         let mut mixed = spec.clone();
         mixed.set_local([types.add, types.sub, types.mul][local_pick]);
-        let none = ExternalOccupancy::empty(system.library().len());
-        let mut external = none.clone();
-        for k in spec.global_types(&system) {
-            let profile = (0..period as usize)
-                .map(|slot| f64::from(base[slot % base.len()]) * 0.5)
-                .collect();
-            external.set(k, profile);
-        }
 
         let mut refolds = 0;
-        for (spec, external) in [(spec.clone(), none.clone()), (mixed, none), (spec, external)] {
+        for spec in [spec, mixed] {
             let run = |naive: bool| {
-                let scheduler = ModuloScheduler::new(&system, spec.clone())
-                    .unwrap()
-                    .with_external_occupancy(external.clone());
+                let scheduler = ModuloScheduler::new(&system, spec.clone()).unwrap();
                 if naive { scheduler.run_naive() } else { scheduler.run() }.unwrap()
             };
             let (cached, naive) = (run(false), run(true));

@@ -14,10 +14,7 @@ use std::sync::{Arc, Barrier};
 use tcms::cli::{run, Command};
 use tcms::obs::json::JsonValue;
 use tcms::serve::client::{control_request_line, schedule_request_line, simulate_request_line};
-use tcms::serve::{
-    Client, ExecContext, ScheduleOptions, ServeConfig, Server, SimulateOptions,
-    DEFAULT_AUTO_PARTITION_OPS,
-};
+use tcms::serve::{Client, ExecContext, ScheduleOptions, ServeConfig, Server, SimulateOptions};
 
 fn corpus_files() -> Vec<std::path::PathBuf> {
     let dir = format!("{}/tests/corpus", env!("CARGO_MANIFEST_DIR"));
@@ -104,7 +101,7 @@ fn corpus_replays_get_typed_malformed_errors() {
 
 /// The daemon's schedule output must match the one-shot CLI byte for
 /// byte, on the cold-cache miss AND on the warm-cache hit; so must its
-/// simulate output, including on a design large enough to partition.
+/// simulate output, including on a 635-op design.
 #[test]
 fn daemon_output_is_bit_identical_to_one_shot_cli() {
     let input = design_path("paper_table1.dfg");
@@ -165,11 +162,11 @@ fn daemon_output_is_bit_identical_to_one_shot_cli() {
     }
 
     // `simulate` takes its schedule from the same pipeline, on the paper
-    // design and on a 635-op design that the size threshold routes
-    // through the partitioner.
+    // design and on a 635-op design, larger than any benchmark workload;
+    // every design size is one coupled run.
     let (large, _) =
         tcms::ir::generators::random_system(&tcms_bench::scaling_config(520, 40), 3).unwrap();
-    assert!(large.num_ops() >= DEFAULT_AUTO_PARTITION_OPS);
+    assert_eq!(large.num_ops(), 635);
     let large_path = std::env::temp_dir().join(format!("tcms_e2e_{}.dfg", std::process::id()));
     std::fs::write(&large_path, tcms::ir::display::to_dfg(&large)).unwrap();
     let opts = SimulateOptions {
