@@ -15,6 +15,9 @@
 //!    stream replayed round-robin against 1-, 2- and 3-node fleets
 //!    performs exactly `unique designs` scheduler runs fleet-wide at
 //!    every size: consistent-hash routing makes N caches behave as one.
+//!    Each row also reports the proxy hop's cost: peer dials (pooled
+//!    connections keep them near one per node pair) and the p50/p99
+//!    request latency.
 //! 3. **Chaos rejoin converges** — one node is killed mid-run while a
 //!    fault-injecting proxy mangles the traffic to a survivor; every
 //!    response that does arrive is still bit-identical to the one-shot
@@ -29,7 +32,7 @@ use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::time::Instant;
 
-use tcms_bench::workload::{draw, make_design, zipf_cdf};
+use tcms_bench::workload::{draw, make_design, percentile, zipf_cdf};
 use tcms_bench::{ChaosProxy, NetFaultPlan};
 use tcms_obs::json::{self, JsonValue};
 use tcms_obs::NoopRecorder;
@@ -255,16 +258,22 @@ fn phase_hit_rate_vs_nodes(
         // identical text — dedup on the text, which is what the
         // content-addressed cache sees.
         let mut unique = std::collections::BTreeSet::new();
+        let mut latency_ms = Vec::with_capacity(requests);
         let started = Instant::now();
         for r in 0..requests {
             let d = draw(&cdf, &mut state);
             unique.insert(pool[d].as_str());
+            let sent = Instant::now();
             let resp = clients[r % nodes]
                 .request(&request_line(&format!("r{r}"), &pool[d]))
                 .expect("response");
+            latency_ms.push(sent.elapsed().as_secs_f64() * 1000.0);
             assert!(resp.is_ok(), "request {r}: {:?}", resp.error);
         }
         let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
+        latency_ms.sort_by(f64::total_cmp);
+        let p50 = percentile(&latency_ms, 0.50);
+        let p99 = percentile(&latency_ms, 0.99);
         let runs: u64 = servers
             .iter()
             .map(|s| s.counter("serve.scheduler.runs"))
@@ -275,6 +284,10 @@ fn phase_hit_rate_vs_nodes(
             .iter()
             .map(|s| s.counter("serve.fleet.proxied"))
             .sum();
+        let peer_dials: u64 = servers
+            .iter()
+            .map(|s| s.counter("serve.fleet.peer.dials"))
+            .sum();
         assert_eq!(
             runs,
             unique.len() as u64,
@@ -283,7 +296,7 @@ fn phase_hit_rate_vs_nodes(
         #[allow(clippy::cast_precision_loss)]
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
         println!(
-            "phase 2: {nodes} node(s): {requests} requests, {} unique, {runs} runs, hit rate {hit_rate:.3}, {proxied} proxied",
+            "phase 2: {nodes} node(s): {requests} requests, {} unique, {runs} runs, hit rate {hit_rate:.3}, {proxied} proxied over {peer_dials} peer dial(s), p50 {p50:.3} ms, p99 {p99:.3} ms",
             unique.len()
         );
         let mut row = BTreeMap::new();
@@ -294,8 +307,11 @@ fn phase_hit_rate_vs_nodes(
         row.insert("hits".to_owned(), count(hits));
         row.insert("misses".to_owned(), count(misses));
         row.insert("proxied".to_owned(), count(proxied));
+        row.insert("peer_dials".to_owned(), count(peer_dials));
         row.insert("hit_rate".to_owned(), JsonValue::Number(hit_rate));
         row.insert("wall_ms".to_owned(), JsonValue::Number(wall_ms));
+        row.insert("latency_ms_p50".to_owned(), JsonValue::Number(p50));
+        row.insert("latency_ms_p99".to_owned(), JsonValue::Number(p99));
         rows.push(JsonValue::Object(row));
         drop(clients.drain(..));
         for server in servers {

@@ -423,6 +423,7 @@ pub fn validate_stats(input: &str) -> Result<usize, String> {
         "local_fallback",
         "pushed",
         "push_failures",
+        "peer_dials",
     ] {
         num_field(fleet, key, &format!("fleet.{key}"))?;
         checked += 1;
@@ -912,6 +913,7 @@ mod tests {
             r#""cache_misses":3,"cache_hit_rate":0.7,"workers":2,"#,
             r#""fleet":{"enabled":true,"self":"a:1","route":"proxy","replicas":2,"#,
             r#""proxied":4,"proxy_failures":0,"local_fallback":0,"pushed":2,"push_failures":0,"#,
+            r#""peer_dials":2,"#,
             r#""sync":{"rounds":3,"shards_pulled":1,"entries_applied":1,"failures":0,"#,
             r#""push_applied":0,"push_rejected":0,"lag_ms":null},"#,
             r#""peers":[{"addr":"b:1","alive":true,"ok":5,"failures":1,"#,
@@ -942,6 +944,10 @@ mod tests {
                 "route",
             ),
             (fleet_stats().replace(r#""proxied":4,"#, ""), "proxied"),
+            (
+                fleet_stats().replace(r#""peer_dials":2,"#, ""),
+                "peer_dials",
+            ),
             (fleet_stats().replace(r#""rounds":3,"#, ""), "sync.rounds"),
             (
                 fleet_stats().replace(r#""lag_ms":null"#, r#""lag_ms":"soon""#),

@@ -51,7 +51,7 @@
 mod conn;
 mod peer;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -177,6 +177,8 @@ struct Shared {
     /// When the last fully successful anti-entropy exchange finished
     /// (drives the `sync.lag_ms` stats field).
     last_sync: Mutex<Option<Instant>>,
+    /// Idle connections to fleet peers, by address (`server/peer.rs`).
+    peers: Mutex<HashMap<String, Vec<peer::PeerConn>>>,
 }
 
 impl Shared {
@@ -203,10 +205,15 @@ impl Shared {
     /// Signals shutdown: raises the flag, wakes idle workers so they
     /// drain the queue and exit, and wakes each accept loop blocked in
     /// `accept()` by connecting to its listener. The accept loop sees
-    /// the flag and drops that connection unserved.
+    /// the flag and drops that connection unserved. Idle peer
+    /// connections close at once, so peers' connection threads see EOF.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
+        self.peers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         for addr in &self.listeners {
             // A refused connect means the loop already exited.
             let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
@@ -283,7 +290,7 @@ impl Shared {
         }
         let budget = match job.deadline {
             Some(deadline) => {
-                let Some(remaining) = deadline.checked_sub(waited) else {
+                let Some(remaining) = remaining_budget(deadline, waited) else {
                     let waited_ms = u64::try_from(waited.as_millis()).unwrap_or(u64::MAX);
                     let err = ServeError::DeadlineExpired { waited_ms };
                     self.lock_metrics().counter_add("serve.errors", 1);
@@ -556,6 +563,7 @@ impl Shared {
                     ("local_fallback", "serve.fleet.local_fallback"),
                     ("pushed", "serve.fleet.pushed"),
                     ("push_failures", "serve.fleet.push_failures"),
+                    ("peer_dials", "serve.fleet.peer.dials"),
                 ] {
                     fleet.insert(field.into(), num(metrics.counter(counter)));
                 }
@@ -618,6 +626,12 @@ impl Shared {
 
 fn dur_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// What is left of a job's `deadline` after `waited`; `None` once spent,
+/// zero included (std refuses a zero timeout for a peer exchange).
+fn remaining_budget(deadline: Duration, waited: Duration) -> Option<Duration> {
+    deadline.checked_sub(waited).filter(|left| !left.is_zero())
 }
 
 fn action_label(action: &Action) -> &'static str {
@@ -756,6 +770,7 @@ impl Server {
             inflight: AtomicU64::new(0),
             fleet,
             last_sync: Mutex::new(None),
+            peers: Mutex::default(),
         });
         let workers = (0..shared.config.workers)
             .map(|i| {
@@ -1494,6 +1509,206 @@ mod tests {
         );
         survivor.shutdown();
         survivor.wait().unwrap();
+    }
+
+    /// A 2-node fleet (R=1) with `SAMPLE` owned by exactly one node:
+    /// `(servers, peers, owner index, non-owner index)`.
+    fn start_pair() -> (Vec<Server>, Vec<String>, usize, usize) {
+        let (servers, peers) = start_fleet(2, 1);
+        let ring = HashRing::new(&peers, 1);
+        let owner = peers
+            .iter()
+            .position(|p| p == ring.owner(&sample_key()))
+            .unwrap();
+        (servers, peers, owner, 1 - owner)
+    }
+
+    #[test]
+    fn remaining_budget_treats_a_spent_or_zero_budget_as_expired() {
+        let ms = Duration::from_millis;
+        assert_eq!(remaining_budget(ms(5), ms(2)), Some(ms(3)));
+        assert_eq!(remaining_budget(ms(5), ms(5)), None, "zero left is spent");
+        assert_eq!(remaining_budget(ms(5), ms(6)), None);
+        assert_eq!(remaining_budget(Duration::ZERO, Duration::ZERO), None);
+    }
+
+    #[test]
+    fn sequential_proxied_requests_reuse_one_peer_connection() {
+        let (servers, _, owner, other) = start_pair();
+        let n = 6;
+        for i in 0..n {
+            let resp = roundtrip(servers[other].local_addr(), &schedule_req(&format!("r{i}")));
+            assert!(resp.is_ok(), "{:?}", resp.error);
+        }
+        assert_eq!(servers[other].counter("serve.fleet.proxied"), n);
+        assert_eq!(servers[other].counter("serve.fleet.peer.dials"), 1);
+        assert_eq!(servers[owner].counter("serve.scheduler.runs"), 1);
+        // A sync round leaves the one idle connection to the workers: it
+        // dials its own and closes it, and the next proxied request still
+        // finds the pooled one.
+        servers[other].sync_now();
+        assert_eq!(servers[other].counter("serve.fleet.sync.rounds"), 1);
+        assert_eq!(servers[other].counter("serve.fleet.peer.dials"), 2);
+        let last = roundtrip(servers[other].local_addr(), &schedule_req("last"));
+        assert!(last.is_ok(), "{:?}", last.error);
+        let stats = roundtrip(
+            servers[other].local_addr(),
+            r#"{"id":"st","action":"stats"}"#,
+        );
+        let fleet = stats.body.get("fleet").unwrap();
+        assert_eq!(fleet.get("proxied").and_then(JsonValue::as_f64), Some(7.0));
+        assert_eq!(
+            fleet.get("peer_dials").and_then(JsonValue::as_f64),
+            Some(2.0)
+        );
+        for server in servers {
+            server.shutdown();
+            server.wait().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_restarted_owner_costs_one_redial_and_no_failure() {
+        let (mut servers, peers, owner, other) = start_pair();
+        let via = servers[other].local_addr();
+        assert!(roundtrip(via, &schedule_req("before")).is_ok());
+        assert_eq!(servers[other].counter("serve.fleet.peer.dials"), 1);
+        // Restart the owner on its port. The non-owner's pooled
+        // connection now leads to a closed socket: stale, not failed.
+        let old = servers.remove(owner);
+        let config = old.shared.config.clone();
+        let old_shared = Arc::clone(&old.shared);
+        old.shutdown();
+        old.wait().unwrap();
+        // Its connection threads, each holding the shared state, see the
+        // flag at their next 100 ms poll and close their sockets.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&old_shared) > 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(Arc::strong_count(&old_shared), 1, "connection threads exit");
+        let restarted = loop {
+            match Server::start(config.clone()) {
+                Ok(server) => break server,
+                Err(e) if Instant::now() < deadline => {
+                    let _ = e;
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                Err(e) => panic!("restart failed: {e}"),
+            }
+        };
+        let node = servers.pop().unwrap();
+        let resp = roundtrip(via, &schedule_req("after"));
+        assert!(resp.is_ok(), "{:?}", resp.error);
+        assert_eq!(node.counter("serve.fleet.proxied"), 2);
+        assert_eq!(node.counter("serve.fleet.peer.dials"), 2, "one redial");
+        assert_eq!(node.counter("serve.fleet.proxy_failures"), 0);
+        let membership = &node.shared.fleet.as_ref().unwrap().membership;
+        assert!(membership.is_alive(&peers[owner]));
+        assert_eq!(
+            membership.snapshot()[0].1.failure_count,
+            0,
+            "a stale connection is not a peer failure"
+        );
+        for server in [node, restarted] {
+            server.shutdown();
+            server.wait().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_shutting_down_owner_is_unavailable_not_final() {
+        let (mut servers, _, owner, other) = start_pair();
+        let via = servers[other].local_addr();
+        assert!(roundtrip(via, &schedule_req("before")).is_ok());
+        // The owner's connection thread may still read the next line on
+        // the pooled connection and answer `shutting-down`, which a client
+        // takes as final. Relayed by a node that is not leaving, it must
+        // read as the retryable `peer-unavailable` instead.
+        let old = servers.remove(owner);
+        old.shutdown();
+        let resp = roundtrip(via, &schedule_req("during"));
+        let (class, code, _) = resp.error.expect("the owner is leaving");
+        assert_eq!((class.as_str(), code), ("peer-unavailable", 503));
+        let node = servers.pop().unwrap();
+        assert_eq!(node.counter("serve.fleet.proxy_failures"), 1);
+        old.wait().unwrap();
+        node.shutdown();
+        node.wait().unwrap();
+    }
+
+    #[test]
+    fn a_timed_out_peer_connection_is_never_reused() {
+        // A fake owner: it answers the first line it reads only once the
+        // test releases it, after the proxy's deadline, and every later
+        // line at once.
+        let fake = TcpListener::bind("127.0.0.1:0").unwrap();
+        let fake_addr = fake.local_addr().unwrap().to_string();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            let mut released = Some(released);
+            for stream in fake.incoming().take(2) {
+                let mut hold = released.take();
+                std::thread::spawn(move || {
+                    let mut writer = stream.unwrap();
+                    let reader = BufReader::new(writer.try_clone().unwrap());
+                    for line in reader.lines() {
+                        let Ok(line) = line else { return };
+                        let id =
+                            crate::protocol::parse_request(&line).map_or_else(|e| e.0, |r| r.id);
+                        if let Some(released) = hold.take() {
+                            let _ = released.recv();
+                        }
+                        let reply = crate::protocol::success_line(&id, BTreeMap::new()) + "\n";
+                        let _ = writer.write_all(reply.as_bytes());
+                    }
+                });
+            }
+        });
+        let node_addr = reserve_ports(1).remove(0);
+        let peers = vec![node_addr.clone(), fake_addr.clone()];
+        let ring = HashRing::new(&peers, 1);
+        // A variant of `SAMPLE` whose key the fake owns.
+        let design = (8..64)
+            .map(|t| SAMPLE.replace("time=8", &format!("time={t}")))
+            .find(|d| {
+                let key = request_cache_key(d, &sample_opts(), 0).unwrap().unwrap();
+                ring.owner(&key) == fake_addr
+            })
+            .unwrap()
+            .replace('\n', "\\n");
+        let node = Server::start(ServeConfig {
+            listen: node_addr.clone(),
+            workers: 2,
+            fleet: Some(FleetConfig {
+                replicas: 1,
+                sync_interval: None,
+                ..FleetConfig::new(node_addr, peers)
+            }),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let request = |id: &str, deadline: &str| {
+            format!(
+                r#"{{"id":"{id}","action":"schedule","design":"{design}","all_global":4{deadline}}}"#
+            )
+        };
+        let first = roundtrip(
+            node.local_addr(),
+            &request("first", r#","deadline_ms":300"#),
+        );
+        let (class, code, _) = first.error.expect("the fake answers too late");
+        assert_eq!((class.as_str(), code), ("peer-unavailable", 503));
+        // The timed-out connection now delivers "first"'s reply; the next
+        // request must travel on a fresh connection and read its own.
+        release.send(()).unwrap();
+        let second = roundtrip(node.local_addr(), &request("second", ""));
+        assert!(second.is_ok(), "{:?}", second.error);
+        assert_eq!(second.id, JsonValue::String("second".into()));
+        assert_eq!(node.counter("serve.fleet.peer.dials"), 2);
+        assert_eq!(node.counter("serve.fleet.proxy_failures"), 1);
+        node.shutdown();
+        node.wait().unwrap();
     }
 
     /// Minimal HTTP/1.1 client: one request, returns (status, body).

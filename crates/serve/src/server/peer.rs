@@ -1,7 +1,8 @@
 //! The daemon's side of the fleet: proxying work to a key's owner,
 //! pushing fresh entries to its replicas, and anti-entropy sync — all
-//! over short-lived NDJSON connections to peers.
+//! over pooled NDJSON connections to peers ([`Shared::with_peer`]).
 
+use std::io::ErrorKind::{self, BrokenPipe, ConnectionReset, UnexpectedEof};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::{TcpStream, ToSocketAddrs as _};
 use std::sync::PoisonError;
@@ -24,65 +25,61 @@ const SYNC_READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// Read-timeout ceiling for proxied work (the request's own deadline
 /// tightens it further).
 const PROXY_READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// How a shutting-down owner answers a pooled connection (`error_line`
+/// renders keys in order). Relayed, it would tell the client to give up.
+const OWNER_LEAVING: &str = r#"{"error":{"class":"shutting-down""#;
 
-/// A short-lived NDJSON connection to a fleet peer.
-struct PeerConn {
+/// An NDJSON connection to a fleet peer, idle in `Shared::peers` between
+/// exchanges (at most `workers` per peer).
+pub(super) struct PeerConn {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// The outgoing line and its terminator, reused so each request
+    /// leaves in one write (one segment on the `nodelay` socket).
+    line: Vec<u8>,
+    /// Whether the current exchange has read any response byte.
+    heard: bool,
 }
 
 impl PeerConn {
-    fn connect(addr: &str, connect: Duration, read: Duration) -> std::io::Result<PeerConn> {
-        let mut last = None;
-        let mut stream = None;
+    fn connect(addr: &str) -> std::io::Result<PeerConn> {
+        let mut last = invalid_peer("peer address resolved to nothing");
         for sock in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&sock, connect) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
+            match TcpStream::connect_timeout(&sock, PEER_CONNECT_TIMEOUT) {
+                Ok(stream) => {
+                    let _ = stream.set_nodelay(true);
+                    return Ok(PeerConn {
+                        reader: BufReader::new(stream),
+                        line: Vec::new(),
+                        heard: false,
+                    });
                 }
-                Err(e) => last = Some(e),
+                Err(e) => last = e,
             }
         }
-        let stream = stream.ok_or_else(|| {
-            last.unwrap_or_else(|| invalid_peer("peer address resolved to nothing"))
-        })?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(read))?;
-        stream.set_write_timeout(Some(read))?;
-        Ok(PeerConn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
+        Err(last)
     }
 
     /// One request/response exchange. Peers answer in order on a
-    /// connection, so a plain `read_line` pairs correctly.
+    /// connection, so one complete line is this request's answer; a
+    /// partial line is an error, never an answer.
     fn request(&mut self, line: &str) -> std::io::Result<String> {
-        // One write, so the line leaves as one segment on the `nodelay`
-        // socket.
-        self.writer.write_all(format!("{line}\n").as_bytes())?;
-        let mut out = String::new();
-        if self.reader.read_line(&mut out)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "peer closed the connection",
-            ));
+        self.line.clear();
+        self.line.extend_from_slice(line.as_bytes());
+        self.line.push(b'\n');
+        self.reader.get_mut().write_all(&self.line)?;
+        let mut out = Vec::new();
+        let read = self.reader.read_until(b'\n', &mut out);
+        self.heard |= !out.is_empty();
+        read?;
+        if out.pop() != Some(b'\n') {
+            return Err(UnexpectedEof.into()); // EOF, maybe mid-line
         }
-        while out.ends_with('\n') || out.ends_with('\r') {
-            out.pop();
-        }
-        Ok(out)
+        String::from_utf8(out).map_err(|_| invalid_peer("peer answered non-UTF-8 bytes"))
     }
 }
 
-/// One-shot request to a peer on a fresh connection.
-fn peer_request(addr: &str, line: &str, read: Duration) -> std::io::Result<String> {
-    PeerConn::connect(addr, PEER_CONNECT_TIMEOUT, read)?.request(line)
-}
-
 fn invalid_peer(msg: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_owned())
+    std::io::Error::new(ErrorKind::InvalidData, msg.to_owned())
 }
 
 /// Parses a peer's response line and extracts its body, converting
@@ -97,6 +94,68 @@ fn peer_body(line: &str) -> std::io::Result<JsonValue> {
 }
 
 impl Shared {
+    /// Runs `exchange` (one request, or a whole anti-entropy round) on an
+    /// idle connection to `peer`, else on a fresh dial, and pools it again
+    /// only after a success: a failed one (timeout, partial line, I/O
+    /// error) may still carry a late reply the next request would read as
+    /// its own. A stale pooled connection is retried once on a fresh dial;
+    /// exchanges are idempotent, so that cannot change an answer. `work`
+    /// marks a proxied request: it may take the last idle connection and
+    /// pools what it dials. Pushes and sync only borrow a spare and close
+    /// what they dial, so they never make a proxied request dial nor keep
+    /// a peer's connection thread alive on their own.
+    fn with_peer<T>(
+        &self,
+        peer: &str,
+        read: Duration,
+        work: bool,
+        mut exchange: impl FnMut(&mut PeerConn) -> std::io::Result<T>,
+    ) -> std::io::Result<T> {
+        let lock = || self.peers.lock().unwrap_or_else(PoisonError::into_inner);
+        let pooled = lock()
+            .get_mut(peer)
+            .filter(|idle| idle.len() > usize::from(!work))
+            .and_then(Vec::pop);
+        let reused = pooled.is_some();
+        let mut conn = match pooled {
+            Some(conn) => conn,
+            None => self.dial(peer)?,
+        };
+        let mut run = |conn: &mut PeerConn| {
+            conn.heard = false;
+            conn.reader.get_ref().set_read_timeout(Some(read))?;
+            conn.reader.get_ref().set_write_timeout(Some(read))?;
+            exchange(conn)
+        };
+        let mut result = run(&mut conn);
+        // Stale: the peer closed the idle connection before any response
+        // byte. A timeout never is (a slow owner is not a stale one).
+        let stale =
+            |e: &std::io::Error| matches!(e.kind(), UnexpectedEof | ConnectionReset | BrokenPipe);
+        if reused && !conn.heard && result.as_ref().is_err_and(stale) {
+            conn = self.dial(peer)?;
+            result = run(&mut conn);
+        }
+        if result.is_ok() && (work || reused) {
+            let mut pool = lock();
+            // Checked under the lock `begin_shutdown` takes after raising
+            // the flag: nothing lands in a drained pool.
+            if !self.shutting_down() {
+                match pool.get_mut(peer) {
+                    Some(idle) if idle.len() >= self.config.workers => {}
+                    Some(idle) => idle.push(conn),
+                    None => drop(pool.insert(peer.to_owned(), vec![conn])),
+                }
+            }
+        }
+        result
+    }
+
+    fn dial(&self, peer: &str) -> std::io::Result<PeerConn> {
+        self.lock_metrics().counter_add("serve.fleet.peer.dials", 1);
+        PeerConn::connect(peer)
+    }
+
     /// The content address a work request would execute under, when the
     /// request is routable: cache enabled, not degrade-laddered, and the
     /// design parses. Taken from the answer index when this node has
@@ -165,7 +224,11 @@ impl Shared {
         }
         let read_timeout = remaining.map_or(PROXY_READ_TIMEOUT, |r| r.min(PROXY_READ_TIMEOUT));
         let start = Instant::now();
-        match peer_request(&owner, raw, read_timeout) {
+        let exchange = |conn: &mut PeerConn| match conn.request(raw)? {
+            line if line.starts_with(OWNER_LEAVING) => Err(ErrorKind::ConnectionAborted.into()),
+            line => Ok(line),
+        };
+        match self.with_peer(&owner, read_timeout, true, exchange) {
             Ok(line) => {
                 let rtt = dur_us(start.elapsed());
                 fleet.membership.record_ok(&owner, rtt);
@@ -226,7 +289,7 @@ impl Shared {
                 continue; // sync catches the peer up when it rejoins
             }
             let start = Instant::now();
-            match peer_request(peer, &line, SYNC_READ_TIMEOUT) {
+            match self.with_peer(peer, SYNC_READ_TIMEOUT, false, |conn| conn.request(&line)) {
                 Ok(_) => {
                     fleet.membership.record_ok(peer, dur_us(start.elapsed()));
                     self.lock_metrics().counter_add("serve.fleet.pushed", 1);
@@ -243,19 +306,20 @@ impl Shared {
     /// One anti-entropy exchange with one peer: digest comparison, then
     /// a pull of every diverging shard over the same connection.
     fn sync_with_peer(&self, peer: &str) -> std::io::Result<sync::SyncOutcome> {
-        let mut conn = PeerConn::connect(peer, PEER_CONNECT_TIMEOUT, SYNC_READ_TIMEOUT)?;
-        let line = conn.request(&sync::digest_request_line("sync-digest"))?;
-        let theirs = sync::parse_digests(&peer_body(&line)?)
-            .ok_or_else(|| invalid_peer("malformed digest response"))?;
-        sync::pull_round(&self.cache, &theirs, |shard| {
-            let line = conn.request(&sync::pull_shard_request_line("sync-pull", shard))?;
-            let (entries, rejected) = sync::parse_entries(&peer_body(&line)?)
-                .ok_or_else(|| invalid_peer("malformed entries response"))?;
-            if rejected > 0 {
-                self.lock_metrics()
-                    .counter_add("serve.fleet.sync.rejected", rejected as u64);
-            }
-            Ok(entries)
+        self.with_peer(peer, SYNC_READ_TIMEOUT, false, |conn| {
+            let line = conn.request(&sync::digest_request_line("sync-digest"))?;
+            let theirs = sync::parse_digests(&peer_body(&line)?)
+                .ok_or_else(|| invalid_peer("malformed digest response"))?;
+            sync::pull_round(&self.cache, &theirs, |shard| {
+                let line = conn.request(&sync::pull_shard_request_line("sync-pull", shard))?;
+                let (entries, rejected) = sync::parse_entries(&peer_body(&line)?)
+                    .ok_or_else(|| invalid_peer("malformed entries response"))?;
+                if rejected > 0 {
+                    self.lock_metrics()
+                        .counter_add("serve.fleet.sync.rejected", rejected as u64);
+                }
+                Ok(entries)
+            })
         })
     }
 
@@ -298,6 +362,23 @@ impl Shared {
                 .last_sync
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) = Some(Instant::now());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::OWNER_LEAVING;
+    use crate::error::ServeError;
+    use crate::protocol::error_line;
+    use tcms_obs::json::JsonValue;
+
+    #[test]
+    fn owner_leaving_prefix_matches_the_rendered_error() {
+        for id in [JsonValue::Null, JsonValue::String("x".into())] {
+            assert!(error_line(&id, &ServeError::ShuttingDown).starts_with(OWNER_LEAVING));
+            let other = ServeError::PeerUnavailable { peer: "p".into() };
+            assert!(!error_line(&id, &other).starts_with(OWNER_LEAVING));
         }
     }
 }
