@@ -75,14 +75,12 @@ fn capture(lines: &[String], dir: &std::path::Path) -> Vec<String> {
     server.shutdown();
     server.wait().expect("clean shutdown");
 
+    // A clean shutdown leaves a clean journal: every line loads.
     let path = tcms_serve::journal::journal_path(dir);
-    // The emitted file must satisfy the strict trace_check validator.
-    let content = std::fs::read_to_string(&path).expect("read journal");
-    let check = tcms_obs::validate_journal(&content).expect("journal validates");
-    assert_eq!(check.records, lines.len());
-    assert!(!check.torn_tail);
     let (records, report) = load_journal(&path).expect("load journal");
     assert_eq!(report.loaded, lines.len());
+    assert_eq!(report.skipped, 0);
+    assert!(!report.torn_tail);
     records.into_iter().map(|r| r.request).collect()
 }
 

@@ -1,30 +1,21 @@
 //! CI validator for recorded traces.
 //!
 //! ```text
-//! trace_check [--jsonl FILE]... [--chrome FILE]... [--journal FILE]...
-//!             [--stats FILE]...
+//! trace_check [--jsonl FILE]... [--chrome FILE]...
 //! ```
 //!
 //! Parses each `--jsonl` file as a JSON Lines event stream (checking span
-//! nesting), each `--chrome` file against the Chrome `trace_event`
-//! object format (checking `B`/`E` balance), each `--journal` file as
-//! a `tcms-serve` workload journal (schema, strictly monotone sequence
-//! numbers, torn-tail detection — a torn final line is reported but not
-//! fatal, so a journal captured from a crashed daemon still lints before
-//! replay), and each `--stats` file as a daemon `stats` response body
-//! (daemon counters plus, on fleet members, the full `fleet` block:
-//! routing counters, anti-entropy sync metrics, per-peer health). Exits
-//! non-zero on the first rejected file, so a CI step can gate on
-//! emitted traces staying loadable.
+//! nesting) and each `--chrome` file against the Chrome `trace_event`
+//! object format (checking `B`/`E` balance). Exits non-zero on the first
+//! rejected file, so a CI step can gate on emitted traces staying
+//! loadable.
 
 use std::process::ExitCode;
 
 use tcms_obs::sink;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: trace_check [--jsonl FILE]... [--chrome FILE]... [--journal FILE]... [--stats FILE]..."
-    );
+    eprintln!("usage: trace_check [--jsonl FILE]... [--chrome FILE]...");
     ExitCode::from(2)
 }
 
@@ -37,9 +28,7 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         let (flag, path) = match (args.get(i).map(String::as_str), args.get(i + 1)) {
-            (Some(flag @ ("--jsonl" | "--chrome" | "--journal" | "--stats")), Some(path)) => {
-                (flag, path)
-            }
+            (Some(flag @ ("--jsonl" | "--chrome")), Some(path)) => (flag, path),
             _ => return usage(),
         };
         i += 2;
@@ -50,16 +39,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let result = match flag {
-            "--jsonl" => sink::validate_jsonl(&content),
-            "--journal" => sink::validate_journal(&content).map(|check| {
-                if check.torn_tail {
-                    eprintln!("trace_check: {path}: warning: torn final line skipped");
-                }
-                check.records
-            }),
-            "--stats" => sink::validate_stats(&content),
-            _ => sink::validate_chrome_trace(&content),
+        let result = if flag == "--jsonl" {
+            sink::validate_jsonl(&content)
+        } else {
+            sink::validate_chrome_trace(&content)
         };
         match result {
             Ok(n) => {

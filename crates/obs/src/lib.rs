@@ -50,5 +50,4 @@ pub mod trace;
 
 pub use metrics::{Histogram, MetricName, MetricsRegistry};
 pub use recorder::{span_enter, NoopRecorder, Recorder, Span, SpanId, TimelinePoint, Value};
-pub use sink::{validate_journal, JournalCheck, JOURNAL_MAGIC, JOURNAL_VERSION};
 pub use trace::{TraceData, TraceEvent, TraceEventKind, TraceRecorder};

@@ -225,257 +225,6 @@ pub fn validate_jsonl(input: &str) -> Result<usize, String> {
     Ok(records.len())
 }
 
-/// Magic header value identifying a `tcms-serve` workload journal.
-/// Duplicated (deliberately) by the serve crate's writer; the serve test
-/// suite asserts the two stay in sync by running captured journals
-/// through [`validate_journal`].
-pub const JOURNAL_MAGIC: &str = "tcms-serve-journal";
-
-/// Journal schema version this validator understands.
-pub const JOURNAL_VERSION: f64 = 1.0;
-
-/// Outcome of [`validate_journal`] on a well-formed journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalCheck {
-    /// Number of valid records (the header line does not count).
-    pub records: usize,
-    /// Whether the final line was torn (unparseable or schema-invalid)
-    /// and skipped. A torn tail is expected after a crash and is not an
-    /// error; torn lines anywhere else are.
-    pub torn_tail: bool,
-    /// Whether the final line is a rotation seal trailer
-    /// (`{"sealed":true,...}`) — the file is a sealed journal segment,
-    /// not a live journal.
-    pub sealed: bool,
-}
-
-fn journal_record_error(line_no: usize, rec: &JsonValue) -> Option<String> {
-    let num = |key: &str| rec.get(key).and_then(JsonValue::as_f64);
-    let string = |key: &str| rec.get(key).and_then(JsonValue::as_str);
-    if rec.as_object().is_none() {
-        return Some(format!("line {line_no}: record is not an object"));
-    }
-    for key in [
-        "seq", "ts_us", "code", "queue_us", "exec_us", "total_us", "dropped",
-    ] {
-        if num(key).is_none() {
-            return Some(format!("line {line_no}: missing numeric `{key}`"));
-        }
-    }
-    for key in ["action", "outcome", "request"] {
-        match string(key) {
-            Some(s) if !s.is_empty() => {}
-            _ => return Some(format!("line {line_no}: missing string `{key}`")),
-        }
-    }
-    // Optional members must still be well-typed when present.
-    for key in ["disposition", "spec", "config"] {
-        match rec.get(key) {
-            None | Some(JsonValue::Null) | Some(JsonValue::String(_)) => {}
-            Some(_) => return Some(format!("line {line_no}: `{key}` must be a string or null")),
-        }
-    }
-    if let Some(spec) = string("spec") {
-        if spec.len() != 32 || !spec.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Some(format!("line {line_no}: `spec` is not a 32-hex-digit hash"));
-        }
-    }
-    None
-}
-
-/// Validates a `tcms-serve` workload journal: a magic header line
-/// followed by one JSON record per request with strictly increasing
-/// `seq`, non-decreasing `ts_us`/`dropped`, and the capture schema
-/// (action/outcome/timings/raw request). The final line may be torn —
-/// a crash mid-append leaves a partial line, which loaders skip — or a
-/// rotation seal trailer (`{"sealed":true,...}`, reported as `sealed`);
-/// a malformed line anywhere else fails validation.
-///
-/// # Errors
-///
-/// Describes the first schema or monotonicity violation with its
-/// 1-based line number.
-pub fn validate_journal(input: &str) -> Result<JournalCheck, String> {
-    let lines: Vec<&str> = input.lines().collect();
-    let Some((&header, records)) = lines.split_first() else {
-        return Err("empty journal: missing header line".into());
-    };
-    let h = json::parse(header).map_err(|e| format!("line 1: bad header: {e}"))?;
-    if h.get("magic").and_then(JsonValue::as_str) != Some(JOURNAL_MAGIC) {
-        return Err(format!("line 1: header magic is not {JOURNAL_MAGIC:?}"));
-    }
-    if h.get("version").and_then(JsonValue::as_f64) != Some(JOURNAL_VERSION) {
-        return Err("line 1: unsupported journal version".into());
-    }
-
-    let mut check = JournalCheck {
-        records: 0,
-        torn_tail: false,
-        sealed: false,
-    };
-    let mut prev_seq: Option<f64> = None;
-    let mut prev_ts = 0.0;
-    let mut prev_dropped = 0.0;
-    for (i, line) in records.iter().enumerate() {
-        let line_no = i + 2;
-        let is_last = i + 1 == records.len();
-        if is_last {
-            if let Ok(rec) = json::parse(line) {
-                if rec.get("sealed") == Some(&JsonValue::Bool(true)) {
-                    check.sealed = true;
-                    continue;
-                }
-            }
-        }
-        let problem = match json::parse(line) {
-            Ok(rec) => match journal_record_error(line_no, &rec) {
-                Some(e) => Some(e),
-                None => {
-                    let seq = rec.get("seq").and_then(JsonValue::as_f64).unwrap();
-                    let ts = rec.get("ts_us").and_then(JsonValue::as_f64).unwrap();
-                    let dropped = rec.get("dropped").and_then(JsonValue::as_f64).unwrap();
-                    if prev_seq.is_some_and(|p| seq <= p) {
-                        Some(format!(
-                            "line {line_no}: seq {seq} is not strictly increasing"
-                        ))
-                    } else if ts < prev_ts {
-                        Some(format!("line {line_no}: ts_us went backwards"))
-                    } else if dropped < prev_dropped {
-                        Some(format!("line {line_no}: dropped count went backwards"))
-                    } else {
-                        prev_seq = Some(seq);
-                        prev_ts = ts;
-                        prev_dropped = dropped;
-                        None
-                    }
-                }
-            },
-            Err(e) => Some(format!("line {line_no}: {e}")),
-        };
-        match problem {
-            None => check.records += 1,
-            Some(_) if is_last => check.torn_tail = true,
-            Some(e) => return Err(e),
-        }
-    }
-    Ok(check)
-}
-
-/// Validates a `tcms-serve` `stats` response body (the JSON document
-/// `tcms client <addr> stats` prints): the daemon-level numeric fields
-/// must be present, and when the `fleet` block reports `enabled: true`
-/// its full schema is enforced — identity (`self`/`route`/`replicas`),
-/// the routing and replication counters, the anti-entropy `sync` block
-/// (`lag_ms` may be null before the first full round), and one
-/// well-typed health entry per peer. Returns the number of fields
-/// checked, so a caller can tell a fleet document from a standalone one.
-///
-/// # Errors
-///
-/// Describes the first missing or ill-typed field by its JSON path.
-pub fn validate_stats(input: &str) -> Result<usize, String> {
-    let doc = json::parse(input.trim()).map_err(|e| format!("not valid JSON: {e}"))?;
-    doc.as_object().ok_or("stats document is not an object")?;
-    let mut checked = 0usize;
-    fn num_field(v: &JsonValue, key: &str, path: &str) -> Result<(), String> {
-        match v.get(key).and_then(JsonValue::as_f64) {
-            Some(n) if n >= 0.0 => Ok(()),
-            Some(_) => Err(format!("`{path}` is negative")),
-            None => Err(format!("missing numeric `{path}`")),
-        }
-    }
-    for key in [
-        "requests",
-        "errors",
-        "cache_entries",
-        "cache_hits",
-        "cache_misses",
-        "cache_hit_rate",
-        "workers",
-    ] {
-        num_field(&doc, key, key)?;
-        checked += 1;
-    }
-    let fleet = doc
-        .get("fleet")
-        .and_then(JsonValue::as_object)
-        .ok_or("missing object `fleet`")?;
-    checked += 1;
-    match fleet.get("enabled") {
-        Some(JsonValue::Bool(false)) => return Ok(checked),
-        Some(JsonValue::Bool(true)) => {}
-        _ => return Err("`fleet.enabled` must be a bool".into()),
-    }
-    let fleet = doc.get("fleet").unwrap();
-    match fleet.get("self").and_then(JsonValue::as_str) {
-        Some(s) if !s.is_empty() => checked += 1,
-        _ => return Err("missing string `fleet.self`".into()),
-    }
-    match fleet.get("route").and_then(JsonValue::as_str) {
-        Some("proxy" | "local") => checked += 1,
-        Some(other) => return Err(format!("`fleet.route` is `{other}`, not proxy|local")),
-        None => return Err("missing string `fleet.route`".into()),
-    }
-    for key in [
-        "replicas",
-        "proxied",
-        "proxy_failures",
-        "local_fallback",
-        "pushed",
-        "push_failures",
-        "peer_dials",
-    ] {
-        num_field(fleet, key, &format!("fleet.{key}"))?;
-        checked += 1;
-    }
-    let sync = fleet
-        .get("sync")
-        .filter(|s| s.as_object().is_some())
-        .ok_or("missing object `fleet.sync`")?;
-    for key in [
-        "rounds",
-        "shards_pulled",
-        "entries_applied",
-        "failures",
-        "push_applied",
-        "push_rejected",
-    ] {
-        num_field(sync, key, &format!("fleet.sync.{key}"))?;
-        checked += 1;
-    }
-    match sync.get("lag_ms") {
-        Some(JsonValue::Null | JsonValue::Number(_)) => checked += 1,
-        _ => return Err("`fleet.sync.lag_ms` must be a number or null".into()),
-    }
-    let peers = fleet
-        .get("peers")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing array `fleet.peers`")?;
-    for (i, peer) in peers.iter().enumerate() {
-        match peer.get("addr").and_then(JsonValue::as_str) {
-            Some(a) if !a.is_empty() => {}
-            _ => return Err(format!("missing string `fleet.peers[{i}].addr`")),
-        }
-        match peer.get("alive") {
-            Some(JsonValue::Bool(_)) => {}
-            _ => return Err(format!("`fleet.peers[{i}].alive` must be a bool")),
-        }
-        for key in ["ok", "failures", "consecutive_failures"] {
-            num_field(peer, key, &format!("fleet.peers[{i}].{key}"))?;
-        }
-        match peer.get("last_rtt_us") {
-            Some(JsonValue::Null | JsonValue::Number(_)) => {}
-            _ => {
-                return Err(format!(
-                    "`fleet.peers[{i}].last_rtt_us` must be a number or null"
-                ))
-            }
-        }
-        checked += 1;
-    }
-    Ok(checked)
-}
-
 fn chrome_args(out: &mut String, fields: &[(&'static str, Value)]) {
     out.push_str(",\"args\":");
     write_fields(out, fields);
@@ -773,106 +522,6 @@ mod tests {
         assert!(validate_chrome_trace(crossed).is_err());
     }
 
-    fn journal_line(seq: u64, ts: u64) -> String {
-        format!(
-            "{{\"seq\":{seq},\"ts_us\":{ts},\"action\":\"schedule\",\
-             \"spec\":\"00112233445566778899aabbccddeeff\",\"config\":\"00000000deadbeef\",\
-             \"disposition\":\"miss\",\"outcome\":\"ok\",\"code\":0,\
-             \"queue_us\":5,\"exec_us\":100,\"total_us\":105,\"dropped\":0,\
-             \"request\":\"{{\\\"id\\\":\\\"r{seq}\\\"}}\"}}"
-        )
-    }
-
-    fn journal_doc(lines: &[String]) -> String {
-        let mut out = format!("{{\"magic\":\"{JOURNAL_MAGIC}\",\"version\":1}}\n");
-        for l in lines {
-            out.push_str(l);
-            out.push('\n');
-        }
-        out
-    }
-
-    #[test]
-    fn journal_validator_accepts_well_formed_capture() {
-        let doc = journal_doc(&[
-            journal_line(0, 10),
-            journal_line(1, 20),
-            journal_line(2, 20),
-        ]);
-        let check = validate_journal(&doc).unwrap();
-        assert_eq!(check.records, 3);
-        assert!(!check.torn_tail);
-    }
-
-    #[test]
-    fn journal_validator_tolerates_torn_tail_only() {
-        // A torn final line (partial write after a crash) is skipped...
-        let mut doc = journal_doc(&[journal_line(0, 10)]);
-        doc.push_str("{\"seq\":1,\"ts_us\":20,\"act");
-        let check = validate_journal(&doc).unwrap();
-        assert_eq!(check.records, 1);
-        assert!(check.torn_tail);
-        // ...but the same garbage mid-file is corruption, not a tear.
-        let doc = journal_doc(&["{\"seq\":1,\"ts_us\":20,\"act".into(), journal_line(2, 30)]);
-        assert!(validate_journal(&doc).is_err());
-    }
-
-    #[test]
-    fn journal_validator_accepts_a_rotation_seal_trailer() {
-        // A sealed segment ends with a `{"sealed":true,...}` trailer:
-        // valid, reported as sealed, not counted as a record or a tear.
-        let mut doc = journal_doc(&[journal_line(0, 10), journal_line(1, 20)]);
-        doc.push_str("{\"sealed\":true,\"records\":2,\"check\":\"00000000000000aa\"}\n");
-        let check = validate_journal(&doc).unwrap();
-        assert_eq!(check.records, 2);
-        assert!(check.sealed);
-        assert!(!check.torn_tail);
-        // A seal anywhere but the final line is still corruption.
-        let doc = journal_doc(&[
-            journal_line(0, 10),
-            "{\"sealed\":true,\"records\":1,\"check\":\"00\"}".into(),
-            journal_line(2, 30),
-        ]);
-        assert!(validate_journal(&doc).is_err());
-    }
-
-    #[test]
-    fn journal_validator_enforces_schema_and_monotonicity() {
-        // Missing header.
-        assert!(validate_journal("").is_err());
-        assert!(validate_journal(&journal_line(0, 0)).is_err());
-        // Foreign magic.
-        assert!(validate_journal("{\"magic\":\"other\",\"version\":1}\n").is_err());
-        // seq must be strictly increasing (mid-file).
-        let doc = journal_doc(&[
-            journal_line(1, 10),
-            journal_line(1, 20),
-            journal_line(2, 30),
-        ]);
-        assert!(validate_journal(&doc)
-            .unwrap_err()
-            .contains("strictly increasing"));
-        // ts_us must not go backwards.
-        let doc = journal_doc(&[
-            journal_line(0, 20),
-            journal_line(1, 10),
-            journal_line(2, 30),
-        ]);
-        assert!(validate_journal(&doc).unwrap_err().contains("ts_us"));
-        // A record without the raw request line cannot drive replay.
-        let stripped = journal_line(0, 10).replace("\"request\"", "\"req\"");
-        let doc = journal_doc(&[stripped, journal_line(1, 20)]);
-        assert!(validate_journal(&doc).unwrap_err().contains("request"));
-        // A bad spec hash is flagged.
-        let shorthash = journal_line(0, 10).replace("00112233445566778899aabbccddeeff", "abc");
-        let doc = journal_doc(&[shorthash, journal_line(1, 20)]);
-        assert!(validate_journal(&doc).unwrap_err().contains("spec"));
-        // An empty journal (header only) is valid: zero records.
-        let check = validate_journal(&journal_doc(&[])).unwrap();
-        assert_eq!(check.records, 0);
-        assert!(!check.torn_tail);
-    }
-
     #[test]
     fn nesting_checker_flags_in_memory_violations() {
         use crate::recorder::SpanId;
@@ -894,76 +543,5 @@ mod tests {
         assert!(check_span_nesting(&bad).is_err());
         let dangling = vec![ev(K::SpanExit { id: SpanId(3) })];
         assert!(check_span_nesting(&dangling).is_err());
-    }
-
-    /// A minimal standalone-daemon stats document: the daemon fields
-    /// plus a disabled fleet block.
-    fn standalone_stats() -> String {
-        concat!(
-            r#"{"requests":10,"errors":0,"cache_entries":3,"cache_hits":7,"#,
-            r#""cache_misses":3,"cache_hit_rate":0.7,"workers":2,"#,
-            r#""fleet":{"enabled":false}}"#
-        )
-        .to_owned()
-    }
-
-    fn fleet_stats() -> String {
-        concat!(
-            r#"{"requests":10,"errors":0,"cache_entries":3,"cache_hits":7,"#,
-            r#""cache_misses":3,"cache_hit_rate":0.7,"workers":2,"#,
-            r#""fleet":{"enabled":true,"self":"a:1","route":"proxy","replicas":2,"#,
-            r#""proxied":4,"proxy_failures":0,"local_fallback":0,"pushed":2,"push_failures":0,"#,
-            r#""peer_dials":2,"#,
-            r#""sync":{"rounds":3,"shards_pulled":1,"entries_applied":1,"failures":0,"#,
-            r#""push_applied":0,"push_rejected":0,"lag_ms":null},"#,
-            r#""peers":[{"addr":"b:1","alive":true,"ok":5,"failures":1,"#,
-            r#""consecutive_failures":0,"last_rtt_us":120}]}}"#
-        )
-        .to_owned()
-    }
-
-    #[test]
-    fn stats_validator_accepts_standalone_and_fleet_documents() {
-        let standalone = validate_stats(&standalone_stats()).unwrap();
-        let fleet = validate_stats(&fleet_stats()).unwrap();
-        // The fleet document checks strictly more fields.
-        assert!(fleet > standalone, "{fleet} vs {standalone}");
-    }
-
-    #[test]
-    fn stats_validator_rejects_broken_fleet_blocks() {
-        assert!(validate_stats("not json").is_err());
-        assert!(validate_stats("[1,2]").is_err());
-        // A daemon field gone missing.
-        let err = validate_stats(&standalone_stats().replace(r#""workers":2,"#, "")).unwrap_err();
-        assert!(err.contains("workers"), "{err}");
-        // Each fleet-schema mutation must name the offending path.
-        for (broken, needle) in [
-            (
-                fleet_stats().replace(r#""route":"proxy""#, r#""route":"magic""#),
-                "route",
-            ),
-            (fleet_stats().replace(r#""proxied":4,"#, ""), "proxied"),
-            (
-                fleet_stats().replace(r#""peer_dials":2,"#, ""),
-                "peer_dials",
-            ),
-            (fleet_stats().replace(r#""rounds":3,"#, ""), "sync.rounds"),
-            (
-                fleet_stats().replace(r#""lag_ms":null"#, r#""lag_ms":"soon""#),
-                "lag_ms",
-            ),
-            (
-                fleet_stats().replace(r#""alive":true,"#, r#""alive":"yes","#),
-                "alive",
-            ),
-            (
-                fleet_stats().replace(r#""last_rtt_us":120"#, r#""last_rtt_us":"fast""#),
-                "last_rtt_us",
-            ),
-        ] {
-            let err = validate_stats(&broken).unwrap_err();
-            assert!(err.contains(needle), "{needle}: {err}");
-        }
     }
 }

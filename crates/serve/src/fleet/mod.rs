@@ -6,7 +6,8 @@
 //! * **Routing** ([`ring`]): a deterministic consistent-hash ring over
 //!   the static `--peers` list maps every content address to an owner
 //!   and an R-replica set, so any node knows — with no coordination —
-//!   which node should hold a given result.
+//!   which node should hold a given result. A node outside a key's
+//!   replica set proxies the request to the owner.
 //! * **Anti-entropy** ([`sync`]): a background loop exchanges
 //!   per-shard cache digests with each peer and ships only diverging
 //!   shards as self-checking op-batches, so caches converge even
@@ -32,43 +33,6 @@ pub use sync::{ShardDigest, SyncOutcome, SYNC_SHARDS};
 
 use crate::cache::CacheKey;
 
-/// How a non-owner node handles a request it does not own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouteMode {
-    /// Forward the raw request line to the owner and relay its response
-    /// verbatim — the fleet's hit rate is the owner's hit rate.
-    #[default]
-    Proxy,
-    /// Answer locally (fetching the entry from the owner first when the
-    /// local cache misses) and push fresh results to the owner — useful
-    /// when cross-node latency dominates compute.
-    Local,
-}
-
-impl RouteMode {
-    /// Stable lowercase name (CLI flag value and stats field).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RouteMode::Proxy => "proxy",
-            RouteMode::Local => "local",
-        }
-    }
-
-    /// Parses a CLI flag value.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending string for anything but `proxy` / `local`.
-    pub fn parse(s: &str) -> Result<RouteMode, String> {
-        match s {
-            "proxy" => Ok(RouteMode::Proxy),
-            "local" => Ok(RouteMode::Local),
-            other => Err(format!("unknown route mode `{other}` (proxy|local)")),
-        }
-    }
-}
-
 /// Static fleet configuration, one per daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
@@ -80,23 +44,20 @@ pub struct FleetConfig {
     pub peers: Vec<String>,
     /// Replica-set size (owner + backups), clamped to the fleet size.
     pub replicas: usize,
-    /// Non-owner behaviour.
-    pub route: RouteMode,
     /// Anti-entropy period; `None` disables the background loop (tests
     /// drive sync rounds explicitly).
     pub sync_interval: Option<Duration>,
 }
 
 impl FleetConfig {
-    /// A fleet config with the default replica count, proxy routing and
-    /// a 2-second sync period.
+    /// A fleet config with the default replica count and a 2-second
+    /// sync period.
     #[must_use]
     pub fn new(self_addr: impl Into<String>, peers: Vec<String>) -> FleetConfig {
         FleetConfig {
             self_addr: self_addr.into(),
             peers,
             replicas: DEFAULT_REPLICAS,
-            route: RouteMode::default(),
             sync_interval: Some(Duration::from_secs(2)),
         }
     }
@@ -238,14 +199,5 @@ mod tests {
         let fleet = Fleet::new(listed);
         assert_eq!(fleet.ring.peers(), peers.as_slice());
         assert_eq!(fleet.membership.addrs().count(), 1, "self not tracked");
-    }
-
-    #[test]
-    fn route_mode_parses_and_prints() {
-        assert_eq!(RouteMode::parse("proxy").unwrap(), RouteMode::Proxy);
-        assert_eq!(RouteMode::parse("local").unwrap(), RouteMode::Local);
-        assert!(RouteMode::parse("magic").is_err());
-        assert_eq!(RouteMode::Proxy.as_str(), "proxy");
-        assert_eq!(RouteMode::Local.as_str(), "local");
     }
 }

@@ -172,17 +172,6 @@ pub fn pull_shard_request_line(id: &str, shard: usize) -> String {
     )
 }
 
-/// The `sync_pull` request line for one exact content address.
-#[must_use]
-pub fn fetch_request_line(id: &str, key: &CacheKey) -> String {
-    format!(
-        "{{{},\"action\":\"sync_pull\",\"spec\":\"{}\",\"config\":\"{:016x}\"}}",
-        id_field(id),
-        key.spec,
-        key.config
-    )
-}
-
 /// The `sync_push` request line carrying an op-batch of entries.
 #[must_use]
 pub fn push_request_line(id: &str, entries: &[(CacheKey, Arc<CacheableResult>)]) -> String {
@@ -446,18 +435,7 @@ mod tests {
             .unwrap()
             .action
         {
-            Action::SyncPull { shard, key } => {
-                assert_eq!(shard, Some(7));
-                assert_eq!(key, None);
-            }
-            other => panic!("unexpected action {other:?}"),
-        }
-        let (k, _) = entry(3);
-        match parse_request(&fetch_request_line("f1", &k)).unwrap().action {
-            Action::SyncPull { shard, key } => {
-                assert_eq!(shard, None);
-                assert_eq!(key, Some(k));
-            }
+            Action::SyncPull { shard } => assert_eq!(shard, 7),
             other => panic!("unexpected action {other:?}"),
         }
     }

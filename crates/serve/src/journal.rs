@@ -35,13 +35,21 @@
 //! (empty, or an unparseable first line) is **quarantined** — renamed to
 //! `journal.jsonl.corrupt` — and a fresh journal is started; a *foreign*
 //! file (valid header, wrong magic) is still refused, never renamed.
-//! The `trace_check --journal` validator in `tcms-obs` enforces the same
-//! schema strictly (torn tails allowed at the tail only); a test keeps
-//! the two in sync.
+//!
+//! A restart continues `seq`, but `ts_us` and `dropped` count per writer
+//! open: both start again from 0, so they order and total records only
+//! within one writer's run.
+//!
+//! # One reader
+//!
+//! [`load_journal`] and [`load_journal_dir`] are the only readers of
+//! this format. A journal is clean when its [`JournalLoadReport`] skips
+//! no line other than a torn tail; a seal trailer counts only when its
+//! checksum and record count match the bytes before it.
 //!
 //! # Rotation
 //!
-//! With [`JournalWriter::open_with`] and a nonzero `rotate_bytes`, a
+//! With a nonzero `rotate_bytes` passed to [`JournalWriter::open`], a
 //! live file that grows past the threshold is **sealed** — a checksum
 //! trailer line covering every preceding byte is appended and fsynced —
 //! then atomically renamed to `journal.<n>.jsonl` (followed by a
@@ -66,9 +74,7 @@ use tcms_obs::json::{self, JsonValue};
 use crate::cache::{CacheKey, Disposition};
 use crate::persist::sync_dir;
 
-/// Magic header value of a journal file. Must match
-/// [`tcms_obs::JOURNAL_MAGIC`] — the obs validator lints what this
-/// writer emits.
+/// Magic header value of a journal file.
 pub const JOURNAL_MAGIC: &str = "tcms-serve-journal";
 /// Schema version written to the header.
 pub const JOURNAL_VERSION: f64 = 1.0;
@@ -110,7 +116,8 @@ pub struct JournalRecord {
     /// Writer-assigned sequence number, strictly increasing in file
     /// order.
     pub seq: u64,
-    /// Microseconds since the writer (re)opened the journal.
+    /// Microseconds since this record's writer opened the journal (0
+    /// again after every restart).
     pub ts_us: u64,
     /// The work action name.
     pub action: String,
@@ -130,7 +137,8 @@ pub struct JournalRecord {
     pub exec_us: u64,
     /// Arrival-to-response time in microseconds.
     pub total_us: u64,
-    /// Cumulative dropped-entry count at write time.
+    /// Entries this record's writer had dropped when it wrote the
+    /// record (cumulative per writer open, 0 again after a restart).
     pub dropped: u64,
     /// The raw request line.
     pub request: String,
@@ -197,29 +205,20 @@ impl JournalWriter {
     /// thread. An existing journal is continued: sequence numbers resume
     /// after the last valid record and a torn tail is truncated away
     /// first. `buffer` bounds the worker→writer channel (clamped to at
-    /// least 1).
+    /// least 1). Once the live file reaches `rotate_bytes` (0 disables
+    /// rotation), it is sealed with a checksum trailer, fsynced,
+    /// atomically renamed to `journal.<n>.jsonl`, and a fresh live file
+    /// is started. Sequence numbers continue across segments and
+    /// restarts.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures, and refuses (with `InvalidData`) to
     /// append to a file whose header is not a journal header — the
-    /// daemon must not grow records onto a foreign file.
-    pub fn open(dir: &Path, buffer: usize) -> io::Result<JournalWriter> {
-        Self::open_with(dir, buffer, 0)
-    }
-
-    /// Like [`JournalWriter::open`], with size-based rotation: once the
-    /// live file reaches `rotate_bytes` (0 disables rotation), it is
-    /// sealed with a checksum trailer, fsynced, atomically renamed to
-    /// `journal.<n>.jsonl`, and a fresh live file is started. Sequence
-    /// numbers continue across segments and restarts.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`JournalWriter::open`]. A live file that is empty or has
-    /// an unparseable header is quarantined to `journal.jsonl.corrupt`
-    /// (not an error); a foreign header is refused.
-    pub fn open_with(dir: &Path, buffer: usize, rotate_bytes: u64) -> io::Result<JournalWriter> {
+    /// daemon must not grow records onto a foreign file. A live file
+    /// that is empty or has an unparseable header is quarantined to
+    /// `journal.jsonl.corrupt` (not an error).
+    pub fn open(dir: &Path, buffer: usize, rotate_bytes: u64) -> io::Result<JournalWriter> {
         fs::create_dir_all(dir)?;
         let path = journal_path(dir);
         let mut next_seq = 0;
@@ -756,7 +755,7 @@ mod tests {
     #[test]
     fn write_load_round_trip_preserves_order_and_keys() {
         let dir = temp_dir("rt");
-        let writer = JournalWriter::open(&dir, 64).unwrap();
+        let writer = JournalWriter::open(&dir, 64, 0).unwrap();
         for i in 0..20 {
             let mut e = entry("schedule", "ok");
             e.request = format!("{{\"id\":{i}}}");
@@ -789,8 +788,11 @@ mod tests {
     #[test]
     fn reopen_continues_sequence_and_truncates_torn_tail() {
         let dir = temp_dir("reopen");
-        let writer = JournalWriter::open(&dir, 64).unwrap();
+        let writer = JournalWriter::open(&dir, 64, 0).unwrap();
         writer.record(entry("schedule", "ok"));
+        // A lead on the first writer's clock that the restarted one,
+        // counting from its own open, will not have.
+        std::thread::sleep(std::time::Duration::from_millis(100));
         writer.record(entry("simulate", "ok"));
         writer.close();
 
@@ -806,7 +808,7 @@ mod tests {
         assert_eq!(records.len(), 2);
 
         // Recovery: the torn tail is truncated, seq resumes at 2.
-        let writer = JournalWriter::open(&dir, 64).unwrap();
+        let writer = JournalWriter::open(&dir, 64, 0).unwrap();
         writer.record(entry("schedule", "ok"));
         writer.close();
         let (records, report) = load_journal(&path).unwrap();
@@ -817,13 +819,17 @@ mod tests {
             vec![0, 1, 2],
             "sequence continues across restarts"
         );
+        assert!(
+            records[2].ts_us < records[1].ts_us,
+            "ts_us restarts with the writer, and the journal is still clean"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn full_channel_drops_with_accounting_instead_of_blocking() {
         let dir = temp_dir("drop");
-        let writer = JournalWriter::open(&dir, 2).unwrap();
+        let writer = JournalWriter::open(&dir, 2, 0).unwrap();
         // Saturate: far more entries than the channel holds, faster than
         // a flushing writer can drain. Some must drop; none may block.
         for _ in 0..5_000 {
@@ -848,7 +854,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = journal_path(&dir);
         fs::write(&path, "{\"magic\":\"something-else\",\"version\":1}\n").unwrap();
-        let err = JournalWriter::open(&dir, 8).unwrap_err();
+        let err = JournalWriter::open(&dir, 8, 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(load_journal(&path).is_err());
         // The foreign file is untouched.
@@ -861,7 +867,7 @@ mod tests {
     #[test]
     fn error_outcomes_round_trip_without_a_key() {
         let dir = temp_dir("err");
-        let writer = JournalWriter::open(&dir, 8).unwrap();
+        let writer = JournalWriter::open(&dir, 8, 0).unwrap();
         writer.record(JournalEntry {
             action: "schedule",
             key: None,
@@ -889,7 +895,7 @@ mod tests {
         let dir = temp_dir("rotate");
         // Each record line is a few hundred bytes; a 600-byte threshold
         // forces a rotation every couple of records.
-        let writer = JournalWriter::open_with(&dir, 64, 600).unwrap();
+        let writer = JournalWriter::open(&dir, 64, 600).unwrap();
         for i in 0..12 {
             let mut e = entry("schedule", "ok");
             e.request = format!("{{\"id\":{i}}}");
@@ -910,6 +916,23 @@ mod tests {
         let (_, live_report) = load_journal(&journal_path(&dir)).unwrap();
         assert!(!live_report.sealed, "the live file is never sealed");
 
+        // A seal whose checksum or record count does not match the bytes
+        // before it is a torn tail, not a seal.
+        let segment = fs::read_to_string(rotated_path(&dir, indices[0])).unwrap();
+        let body = &segment[..=segment.trim_end().rfind('\n').unwrap()];
+        let (records, check) = (body.lines().count() - 1, fnv64(body.as_bytes()));
+        let seal = |records: usize, check: u64| {
+            format!(r#"{{"sealed":true,"records":{records},"check":"{check:016x}"}}"#)
+        };
+        assert_eq!(seal(records, check), seal_line(body), "the genuine seal");
+        for forged in [seal(99, 0), seal(records, 0), seal(records + 1, check)] {
+            let scan = scan_journal(&format!("{body}{forged}\n")).unwrap();
+            assert_eq!(scan.report.loaded, records, "{forged}");
+            assert!(!scan.report.sealed, "{forged} is not a seal");
+            assert!(scan.report.torn_tail, "{forged}");
+            assert_eq!(scan.report.skipped, 1, "{forged}");
+        }
+
         let (records, report) = load_journal_dir(&dir).unwrap();
         assert_eq!(report.loaded, 12);
         assert_eq!(
@@ -923,7 +946,7 @@ mod tests {
     #[test]
     fn sequence_continues_after_rotation_and_restart() {
         let dir = temp_dir("rotseq");
-        let writer = JournalWriter::open_with(&dir, 64, 400).unwrap();
+        let writer = JournalWriter::open(&dir, 64, 400).unwrap();
         for _ in 0..4 {
             writer.record(entry("schedule", "ok"));
         }
@@ -931,7 +954,7 @@ mod tests {
         let first = writer.stats();
         assert!(first.rotated >= 1);
 
-        let writer = JournalWriter::open_with(&dir, 64, 400).unwrap();
+        let writer = JournalWriter::open(&dir, 64, 400).unwrap();
         writer.record(entry("simulate", "ok"));
         writer.close();
         let (records, _) = load_journal_dir(&dir).unwrap();
@@ -949,14 +972,14 @@ mod tests {
         // Simulate a crash between sealing and renaming: the live file
         // ends in a valid trailer. Opening must finish the rotation.
         let dir = temp_dir("sealcrash");
-        let writer = JournalWriter::open(&dir, 8).unwrap();
+        let writer = JournalWriter::open(&dir, 8, 0).unwrap();
         writer.record(entry("schedule", "ok"));
         writer.close();
         let path = journal_path(&dir);
         let content = fs::read_to_string(&path).unwrap();
         fs::write(&path, format!("{content}{}\n", seal_line(&content))).unwrap();
 
-        let writer = JournalWriter::open(&dir, 8).unwrap();
+        let writer = JournalWriter::open(&dir, 8, 0).unwrap();
         writer.record(entry("simulate", "ok"));
         writer.close();
         assert!(rotated_path(&dir, 1).exists(), "rotation was completed");
@@ -977,7 +1000,7 @@ mod tests {
             let dir = temp_dir(&format!("quar_{tag}"));
             fs::create_dir_all(&dir).unwrap();
             fs::write(journal_path(&dir), bytes).unwrap();
-            let writer = JournalWriter::open(&dir, 8).unwrap();
+            let writer = JournalWriter::open(&dir, 8, 0).unwrap();
             writer.record(entry("schedule", "ok"));
             writer.close();
             assert!(dir.join(JOURNAL_CORRUPT).exists(), "{tag}: bytes kept");
@@ -986,32 +1009,5 @@ mod tests {
             assert_eq!(report.skipped, 0, "{tag}");
             let _ = fs::remove_dir_all(&dir);
         }
-    }
-
-    #[test]
-    fn emitted_journal_passes_the_obs_validator() {
-        // The writer and the `trace_check --journal` validator live in
-        // different crates; this is the test that keeps them in sync.
-        assert_eq!(JOURNAL_MAGIC, tcms_obs::JOURNAL_MAGIC);
-        assert_eq!(JOURNAL_VERSION, tcms_obs::JOURNAL_VERSION);
-        let dir = temp_dir("obsval");
-        let writer = JournalWriter::open(&dir, 8).unwrap();
-        writer.record(entry("schedule", "ok"));
-        writer.record(JournalEntry {
-            disposition: Some(Disposition::Hit),
-            ..entry("schedule", "ok")
-        });
-        writer.close();
-        let content = fs::read_to_string(journal_path(&dir)).unwrap();
-        let check = tcms_obs::validate_journal(&content).unwrap();
-        assert_eq!(check.records, 2);
-        assert!(!check.torn_tail);
-        assert!(!check.sealed);
-        // A sealed rotated segment also passes, flagged as sealed.
-        let sealed = format!("{content}{}\n", seal_line(&content));
-        let check = tcms_obs::validate_journal(&sealed).unwrap();
-        assert_eq!(check.records, 2);
-        assert!(check.sealed);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -58,7 +58,7 @@ pub use client::{
     retryable_code, retryable_error, Client, RetryPolicy, ServeClient, DEFAULT_CONNECT_TIMEOUT,
 };
 pub use error::ServeError;
-pub use fleet::{Fleet, FleetConfig, HashRing, Membership, RouteMode, SYNC_SHARDS};
+pub use fleet::{Fleet, FleetConfig, HashRing, Membership, SYNC_SHARDS};
 pub use journal::{
     load_journal, load_journal_dir, JournalEntry, JournalLoadReport, JournalRecord, JournalStats,
     JournalWriter,

@@ -29,7 +29,6 @@
 use std::collections::BTreeMap;
 
 use tcms_core::CacheableResult;
-use tcms_ir::SpecHash;
 use tcms_obs::json::{self, JsonValue};
 
 use crate::cache::{CacheKey, Disposition};
@@ -65,14 +64,11 @@ pub enum Action {
     /// Fleet anti-entropy: report the per-sync-shard cache digests
     /// (entry count + fnv64 checksum; see [`crate::fleet::sync`]).
     SyncDigest,
-    /// Fleet anti-entropy: return cache entries — one whole sync shard
-    /// (`{"shard":3}`) or one exact content address
-    /// (`{"spec":"…","config":"…"}`); exactly one selector is required.
+    /// Fleet anti-entropy: return the cache entries of one whole sync
+    /// shard (`{"shard":3}`).
     SyncPull {
-        /// Sync-shard index to dump, when pulling a shard.
-        shard: Option<usize>,
-        /// Exact content address, when fetching a single entry.
-        key: Option<CacheKey>,
+        /// Sync-shard index to dump.
+        shard: usize,
     },
     /// Fleet anti-entropy: apply an op-batch of self-checking entries
     /// (the snapshot's node-independent JSONL encoding, embedded as a
@@ -243,20 +239,11 @@ fn parse_body(v: &JsonValue) -> Result<(Action, Option<u64>), ServeError> {
         "shutdown" => Action::Shutdown,
         "sync_digest" => Action::SyncDigest,
         "sync_pull" => {
-            let shard = match field_u64(v, "shard")? {
-                None => None,
-                Some(n) => Some(
-                    usize::try_from(n)
-                        .map_err(|_| ServeError::BadRequest("`shard` out of range".into()))?,
-                ),
-            };
-            let key = parse_key_fields(v)?;
-            if shard.is_some() == key.is_some() {
-                return Err(ServeError::BadRequest(
-                    "`sync_pull` needs exactly one of `shard` or `spec`+`config`".into(),
-                ));
-            }
-            Action::SyncPull { shard, key }
+            let shard = field_u64(v, "shard")?
+                .ok_or_else(|| ServeError::BadRequest("`sync_pull` needs `shard`".into()))?;
+            let shard = usize::try_from(shard)
+                .map_err(|_| ServeError::BadRequest("`shard` out of range".into()))?;
+            Action::SyncPull { shard }
         }
         "sync_push" => {
             let items = v
@@ -280,22 +267,6 @@ fn parse_body(v: &JsonValue) -> Result<(Action, Option<u64>), ServeError> {
         }
     };
     Ok((action, deadline_ms))
-}
-
-/// Parses the optional exact-key selector of `sync_pull`: both `spec`
-/// and `config` must be present (hex strings) or both absent.
-fn parse_key_fields(v: &JsonValue) -> Result<Option<CacheKey>, ServeError> {
-    let bad = || ServeError::BadRequest("`spec` and `config` must be hex strings".into());
-    match (v.get("spec"), v.get("config")) {
-        (None, None) => Ok(None),
-        (Some(spec), Some(config)) => {
-            let spec = SpecHash::parse(spec.as_str().ok_or_else(bad)?).map_err(|_| bad())?;
-            let config =
-                u64::from_str_radix(config.as_str().ok_or_else(bad)?, 16).map_err(|_| bad())?;
-            Ok(Some(CacheKey { spec, config }))
-        }
-        _ => Err(bad()),
-    }
 }
 
 /// One response line (without the trailing newline).

@@ -9,9 +9,9 @@
 //!    inline.
 //! 2. So is a `schedule` request whose exact bytes the cache's answer
 //!    index has answered before, when this node would execute it
-//!    (standalone, `local` route mode, or a fleet key it holds a replica
-//!    of): the connection thread sends the kept report itself, with a
-//!    queue wait of 0. A hit costs four stages there: parse the request
+//!    (standalone, or a fleet key it holds a replica of): the
+//!    connection thread sends the kept report itself, with a queue
+//!    wait of 0. A hit costs four stages there: parse the request
 //!    line, look it up, render the response line, write it. Misses,
 //!    `simulate`, `degrade`, a spent deadline, shutdown and chaos-marked
 //!    designs go on.
@@ -93,9 +93,6 @@ pub struct ServeConfig {
     /// Directory for the workload journal (`--journal-dir`); `None`
     /// disables capture.
     pub journal_dir: Option<PathBuf>,
-    /// Bounded worker→journal channel capacity; when full, entries are
-    /// dropped (and counted), never queued.
-    pub journal_buffer: usize,
     /// Live-journal rotation threshold in bytes (0 disables rotation).
     pub journal_rotate_bytes: u64,
     /// Request-line size cap in bytes: a longer line is answered with a
@@ -124,7 +121,6 @@ impl Default for ServeConfig {
             cache_dir: None,
             default_deadline_ms: None,
             journal_dir: None,
-            journal_buffer: DEFAULT_JOURNAL_BUFFER,
             journal_rotate_bytes: 0,
             max_request_bytes: 1 << 20,
             fault_marker: false,
@@ -552,10 +548,6 @@ impl Shared {
             Some(f) => {
                 fleet.insert("enabled".into(), JsonValue::Bool(true));
                 fleet.insert("self".into(), JsonValue::String(f.config.self_addr.clone()));
-                fleet.insert(
-                    "route".into(),
-                    JsonValue::String(f.config.route.as_str().into()),
-                );
                 fleet.insert("replicas".into(), num(f.ring.replicas() as u64));
                 for (field, counter) in [
                     ("proxied", "serve.fleet.proxied"),
@@ -746,9 +738,9 @@ impl Server {
             metrics.counter_add("serve.snapshot.quarantined", u64::from(report.quarantined));
         }
         let journal = match &config.journal_dir {
-            Some(dir) => Some(JournalWriter::open_with(
+            Some(dir) => Some(JournalWriter::open(
                 dir,
-                config.journal_buffer,
+                DEFAULT_JOURNAL_BUFFER,
                 config.journal_rotate_bytes,
             )?),
             None => None,
@@ -1302,9 +1294,89 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every JSON path of a document with its value type, array members
+    /// folded into `[]`, sorted. `metrics` is one leaf: it is
+    /// `MetricsRegistry`'s own wire form, pinned by `from_json`.
+    fn schema(doc: &JsonValue) -> Vec<String> {
+        fn walk(v: &JsonValue, path: &str, out: &mut Vec<String>) {
+            let ty = match v {
+                JsonValue::Object(map) if path != "metrics" => {
+                    for (k, child) in map {
+                        let dot = if path.is_empty() { "" } else { "." };
+                        walk(child, &format!("{path}{dot}{k}"), out);
+                    }
+                    return;
+                }
+                JsonValue::Object(_) => "object",
+                JsonValue::Array(items) => {
+                    for item in items {
+                        walk(item, &format!("{path}[]"), out);
+                    }
+                    "array"
+                }
+                JsonValue::Null => "null",
+                JsonValue::Bool(_) => "bool",
+                JsonValue::Number(_) => "number",
+                JsonValue::String(_) => "string",
+            };
+            out.push(format!("{path}: {ty}"));
+        }
+        let mut out = Vec::new();
+        walk(doc, "", &mut out);
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// The paths every `stats` response carries, fleet member or not.
+    const DAEMON_STATS: &[&str] = &[
+        "cache_coalesced: number",
+        "cache_entries: number",
+        "cache_evictions: number",
+        "cache_hit_rate: number",
+        "cache_hits: number",
+        "cache_indexed: number",
+        "cache_misses: number",
+        "cache_shards: array",
+        "cache_shards[].capacity: number",
+        "cache_shards[].evictions: number",
+        "cache_shards[].occupancy: number",
+        "errors: number",
+        "id: string",
+        "ifds_iterations: number",
+        "inflight: number",
+        "metrics: object",
+        "ok: bool",
+        "queue_depth: number",
+        "requests: number",
+        "scheduler_runs: number",
+        "worker_panics: number",
+        "worker_restarts: number",
+        "workers: number",
+    ];
+
+    /// `DAEMON_STATS` plus `extra`, sorted like [`schema`]'s output.
+    fn stats_schema(extra: &[&str]) -> Vec<String> {
+        let mut want: Vec<String> = DAEMON_STATS
+            .iter()
+            .chain(extra)
+            .map(|p| (*p).to_owned())
+            .collect();
+        want.sort();
+        want
+    }
+
     #[test]
     fn stats_body_exposes_shards_metrics_and_journal() {
-        let (server, addr) = start();
+        let dir = std::env::temp_dir().join(format!("tcms_serve_stats_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(ServeConfig {
+            workers: 2,
+            journal_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr();
         assert!(roundtrip(addr, &schedule_req("s")).is_ok());
         let stats = roundtrip(addr, r#"{"id":"st","action":"stats"}"#);
         assert!(stats.is_ok());
@@ -1323,9 +1395,21 @@ mod tests {
             .histograms()
             .any(|(name, _)| name == "serve.exec_us.miss"));
         let journal = stats.body.get("journal").unwrap();
-        assert_eq!(journal.get("enabled"), Some(&JsonValue::Bool(false)));
+        assert_eq!(journal.get("enabled"), Some(&JsonValue::Bool(true)));
+        // The exact standalone document: a journal block, a disabled
+        // fleet block, nothing else.
+        let want = stats_schema(&[
+            "fleet.enabled: bool",
+            "journal.dropped: number",
+            "journal.enabled: bool",
+            "journal.path: string",
+            "journal.recorded: number",
+            "journal.rotated: number",
+        ]);
+        assert_eq!(schema(&stats.body), want);
         server.shutdown();
         server.wait().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Reserves `n` distinct loopback ports by bind-and-drop: fleet
@@ -1781,17 +1865,41 @@ mod tests {
         let stats = roundtrip(servers[0].local_addr(), r#"{"id":"st","action":"stats"}"#);
         let fleet = stats.body.get("fleet").unwrap();
         assert_eq!(fleet.get("enabled"), Some(&JsonValue::Bool(true)));
-        assert_eq!(fleet.get("route"), Some(&JsonValue::String("proxy".into())));
         assert_eq!(fleet.get("replicas").and_then(JsonValue::as_f64), Some(2.0));
         let peers_arr = fleet.get("peers").unwrap().as_array().unwrap();
         assert_eq!(peers_arr.len(), 1, "membership excludes self");
         assert_eq!(peers_arr[0].get("alive"), Some(&JsonValue::Bool(true)));
         let sync = fleet.get("sync").unwrap();
         assert_eq!(sync.get("lag_ms"), Some(&JsonValue::Null), "never synced");
-        // The wire document must satisfy the CI validator
-        // (`trace_check --stats`) — this pins the two schemas together.
-        let rendered = tcms_obs::json::to_string(&stats.body);
-        tcms_obs::sink::validate_stats(&rendered).expect("fleet stats schema");
+        // The exact fleet document. `lag_ms` and `last_rtt_us` are null
+        // until the first sync round and peer exchange.
+        let want = stats_schema(&[
+            "fleet.enabled: bool",
+            "fleet.local_fallback: number",
+            "fleet.peer_dials: number",
+            "fleet.peers: array",
+            "fleet.peers[].addr: string",
+            "fleet.peers[].alive: bool",
+            "fleet.peers[].consecutive_failures: number",
+            "fleet.peers[].failures: number",
+            "fleet.peers[].last_rtt_us: null",
+            "fleet.peers[].ok: number",
+            "fleet.proxied: number",
+            "fleet.proxy_failures: number",
+            "fleet.push_failures: number",
+            "fleet.pushed: number",
+            "fleet.replicas: number",
+            "fleet.self: string",
+            "fleet.sync.entries_applied: number",
+            "fleet.sync.failures: number",
+            "fleet.sync.lag_ms: null",
+            "fleet.sync.push_applied: number",
+            "fleet.sync.push_rejected: number",
+            "fleet.sync.rounds: number",
+            "fleet.sync.shards_pulled: number",
+            "journal.enabled: bool",
+        ]);
+        assert_eq!(schema(&stats.body), want);
         for server in servers {
             server.shutdown();
             server.wait().unwrap();
@@ -1851,6 +1959,64 @@ mod tests {
                 "wait() after shutdown (by action: {by_action})"
             );
         }
+    }
+
+    /// A client that keeps sending after shutdown does not keep its
+    /// connection thread: once the flag is up, the thread answers what it
+    /// has already read and closes instead of waiting for more.
+    #[test]
+    fn a_client_that_keeps_sending_is_closed_after_shutdown() {
+        let (server, addr) = start();
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            // A line every 3 ms, so the daemon's read never times out;
+            // stop when the daemon hangs up (or after 3 s).
+            for _ in 0..1000 {
+                if writer
+                    .write_all(b"{\"id\":\"p\",\"action\":\"ping\"}\n")
+                    .is_err()
+                {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(3));
+            }
+        });
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("pong"), "{line}");
+        server.shutdown();
+        server.wait().unwrap();
+        // Pongs sent before the flag may still sit in the socket; past
+        // them comes EOF (or a reset, as the daemon closes with the
+        // client's unread lines pending), not another read timeout.
+        let waited = Instant::now();
+        loop {
+            line.clear();
+            match reader.read_line(&mut line) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    break
+                }
+                Err(e) => panic!("the connection is still open: {e}"),
+            }
+        }
+        assert!(
+            waited.elapsed() < conn::READ_POLL,
+            "closed {:?} after wait()",
+            waited.elapsed()
+        );
+        sender.join().unwrap();
     }
 
     /// Reads one HTTP response: (status, body).

@@ -7,6 +7,7 @@
 //! module is the socket plumbing around them.
 
 use std::collections::BTreeMap;
+use std::io::ErrorKind::{TimedOut, WouldBlock};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -138,12 +139,12 @@ pub(super) fn submit(shared: &Shared, line: &str, reply: Responder) -> RequestId
 /// The answer to `job` from the answer index, when the connection
 /// thread can give it without queueing: a `schedule` request whose
 /// exact bytes were answered before, that this node would execute
-/// itself (standalone, `local` route mode, or a key it holds a replica
-/// of). Everything else is left to a worker, so that it queues and is
-/// answered as before: simulations, `degrade` runs, a daemon without a
-/// cache, chaos-marked designs (their panic belongs on a supervised
-/// worker, never on a connection thread), requests arriving during
-/// shutdown, and requests whose deadline is already spent.
+/// itself (standalone, or a key it holds a replica of). Everything else
+/// is left to a worker, so that it queues and is answered as before:
+/// simulations, `degrade` runs, a daemon without a cache, chaos-marked
+/// designs (their panic belongs on a supervised worker, never on a
+/// connection thread), requests arriving during shutdown, and requests
+/// whose deadline is already spent.
 fn indexed_at_admission(shared: &Shared, job: &Job) -> Option<Answer> {
     let Action::Schedule { design, opts } = &job.action else {
         return None;
@@ -157,7 +158,7 @@ fn indexed_at_admission(shared: &Shared, job: &Job) -> Option<Answer> {
         return None;
     }
     let request = answer_request(design, opts)?;
-    if let Some(fleet) = shared.proxying_fleet() {
+    if let Some(fleet) = &shared.fleet {
         if !fleet.is_local(&shared.cache.answered_key(&request)?) {
             return None;
         }
@@ -204,26 +205,13 @@ fn inline_response(shared: &Shared, id: &RequestId, action: Action) -> Result<St
             id,
             sync::digest_body(&sync::digests(&shared.cache)),
         )),
-        Action::SyncPull { shard, key } => {
-            let entries = match (shard, key) {
-                (Some(s), _) => {
-                    if s >= sync::SYNC_SHARDS {
-                        let err = ServeError::BadRequest(format!(
-                            "`shard` must be below {}",
-                            sync::SYNC_SHARDS
-                        ));
-                        return Ok(error_line(id, &err));
-                    }
-                    sync::shard_entries(&shared.cache, s)
-                }
-                (None, Some(k)) => shared
-                    .cache
-                    .peek(&k)
-                    .map(|v| vec![(k, v)])
-                    .unwrap_or_default(),
-                // The parser enforces exactly one selector.
-                (None, None) => Vec::new(),
-            };
+        Action::SyncPull { shard } => {
+            if shard >= sync::SYNC_SHARDS {
+                let err =
+                    ServeError::BadRequest(format!("`shard` must be below {}", sync::SYNC_SHARDS));
+                return Ok(error_line(id, &err));
+            }
+            let entries = sync::shard_entries(&shared.cache, shard);
             Ok(success_line(id, sync::entries_body(&entries)))
         }
         Action::SyncPush { entries, rejected } => {
@@ -254,32 +242,36 @@ enum Frame {
     Closed,
 }
 
-/// Prepares an accepted connection: the read timeout doubles as the
-/// shutdown poll interval, and Nagle is off so a one-line response never
-/// waits out the client's delayed ACK (a ~40 ms floor per request).
-/// Returns the buffered read half and the write half.
+/// The read timeout of a daemon connection, which doubles as its
+/// shutdown poll interval.
+pub(super) const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Prepares an accepted connection: reads time out every [`READ_POLL`]
+/// to look at the shutdown flag, and Nagle is off so a one-line response
+/// never waits out the client's delayed ACK (a ~40 ms floor per
+/// request). Returns the buffered read half and the write half.
 fn open(stream: TcpStream) -> Option<(BufReader<TcpStream>, TcpStream)> {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
     let write = stream.try_clone().ok()?;
     Some((BufReader::new(stream), write))
 }
 
 /// The reader's next buffered bytes, waiting through read-timeout
-/// polls; `None` once the client closed, the read failed, or shutdown
-/// began.
+/// polls; `None` once the client closed or the read failed. Once
+/// shutdown has begun, bytes already read are still served, but an
+/// empty buffer is `None` instead of a wait for more: a client that
+/// keeps sending cannot hold its connection thread (and the daemon's
+/// `Shared`) past `Server::wait`.
 fn fill<'r>(shared: &Shared, reader: &'r mut BufReader<TcpStream>) -> Option<&'r [u8]> {
     loop {
-        let err = match reader.fill_buf() {
-            Ok(_) => break,
-            Err(e) => e,
-        };
-        let timed_out = matches!(
-            err.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        );
-        if !timed_out || shared.shutting_down() {
+        if reader.buffer().is_empty() && shared.shutting_down() {
             return None;
+        }
+        match reader.fill_buf() {
+            Ok(_) => break,
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {}
+            Err(_) => return None,
         }
     }
     let buf = reader.buffer();

@@ -13,7 +13,7 @@ use tcms_obs::json::JsonValue;
 use super::{dur_us, Job, Shared};
 use crate::cache::CacheKey;
 use crate::error::ServeError;
-use crate::fleet::{sync, Fleet, RouteMode};
+use crate::fleet::sync;
 use crate::journal::JournalEntry;
 use crate::pipeline::{routing_key, ScheduleOptions};
 use crate::protocol::{error_line, parse_response, Action};
@@ -185,21 +185,11 @@ impl Shared {
         routing_key(&self.cache, design, &opts)
     }
 
-    /// The fleet this node proxies work into: `None` for a standalone
-    /// daemon and in `local` route mode, where every request executes
-    /// here.
-    pub(super) fn proxying_fleet(&self) -> Option<&Fleet> {
-        self.fleet
-            .as_ref()
-            .filter(|f| f.config.route == RouteMode::Proxy)
-    }
-
     /// Proxies a job to its owner when this node is not in the key's
     /// replica set. Returns the response line to relay (verbatim owner
     /// bytes, or a typed `peer-unavailable` error); `None` means
-    /// "execute locally" — standalone daemon, local route mode, owned
-    /// key, unroutable request, or a dead owner (health gates effort,
-    /// never placement).
+    /// "execute locally" — standalone daemon, owned key, unroutable
+    /// request, or a dead owner (health gates effort, never placement).
     pub(super) fn route_remote(
         &self,
         job: &Job,
@@ -207,7 +197,7 @@ impl Shared {
         queue_us: u64,
         remaining: Option<Duration>,
     ) -> Option<String> {
-        let fleet = self.proxying_fleet()?;
+        let fleet = self.fleet.as_ref()?;
         let raw = job.raw.as_deref()?;
         let key = self.work_cache_key(&job.action)?;
         if fleet.is_local(&key) {

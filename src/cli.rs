@@ -426,8 +426,7 @@ SERVE OPTIONS:
   --cache-dir <DIR>       load/save the cache snapshot across restarts
   --deadline-ms <N>       default per-job deadline
   --journal-dir <DIR>     capture an append-only workload journal
-                          (JSONL; replayable with the repro_replay bench,
-                          checkable with trace_check --journal)
+                          (JSONL; replayable with the repro_replay bench)
   --journal-rotate-bytes <N>
                           seal and rotate the journal when the live file
                           exceeds N bytes (default 0 = never rotate)
@@ -443,8 +442,6 @@ FLEET OPTIONS (serve; all but --http require --peers):
                           (default: the --listen address); a node whose
                           address is not in --peers refuses to start
   --replicas <N>          replica-set size, owner + backups (default 2)
-  --route <proxy|local>   non-owner behaviour: forward to the owner (proxy,
-                          default) or compute locally and push (local)
   --sync-interval-ms <N>  anti-entropy period (default 2000; 0 disables)
 
 CLIENT REQUESTS:
@@ -739,7 +736,6 @@ fn parse_serve(it: &mut Args<'_>) -> Result<Command, String> {
                 }
             }
             "--advertise" => advertise = Some(value(it, opt)?),
-            "--route" => fleet.route = crate::serve::RouteMode::parse(&value(it, opt)?)?,
             "--sync-interval-ms" => {
                 let ms: u64 = num(it, opt)?;
                 fleet.sync_interval = (ms > 0).then(|| Duration::from_millis(ms));
@@ -747,10 +743,7 @@ fn parse_serve(it: &mut Args<'_>) -> Result<Command, String> {
             "--replicas" => fleet.replicas = num(it, opt)?,
             _ => return Ok(false),
         }
-        if matches!(
-            opt,
-            "--advertise" | "--route" | "--sync-interval-ms" | "--replicas"
-        ) {
+        if matches!(opt, "--advertise" | "--sync-interval-ms" | "--replicas") {
             fleet_flag.get_or_insert_with(|| opt.to_owned());
         }
         Ok(true)
@@ -1744,8 +1737,6 @@ process b time=8 { z := p * q; }
             "10.0.0.1:7733",
             "--http",
             "0.0.0.0:8080",
-            "--route",
-            "local",
             "--sync-interval-ms",
             "500",
             "--replicas",
@@ -1762,7 +1753,6 @@ process b time=8 { z := p * q; }
                     vec!["10.0.0.1:7733", "10.0.0.2:7733", "10.0.0.3:7733"]
                 );
                 assert_eq!(fleet.self_addr, "10.0.0.1:7733");
-                assert_eq!(fleet.route, crate::serve::RouteMode::Local);
                 assert_eq!(fleet.sync_interval, Some(Duration::from_millis(500)));
                 assert_eq!(fleet.replicas, 3);
             }
@@ -1779,7 +1769,6 @@ process b time=8 { z := p * q; }
         assert!(parse_args(&args(&["serve", "--http", "0.0.0.0:8080"])).is_ok());
         for flags in [
             &["serve", "--advertise", "a:1"][..],
-            &["serve", "--route", "proxy"],
             &["serve", "--sync-interval-ms", "100"],
             &["serve", "--replicas", "2"],
         ] {
@@ -1790,7 +1779,6 @@ process b time=8 { z := p * q; }
         let err =
             parse_args(&args(&["serve", "--peers", "a:1", "--advertise", "b:2"])).unwrap_err();
         assert!(err.contains("--advertise"), "{err}");
-        assert!(parse_args(&args(&["serve", "--peers", "a:1", "--route", "x"])).is_err());
     }
 
     #[test]
