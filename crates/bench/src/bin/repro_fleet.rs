@@ -17,7 +17,9 @@
 //!    every size: consistent-hash routing makes N caches behave as one.
 //!    Each row also reports the proxy hop's cost: peer dials (pooled
 //!    connections keep them near one per node pair) and the p50/p99
-//!    request latency.
+//!    request latency split by the answer's cache disposition — hits
+//!    (proxied ones included), which show the hop, and misses, which
+//!    show the scheduler — each with its sample count.
 //! 3. **Chaos rejoin converges** — one node is killed mid-run while a
 //!    fault-injecting proxy mangles the traffic to a survivor; every
 //!    response that does arrive is still bit-identical to the one-shot
@@ -258,7 +260,10 @@ fn phase_hit_rate_vs_nodes(
         // identical text — dedup on the text, which is what the
         // content-addressed cache sees.
         let mut unique = std::collections::BTreeSet::new();
-        let mut latency_ms = Vec::with_capacity(requests);
+        // Request latency by the answer's disposition: a proxied answer
+        // carries the owner's, so a proxied hit lands in `hit_ms`.
+        let mut hit_ms = Vec::with_capacity(requests);
+        let mut miss_ms = Vec::new();
         let started = Instant::now();
         for r in 0..requests {
             let d = draw(&cdf, &mut state);
@@ -267,13 +272,16 @@ fn phase_hit_rate_vs_nodes(
             let resp = clients[r % nodes]
                 .request(&request_line(&format!("r{r}"), &pool[d]))
                 .expect("response");
-            latency_ms.push(sent.elapsed().as_secs_f64() * 1000.0);
+            let ms = sent.elapsed().as_secs_f64() * 1000.0;
             assert!(resp.is_ok(), "request {r}: {:?}", resp.error);
+            match resp.cache() {
+                Some("hit") => hit_ms.push(ms),
+                _ => miss_ms.push(ms),
+            }
         }
         let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
-        latency_ms.sort_by(f64::total_cmp);
-        let p50 = percentile(&latency_ms, 0.50);
-        let p99 = percentile(&latency_ms, 0.99);
+        hit_ms.sort_by(f64::total_cmp);
+        miss_ms.sort_by(f64::total_cmp);
         let runs: u64 = servers
             .iter()
             .map(|s| s.counter("serve.scheduler.runs"))
@@ -293,11 +301,22 @@ fn phase_hit_rate_vs_nodes(
             unique.len() as u64,
             "{nodes} nodes: fleet ran the scheduler more than once per unique design"
         );
+        assert_eq!(
+            miss_ms.len() as u64,
+            runs,
+            "{nodes} nodes: every answer but a hit must have run the scheduler"
+        );
         #[allow(clippy::cast_precision_loss)]
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
         println!(
-            "phase 2: {nodes} node(s): {requests} requests, {} unique, {runs} runs, hit rate {hit_rate:.3}, {proxied} proxied over {peer_dials} peer dial(s), p50 {p50:.3} ms, p99 {p99:.3} ms",
-            unique.len()
+            "phase 2: {nodes} node(s): {requests} requests, {} unique, {runs} runs, hit rate {hit_rate:.3}, {proxied} proxied over {peer_dials} peer dial(s), {} hits p50 {:.3} ms p99 {:.3} ms, {} misses p50 {:.3} ms p99 {:.3} ms",
+            unique.len(),
+            hit_ms.len(),
+            percentile(&hit_ms, 0.50),
+            percentile(&hit_ms, 0.99),
+            miss_ms.len(),
+            percentile(&miss_ms, 0.50),
+            percentile(&miss_ms, 0.99),
         );
         let mut row = BTreeMap::new();
         row.insert("nodes".to_owned(), count(nodes as u64));
@@ -310,8 +329,15 @@ fn phase_hit_rate_vs_nodes(
         row.insert("peer_dials".to_owned(), count(peer_dials));
         row.insert("hit_rate".to_owned(), JsonValue::Number(hit_rate));
         row.insert("wall_ms".to_owned(), JsonValue::Number(wall_ms));
-        row.insert("latency_ms_p50".to_owned(), JsonValue::Number(p50));
-        row.insert("latency_ms_p99".to_owned(), JsonValue::Number(p99));
+        for (disposition, ms) in [("hit", &hit_ms), ("miss", &miss_ms)] {
+            row.insert(format!("{disposition}_samples"), count(ms.len() as u64));
+            for (name, q) in [("p50", 0.50), ("p99", 0.99)] {
+                row.insert(
+                    format!("{disposition}_latency_ms_{name}"),
+                    JsonValue::Number(percentile(ms, q)),
+                );
+            }
+        }
         rows.push(JsonValue::Object(row));
         drop(clients.drain(..));
         for server in servers {

@@ -1,7 +1,7 @@
 //! Thread-scaling study: wall time of (a) the Table-1 coupled global
 //! run and (b) the exact branch-and-bound search at 1/2/4/8 worker
-//! threads, asserting that every result is bit-identical to the
-//! sequential reference.
+//! threads and at the automatic count, asserting that every result is
+//! bit-identical to the sequential reference.
 //!
 //! ```text
 //! repro_thread_scaling [--repeats N] [--threads-list 1,2,4,8]
@@ -12,6 +12,11 @@
 //! adds time). On machines with fewer cores than the requested thread
 //! count the rows flatten or regress; the identity assertions still
 //! hold, which is the point of the deterministic design.
+//!
+//! The last row of each study, `threads=auto (N)`, clears the override
+//! and runs the default path every caller without `--threads` takes:
+//! `TCMS_THREADS` if set, else the detected count, `N` being what it
+//! resolved to.
 
 use std::time::{Duration, Instant};
 
@@ -19,6 +24,16 @@ use tcms_bench::paper_spec;
 use tcms_core::exact::exact_schedule;
 use tcms_core::{ModuloScheduler, SharingSpec};
 use tcms_ir::generators::{paper_system, random_system, RandomSystemConfig};
+
+/// Sets the row's thread count and names it: the count itself, or
+/// `auto (N)` with the count the default path resolved to.
+fn select(n: usize) -> String {
+    rayon::set_num_threads(n);
+    match n {
+        0 => format!("auto ({})", rayon::current_num_threads()),
+        n => n.to_string(),
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,6 +65,8 @@ fn main() {
         thread_list.contains(&1),
         "the list must include 1 (the sequential reference)"
     );
+    // The last row clears the override: the default path.
+    thread_list.push(0);
 
     println!(
         "available parallelism: {}",
@@ -67,7 +84,7 @@ fn main() {
     println!("\ncoupled table1 global run ({} ops):", system.num_ops());
     let mut base = Duration::ZERO;
     for &n in &thread_list {
-        rayon::set_num_threads(n);
+        let label = select(n);
         let mut best = Duration::MAX;
         for _ in 0..repeats {
             let started = Instant::now();
@@ -78,14 +95,14 @@ fn main() {
             best = best.min(started.elapsed());
             assert_eq!(
                 out.schedule, reference.schedule,
-                "threads={n}: coupled schedule must be bit-identical"
+                "threads={label}: coupled schedule must be bit-identical"
             );
         }
         if n == 1 {
             base = best;
         }
         println!(
-            "  threads={n}: best-of-{repeats} {best:?}  speedup {:.2}x  identical=yes",
+            "  threads={label}: best-of-{repeats} {best:?}  speedup {:.2}x  identical=yes",
             base.as_secs_f64() / best.as_secs_f64()
         );
     }
@@ -115,7 +132,7 @@ fn main() {
     );
     let mut ebase = Duration::ZERO;
     for &n in &thread_list {
-        rayon::set_num_threads(n);
+        let label = select(n);
         let mut best = Duration::MAX;
         let mut nodes = 0u64;
         for _ in 0..repeats {
@@ -127,17 +144,16 @@ fn main() {
             nodes = out.nodes;
             assert_eq!(
                 out, eref,
-                "threads={n}: exact optimum must be bit-identical"
+                "threads={label}: exact optimum must be bit-identical"
             );
         }
         if n == 1 {
             ebase = best;
         }
         println!(
-            "  threads={n}: best-of-{repeats} {best:?}  {:.0} nodes/s  speedup {:.2}x  identical=yes",
+            "  threads={label}: best-of-{repeats} {best:?}  {:.0} nodes/s  speedup {:.2}x  identical=yes",
             nodes as f64 / best.as_secs_f64(),
             ebase.as_secs_f64() / best.as_secs_f64()
         );
     }
-    rayon::set_num_threads(0);
 }

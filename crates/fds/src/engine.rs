@@ -687,13 +687,16 @@ impl<'a> IfdsEngine<'a> {
         let run_started = Instant::now();
         let _reduce_span = span!(rec, "ifds.reduce", ops = self.scope_ops.len());
         let mut stats = IfdsStats::default();
-        // Thread count is resolved once per run; 1 keeps the whole sweep
-        // inline. A chunk gets at least this many walked placements:
-        // handing a thread fewer is slower than computing them on the
-        // caller (a broadcast costs a few microseconds, and each chunk
-        // rebuilds the evaluator's batch-wide intermediates). A refold
-        // costs about a fifth of a walked placement, so it weighs that
-        // much when the chunks are cut.
+        // The thread count read here cuts the chunks; `par_chunks_mut`
+        // reads it again on every round with more than one chunk, which
+        // costs an atomic load (the shim caches the detected count). 1
+        // keeps the whole sweep inline. A chunk gets at least this many
+        // walked placements: handing a thread fewer is slower than
+        // computing them on the caller (a broadcast costs a few
+        // microseconds, and each chunk rebuilds the evaluator's
+        // batch-wide intermediates). A refold costs about a fifth of a
+        // walked placement, so it weighs that much when the chunks are
+        // cut.
         let threads = rayon::current_num_threads();
         const PAR_MIN_WALKS: usize = 32;
         const ROUND_WALKS: usize = 64;
@@ -1264,14 +1267,20 @@ mod tests {
             reference.stats.refolds, 0,
             "the classic model keeps nothing"
         );
-        for threads in [1, 2, 3, 4] {
+        // 0 clears the override: the auto path, which resolves
+        // `TCMS_THREADS` or the detected count (1 on a one-CPU box).
+        for threads in [0, 1, 2, 3, 4] {
+            let resolved = match threads {
+                0 => rayon::current_num_threads(),
+                n => n,
+            };
             for refold in [false, true] {
                 let out = run(threads, refold);
                 assert_eq!(out, reference, "threads = {threads}, refold = {refold}");
                 assert_eq!(out.schedule.starts(), reference.schedule.starts());
                 assert_eq!(out.stats.ops_evaluated, reference.stats.ops_evaluated);
                 assert_eq!(out.stats.batched_evals, out.stats.ops_evaluated);
-                if threads > 1 {
+                if resolved > 1 {
                     assert!(
                         out.stats.parallel_evals > 0,
                         "threads = {threads}: the 68-op sweep must be split over the pool"
