@@ -1,4 +1,4 @@
-//! Exact-search node throughput across system sizes, single-threaded.
+//! Exact-search node throughput across system sizes.
 //!
 //! The branch-and-bound's admissible bound is maintained incrementally
 //! on DFS push/pop (DESIGN.md §8); its per-node cost no longer grows
@@ -9,10 +9,6 @@
 //! ```text
 //! repro_exact_throughput [--node-cap N]
 //! ```
-//!
-//! Sequential on purpose: node throughput is a per-node-cost metric and
-//! the parallel root split changes node counts, so threads would blur
-//! the comparison. See `repro_thread_scaling` for the multicore study.
 
 use std::time::Instant;
 
@@ -36,7 +32,6 @@ fn main() {
             other => panic!("unknown flag `{other}`"),
         }
     }
-    rayon::set_num_threads(1);
 
     println!("layers  ops  seed      nodes  complete       wall    nodes/s");
     for &(layers, per_layer) in &[(2, 2), (3, 2), (4, 2), (4, 3), (5, 3)] {

@@ -1,7 +1,9 @@
 //! Thread-scaling study: wall time of (a) the Table-1 coupled global
 //! run and (b) the exact branch-and-bound search at 1/2/4/8 worker
 //! threads and at the automatic count, asserting that every result is
-//! bit-identical to the sequential reference.
+//! bit-identical to the one-thread reference. The exact search is
+//! sequential, so its rows check that the thread count changes neither
+//! its outcome (node count included) nor its speed.
 //!
 //! ```text
 //! repro_thread_scaling [--repeats N] [--threads-list 1,2,4,8]

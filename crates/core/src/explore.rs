@@ -1,44 +1,25 @@
-//! Design-space exploration: period selection and automatic scope
-//! assignment.
+//! Design-space exploration: period selection (S2).
 //!
 //! The paper enumerates period permutations exhaustively and assigns
-//! scopes (S1) manually, naming both automation directions as current
-//! work. This module provides:
+//! scopes (S1) by hand. This module provides:
 //!
 //! * [`sweep_uniform_periods`] — the §3.2 trade-off curve: larger periods
 //!   allow more sharing but stretch the invocation grid,
 //! * [`best_period_assignment`] — exhaustive enumeration with the
-//!   equation-3 filter, scheduling every candidate (the paper's flow),
-//! * [`pruned_best_period_assignment`] — a lower-bound-pruned search
-//!   (the "without complete enumeration" future-work item),
-//! * [`auto_assign`] — a greedy automatic scope selection.
+//!   equation-3 filter, scheduling every candidate (the paper's flow).
 //!
 //! # Parallelism and determinism
 //!
-//! The candidate runs of [`sweep_uniform_periods`] and
-//! [`best_period_assignment`] are independent, so they are evaluated in
+//! The candidate runs are independent, so they are evaluated in
 //! parallel. Infeasible candidates (equation-3 filter) and specification
 //! validation are handled *before* spawning, the parallel map preserves
 //! input order, and the winner is selected by a sequential in-order fold
 //! with a strict `<` comparison — the results (including tie-breaks) are
 //! identical to the sequential evaluation.
-//!
-//! [`pruned_best_period_assignment`] is a parallel bound-ordered search
-//! over a shared atomic incumbent. Candidates are stably sorted by their
-//! admissible area lower bound and pruned with a **strict** `bound >
-//! incumbent` test: the incumbent never drops below the optimum, so every
-//! candidate whose bound does not exceed the optimum is scheduled in every
-//! run, and any extra candidate a stale incumbent lets through has
-//! `area >= bound > optimum` and cannot win. The sequential index-ordered
-//! fold therefore returns the *same* winner as the old sequential
-//! incumbent loop — the first optimal candidate in bound order — at every
-//! thread count. Only the `evaluated` count is timing-dependent.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
 use tcms_fds::FdsConfig;
-use tcms_ir::{ResourceTypeId, System};
+use tcms_ir::System;
 use tcms_obs::{span, NoopRecorder, Recorder, TimelinePoint};
 
 use crate::assign::SharingSpec;
@@ -152,12 +133,13 @@ pub fn sweep_uniform_periods_recorded(
 /// paper notes most combinations are filtered by equation 3 before
 /// scheduling).
 ///
+/// Returns `Ok(None)` when no assignment passes the equation-3 filter.
+///
 /// # Errors
 ///
-/// Propagates validation errors of `base` and returns
-/// [`CoreError::MissingPeriod`]-free specs only; `None` results become an
-/// empty `Ok` sweep, so the caller sees `None` only when nothing was
-/// feasible.
+/// Propagates validation errors of `base` and run failures such as a
+/// tripped budget; the error reported is the one of the earliest failing
+/// candidate in enumeration order.
 pub fn best_period_assignment(
     system: &System,
     base: &SharingSpec,
@@ -237,370 +219,10 @@ pub fn best_period_assignment_recorded(
     Ok(best)
 }
 
-/// Admissible lower bound on the shared pool of `rtype` under `spec`:
-/// every slot of a block's folded profile covers at most `ceil(T_b / ρ)`
-/// time steps, so a block with `n` busy cycles needs at least
-/// `n / ceil(T_b/ρ)` grant-slots in total, and the pool peak is at least
-/// the summed slot mass divided by ρ.
-pub fn pool_lower_bound(system: &System, spec: &SharingSpec, rtype: ResourceTypeId) -> u32 {
-    let Some(group) = spec.group(rtype) else {
-        return 0;
-    };
-    let period = f64::from(spec.period(rtype).expect("global types have periods"));
-    let mut slot_mass = 0.0f64;
-    for &p in group {
-        let mut process_mass = 0.0f64;
-        for &b in system.process(p).blocks() {
-            let busy: u32 = system
-                .ops_of_type(b, rtype)
-                .iter()
-                .map(|&o| system.occupancy(o))
-                .sum();
-            let t_b = f64::from(system.block(b).time_range());
-            let reuse = (t_b / period).ceil();
-            process_mass = process_mass.max(f64::from(busy) / reuse);
-        }
-        slot_mass += process_mass;
-    }
-    (slot_mass / period).ceil() as u32
-}
-
-/// Area lower bound for a period assignment: local pools as scheduled
-/// plus [`pool_lower_bound`] per global type. Reference implementation
-/// the cached [`BoundContext::area_lower_bound`] is tested against.
-#[cfg(test)]
-fn area_lower_bound(system: &System, spec: &SharingSpec) -> u64 {
-    let mut area = 0u64;
-    for (k, rt) in system.library().iter() {
-        let group = spec.group(k).unwrap_or(&[]);
-        let local_users = system
-            .users_of_type(k)
-            .into_iter()
-            .filter(|p| !group.contains(p))
-            .count() as u64;
-        let global = u64::from(pool_lower_bound(system, spec, k));
-        area += (local_users + global) * rt.area();
-    }
-    area
-}
-
-/// Spec-independent inputs of [`area_lower_bound`], resolved once per
-/// search instead of once per candidate: busy cycles per `(block, type)`,
-/// the user set per type and the per-block reuse factors only depend on
-/// the system, while the enumerated specs vary periods alone.
-struct BoundContext<'a> {
-    system: &'a System,
-    /// `busy[b * num_types + k]`: summed occupancy of type-`k` ops in `b`.
-    busy: Vec<u32>,
-    /// Users per type, in `process_ids` order.
-    users: Vec<Vec<tcms_ir::ProcessId>>,
-    num_types: usize,
-}
-
-impl<'a> BoundContext<'a> {
-    fn new(system: &'a System) -> Self {
-        let num_types = system.library().len();
-        let mut busy = vec![0u32; system.num_blocks() * num_types];
-        for (o, op) in system.ops() {
-            busy[op.block().index() * num_types + op.resource_type().index()] +=
-                system.occupancy(o);
-        }
-        let users = system
-            .library()
-            .ids()
-            .map(|k| system.users_of_type(k))
-            .collect();
-        BoundContext {
-            system,
-            busy,
-            users,
-            num_types,
-        }
-    }
-
-    /// Same value as [`area_lower_bound`] (the search's sort key and prune
-    /// test must match the old sequential implementation exactly), without
-    /// the per-call `Vec` churn of `users_of_type`/`ops_of_type`. The
-    /// search itself goes through the memoized
-    /// [`BoundContext::area_lower_bounds`]; this per-spec form is the
-    /// reference it is tested against.
-    #[cfg(test)]
-    fn area_lower_bound(&self, spec: &SharingSpec) -> u64 {
-        let mut area = 0u64;
-        for (k, rt) in self.system.library().iter() {
-            let group = spec.group(k).unwrap_or(&[]);
-            let mut instances = self.users[k.index()]
-                .iter()
-                .filter(|p| !group.contains(p))
-                .count() as u64;
-            if !group.is_empty() {
-                let period = spec.period(k).expect("global types have periods");
-                instances += self.pool_instances(k, group, period);
-            }
-            area += instances * rt.area();
-        }
-        area
-    }
-
-    /// The pool term of one global type: a pure function of the type's
-    /// group and period given the system.
-    fn pool_instances(&self, k: ResourceTypeId, group: &[tcms_ir::ProcessId], period: u32) -> u64 {
-        let period = f64::from(period);
-        let mut slot_mass = 0.0f64;
-        for &p in group {
-            let mut process_mass = 0.0f64;
-            for &b in self.system.process(p).blocks() {
-                let busy = self.busy[b.index() * self.num_types + k.index()];
-                let t_b = f64::from(self.system.block(b).time_range());
-                let reuse = (t_b / period).ceil();
-                process_mass = process_mass.max(f64::from(busy) / reuse);
-            }
-            slot_mass += process_mass;
-        }
-        (slot_mass / period).ceil() as u64
-    }
-
-    /// Bounds of a whole candidate batch in one call, each equal to
-    /// [`BoundContext::area_lower_bound`] of that spec.
-    ///
-    /// The specs enumerated by one period search share their sharing
-    /// groups and differ only in the periods, so the expensive pool term
-    /// is a function of `(type, period)` alone and recurs across most of
-    /// the batch; this entry point memoizes it per `(type, period)` pair
-    /// (a linear scan — searches enumerate few distinct periods). Group
-    /// constancy is debug-asserted against the first spec that filled
-    /// each memo slot.
-    fn area_lower_bounds(&self, specs: &[SharingSpec]) -> Vec<u64> {
-        let mut memo: Vec<(usize, u32, u64)> = Vec::new();
-        #[cfg(debug_assertions)]
-        let mut memo_groups: Vec<Vec<tcms_ir::ProcessId>> = Vec::new();
-        specs
-            .iter()
-            .map(|spec| {
-                let mut area = 0u64;
-                for (k, rt) in self.system.library().iter() {
-                    let group = spec.group(k).unwrap_or(&[]);
-                    let mut instances = self.users[k.index()]
-                        .iter()
-                        .filter(|p| !group.contains(p))
-                        .count() as u64;
-                    if !group.is_empty() {
-                        let period = spec.period(k).expect("global types have periods");
-                        let hit = memo
-                            .iter()
-                            .position(|&(mk, mp, _)| mk == k.index() && mp == period);
-                        let pool = match hit {
-                            Some(i) => {
-                                #[cfg(debug_assertions)]
-                                debug_assert_eq!(
-                                    memo_groups[i], group,
-                                    "batched bounds require constant groups across specs"
-                                );
-                                memo[i].2
-                            }
-                            None => {
-                                let v = self.pool_instances(k, group, period);
-                                memo.push((k.index(), period, v));
-                                #[cfg(debug_assertions)]
-                                memo_groups.push(group.to_vec());
-                                v
-                            }
-                        };
-                        instances += pool;
-                    }
-                    area += instances * rt.area();
-                }
-                area
-            })
-            .collect()
-    }
-}
-
-/// Lower-bound-pruned period search (the paper's "find the optimal periods
-/// ... without a complete enumeration" future-work item).
-///
-/// Candidates are stably sorted by area lower bound and scheduled in
-/// parallel against a shared atomic incumbent; a candidate is pruned when
-/// its bound strictly exceeds the incumbent. Returns the same optimum —
-/// and the same winning spec — as [`best_period_assignment`] at every
-/// thread count (see the module docs for why), while scheduling far fewer
-/// combinations. The returned `evaluated` count is the only
-/// timing-dependent output: a stale incumbent may let a few extra
-/// candidates through, none of which can win.
-///
-/// # Errors
-///
-/// Propagates validation errors of `base`.
-pub fn pruned_best_period_assignment(
-    system: &System,
-    base: &SharingSpec,
-    config: &FdsConfig,
-) -> Result<Option<(SharingSpec, ScheduleReport, usize)>, ScheduleError> {
-    pruned_best_period_assignment_recorded(system, base, config, &NoopRecorder)
-}
-
-/// [`pruned_best_period_assignment`] with observability: counters for
-/// scheduled vs bound-pruned candidates and a timeline of the incumbent
-/// area as the search tightens.
-///
-/// # Errors
-///
-/// Same as [`pruned_best_period_assignment`].
-pub fn pruned_best_period_assignment_recorded(
-    system: &System,
-    base: &SharingSpec,
-    config: &FdsConfig,
-    rec: &dyn Recorder,
-) -> Result<Option<(SharingSpec, ScheduleReport, usize)>, ScheduleError> {
-    base.validate(system)?;
-    let globals = base.global_types(system);
-    let cands: Vec<Vec<u32>> = globals
-        .iter()
-        .map(|&k| candidate_periods(system, base, k))
-        .collect();
-    let specs = enumerate_periods(system, base, &globals, &cands, None);
-    let _pruned = span!(rec, "s2.pruned_search", candidates = specs.len());
-    // Most promising (lowest bound) first, so the incumbent tightens
-    // early; the stable sort keeps enumeration order among equal bounds,
-    // which is what makes the winner below the same one the sequential
-    // incumbent loop picked.
-    let ctx = BoundContext::new(system);
-    let bounds = ctx.area_lower_bounds(&specs);
-    let mut bounded: Vec<(u64, SharingSpec)> = bounds.into_iter().zip(specs).collect();
-    bounded.sort_by_key(|&(bound, _)| bound);
-    // Shared incumbent: schedule candidates in parallel, prune with a
-    // *strict* `bound > incumbent`. The incumbent only ever holds real
-    // schedule areas (>= optimum), so every potentially-optimal candidate
-    // is scheduled in every run; the recording and the winner fold run
-    // sequentially in bound order afterwards.
-    let incumbent = AtomicU64::new(u64::MAX);
-    let results: Vec<Result<Option<ScheduleReport>, ScheduleError>> =
-        rayon::par_map_indexed(bounded.len(), |i| {
-            let (bound, spec) = &bounded[i];
-            if *bound > incumbent.load(Ordering::Relaxed) {
-                return Ok(None);
-            }
-            let outcome = ModuloScheduler::new(system, spec.clone())?
-                .with_config_ref(config)
-                .run()?;
-            let report = outcome.report();
-            incumbent.fetch_min(report.total_area(), Ordering::Relaxed);
-            Ok(Some(report))
-        });
-    // In-order fold: the earliest error in bound order decides
-    // deterministically, and the strict `<` keeps the first optimal spec.
-    let mut best: Option<(usize, ScheduleReport)> = None;
-    let mut evaluated = 0usize;
-    for (i, result) in results.into_iter().enumerate() {
-        match result? {
-            None => rec.counter_add("s2.candidates_pruned", 1),
-            Some(report) => {
-                evaluated += 1;
-                rec.counter_add("s2.candidates_scheduled", 1);
-                if best
-                    .as_ref()
-                    .is_none_or(|(_, b)| report.total_area() < b.total_area())
-                {
-                    if rec.enabled() {
-                        rec.timeline(TimelinePoint {
-                            phase: "pruned_search",
-                            iteration: evaluated as u64,
-                            values: vec![("incumbent_area".into(), report.total_area() as f64)],
-                        });
-                    }
-                    best = Some((i, report));
-                }
-            }
-        }
-    }
-    Ok(best.map(|(i, r)| {
-        let spec = bounded.swap_remove(i).1;
-        (spec, r, evaluated)
-    }))
-}
-
-/// Greedy automatic scope selection (the paper's other future-work item):
-/// starting from the all-local spec, types are tried globally over all
-/// their users in decreasing area order and kept global when the scheduled
-/// total area improves.
-///
-/// # Errors
-///
-/// Propagates scheduler errors (none for well-formed systems).
-pub fn auto_assign(
-    system: &System,
-    period: u32,
-    config: &FdsConfig,
-) -> Result<(SharingSpec, ScheduleReport), ScheduleError> {
-    auto_assign_recorded(system, period, config, &NoopRecorder)
-}
-
-/// [`auto_assign`] with observability: an `"s1.auto_assign"` span, one
-/// `"s1.globalize"` event per accepted type and the running total area as
-/// an `"s1"` timeline.
-///
-/// # Errors
-///
-/// Same as [`auto_assign`].
-pub fn auto_assign_recorded(
-    system: &System,
-    period: u32,
-    config: &FdsConfig,
-    rec: &dyn Recorder,
-) -> Result<(SharingSpec, ScheduleReport), ScheduleError> {
-    let _s1 = span!(rec, "s1.auto_assign", period = period);
-    let mut spec = SharingSpec::all_local(system);
-    let mut report = ModuloScheduler::new(system, spec.clone())?
-        .with_config_ref(config)
-        .run()?
-        .report();
-    let mut types: Vec<ResourceTypeId> = system.library().ids().collect();
-    types.sort_by_key(|&k| std::cmp::Reverse(system.library().get(k).area()));
-    for (trial_no, k) in types.into_iter().enumerate() {
-        let users = system.users_of_type(k);
-        if users.len() < 2 {
-            continue;
-        }
-        let mut trial = spec.clone();
-        trial.set_global(k, users, period);
-        if !crate::period::spacing_feasible(system, &trial) {
-            continue;
-        }
-        // The trial spec moves into the scheduler and is recovered from
-        // the outcome only when accepted — rejected trials never clone it.
-        let outcome = ModuloScheduler::new(system, trial)?
-            .with_config_ref(config)
-            .run()?;
-        let trial_report = outcome.report();
-        rec.counter_add("s1.trials", 1);
-        if trial_report.total_area() < report.total_area() {
-            spec = outcome.into_spec();
-            report = trial_report;
-            if rec.enabled() {
-                rec.event(
-                    "s1.globalize",
-                    &[
-                        ("type", system.library().get(k).name().into()),
-                        ("area", report.total_area().into()),
-                    ],
-                );
-            }
-        }
-        if rec.enabled() {
-            rec.timeline(TimelinePoint {
-                phase: "s1",
-                iteration: trial_no as u64,
-                values: vec![("area".into(), report.total_area() as f64)],
-            });
-        }
-    }
-    Ok((spec, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcms_ir::generators::{paper_system, random_system, RandomSystemConfig};
+    use tcms_ir::generators::paper_system;
 
     #[test]
     fn sweep_skips_infeasible_periods() {
@@ -610,122 +232,6 @@ mod tests {
         let periods: Vec<u32> = points.iter().map(|p| p.period).collect();
         // 16 and 40 exceed the diffeq spacing budget of 15.
         assert_eq!(periods, vec![1, 5, 15]);
-    }
-
-    #[test]
-    fn larger_period_never_hurts_pool_bound() {
-        let (sys, t) = paper_system().unwrap();
-        let lb = |period| {
-            let spec = SharingSpec::all_global(&sys, period);
-            pool_lower_bound(&sys, &spec, t.mul)
-        };
-        // Period 1 forces the pool to cover the peak; longer periods can
-        // only relax the bound.
-        assert!(lb(1) >= lb(5));
-        assert!(lb(5) >= 1);
-    }
-
-    #[test]
-    fn pool_lower_bound_is_admissible_on_paper_system() {
-        let (sys, _) = paper_system().unwrap();
-        let spec = SharingSpec::all_global(&sys, 5);
-        let report = ModuloScheduler::new(&sys, spec.clone())
-            .unwrap()
-            .run()
-            .unwrap()
-            .report();
-        for k in spec.global_types(&sys) {
-            assert!(
-                pool_lower_bound(&sys, &spec, k) <= report.instances(k),
-                "bound must not exceed the achieved count for {k}"
-            );
-        }
-    }
-
-    #[test]
-    fn pruned_search_matches_exhaustive_on_small_system() {
-        let _guard = crate::test_support::threads_lock();
-        let cfg = RandomSystemConfig {
-            processes: 2,
-            blocks_per_process: 1,
-            layers: 3,
-            ops_per_layer: (1, 2),
-            edge_prob: 0.5,
-            slack: 2.0,
-            type_weights: [2, 1, 1],
-        };
-        let (sys, _) = random_system(&cfg, 11).unwrap();
-        let base = SharingSpec::all_global(&sys, 2);
-        if base.global_types(&sys).is_empty() {
-            return; // seed produced no shareable type; nothing to compare
-        }
-        let fds = FdsConfig::default();
-        let full = best_period_assignment(&sys, &base, &fds, None)
-            .unwrap()
-            .unwrap();
-        // The parallel search must return the exhaustive optimum — same
-        // area AND same winning spec — at every thread count.
-        for threads in [1, 2, 4, 8] {
-            rayon::set_num_threads(threads);
-            let pruned = pruned_best_period_assignment(&sys, &base, &fds)
-                .unwrap()
-                .unwrap();
-            assert_eq!(
-                full.1.total_area(),
-                pruned.1.total_area(),
-                "threads = {threads}: pruned search must find the optimum"
-            );
-            assert_eq!(
-                full.0, pruned.0,
-                "threads = {threads}: winning spec must be deterministic"
-            );
-            assert!(
-                pruned.2 > 0,
-                "threads = {threads}: at least one candidate is scheduled"
-            );
-        }
-        rayon::set_num_threads(0);
-    }
-
-    #[test]
-    fn cached_area_bound_matches_reference() {
-        let (sys, _) = paper_system().unwrap();
-        let ctx = super::BoundContext::new(&sys);
-        for period in 1..=8u32 {
-            let spec = SharingSpec::all_global(&sys, period);
-            assert_eq!(
-                ctx.area_lower_bound(&spec),
-                super::area_lower_bound(&sys, &spec),
-                "period {period}: cached bound must equal the reference"
-            );
-        }
-        let local = SharingSpec::all_local(&sys);
-        assert_eq!(
-            ctx.area_lower_bound(&local),
-            super::area_lower_bound(&sys, &local)
-        );
-    }
-
-    #[test]
-    fn batched_area_bounds_match_per_spec_bounds() {
-        let (sys, _) = paper_system().unwrap();
-        let ctx = super::BoundContext::new(&sys);
-        // A realistic batch: repeated periods (the memo's hit case), plus
-        // the all-local spec with no pool term at all.
-        let mut specs: Vec<SharingSpec> = (1..=8u32)
-            .chain([3, 5, 5, 1])
-            .map(|p| SharingSpec::all_global(&sys, p))
-            .collect();
-        specs.push(SharingSpec::all_local(&sys));
-        let batched = ctx.area_lower_bounds(&specs);
-        assert_eq!(batched.len(), specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            assert_eq!(
-                batched[i],
-                ctx.area_lower_bound(spec),
-                "spec {i}: batched bound must equal the per-spec bound"
-            );
-        }
     }
 
     #[test]
@@ -756,22 +262,5 @@ mod tests {
         let second = pick().unwrap();
         assert_eq!(first.1, second.1);
         assert_eq!(first.0.global_types(&sys), second.0.global_types(&sys));
-    }
-
-    #[test]
-    fn auto_assign_beats_or_matches_local() {
-        let (sys, _) = paper_system().unwrap();
-        let fds = FdsConfig::default();
-        let local_area = ModuloScheduler::new(&sys, SharingSpec::all_local(&sys))
-            .unwrap()
-            .run()
-            .unwrap()
-            .report()
-            .total_area();
-        let (spec, report) = auto_assign(&sys, 5, &fds).unwrap();
-        assert!(report.total_area() <= local_area);
-        // On the paper system sharing the multiplier is always a win.
-        let t_mul = sys.library().by_name("mul").unwrap();
-        assert!(spec.is_global(t_mul));
     }
 }

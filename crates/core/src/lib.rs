@@ -12,10 +12,10 @@
 //! The method's three steps map to this crate's modules:
 //!
 //! * **(S1)** [`assign`] — local/global assignment of resource types to
-//!   processes ([`SharingSpec`]), including an automatic scope-selection
-//!   heuristic in [`explore`],
+//!   processes ([`SharingSpec`]), chosen by the caller as in the paper,
 //! * **(S2)** [`period`] — period candidates per global type, grid
-//!   spacings (equation 3) and full or pruned enumeration,
+//!   spacings (equation 3) and the full enumeration, which [`explore`]
+//!   schedules to pick the area-minimal assignment,
 //! * **(S3)** [`scheduler`] — the coupled modified IFDS over all blocks,
 //!   with the two-part force modification in [`evaluator`] built on the
 //!   layered spring field of [`field`].
@@ -60,7 +60,6 @@ pub mod explore;
 pub mod field;
 pub mod fingerprint;
 pub mod kernel;
-pub mod latency;
 pub mod modulo;
 pub mod period;
 pub mod rc;
@@ -75,7 +74,6 @@ pub use error::{CoreError, ScheduleError};
 pub use evaluator::ModuloEvaluator;
 pub use field::ModuloField;
 pub use fingerprint::{config_fingerprint, config_fingerprint_with, CacheableResult};
-pub use latency::{latency_bounds, LatencyBound};
 pub use report::{compute_report, ScheduleReport, TypeReport};
 pub use scheduler::{ModuloOutcome, ModuloScheduler};
 pub use verify::{check_execution, exhaustive_check, random_activations, Activation, VerifyError};

@@ -49,8 +49,8 @@ pub mod schedule_io;
 pub mod slab;
 
 /// Thread-count control for every parallel scheduling primitive in the
-/// workspace (the engine's candidate sweep, the design-space exploration
-/// fan-outs and the exact-search root split all share one pool).
+/// workspace (the engine's candidate sweep and the design-space
+/// exploration fan-outs share one pool).
 ///
 /// Resolution order: [`threads::set`] override, then the `TCMS_THREADS`
 /// environment variable, then the detected hardware parallelism. A count

@@ -1,12 +1,11 @@
-//! Design-space exploration: the §3.2 period trade-off, the exhaustive
-//! period enumeration of the paper's implementation, the pruned search of
-//! its future-work section, and automatic scope selection.
+//! Design-space exploration: the §3.2 period trade-off and the exhaustive
+//! period enumeration (S2) of the paper's implementation.
 //!
 //! Run with `cargo run --release --example period_exploration`.
 
 use tcms::fds::FdsConfig;
 use tcms::ir::generators::paper_system;
-use tcms::modulo::explore::{auto_assign, pruned_best_period_assignment, sweep_uniform_periods};
+use tcms::modulo::explore::{best_period_assignment, sweep_uniform_periods};
 use tcms::modulo::SharingSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,32 +25,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Pruned search over non-uniform period assignments (future work item
-    // "find the optimal periods without a complete enumeration"). The
-    // candidate space is capped via the multiplier only to keep the
-    // example fast.
+    // S2 as the paper runs it: every period candidate that passes the
+    // equation-3 filter is scheduled and the smallest area wins. Only the
+    // multiplier is global here, which keeps the example to its 15
+    // candidates; `repro_mixed_periods` runs all three global types.
     let mut base = SharingSpec::all_local(&system);
     base.set_global(types.mul, system.users_of_type(types.mul), 5);
-    if let Some((spec, report, evaluated)) = pruned_best_period_assignment(&system, &base, &config)?
-    {
+    if let Some((spec, report)) = best_period_assignment(&system, &base, &config, None)? {
         println!(
-            "\npruned period search over the multiplier: best period {} -> area {} ({} schedules evaluated)",
+            "\nexhaustive period search over the multiplier: best period {} -> area {}",
             spec.period(types.mul).expect("mul global"),
-            report.total_area(),
-            evaluated
+            report.total_area()
         );
     }
-
-    // Automatic scope selection (the other future-work item).
-    let (spec, report) = auto_assign(&system, 5, &config)?;
-    println!("\nautomatic scope selection at period 5:");
-    for (k, rt) in system.library().iter() {
-        println!(
-            "  {:<4} -> {}",
-            rt.name(),
-            if spec.is_global(k) { "global" } else { "local" }
-        );
-    }
-    println!("  area {}", report.total_area());
     Ok(())
 }

@@ -1,8 +1,7 @@
 //! Cross-thread-count determinism suite.
 //!
-//! The parallel force sweeps (S3), the shared-incumbent period search
-//! and the split exact search all promise *bit-identical* results at
-//! every worker-thread count. These tests pin that promise end to end
+//! The parallel force sweeps (S3) and the parallel period fan-outs (S2)
+//! promise *bit-identical* results at every worker-thread count. These tests pin that promise end to end
 //! on randomized systems: anything the CLI can print — schedules,
 //! reports, exploration winners — must not change when the thread count
 //! does.
@@ -15,7 +14,7 @@ use std::sync::{Mutex, MutexGuard};
 use tcms::fds::threads;
 use tcms::ir::generators::{random_system, RandomSystemConfig};
 use tcms::ir::System;
-use tcms::modulo::explore::{auto_assign, pruned_best_period_assignment};
+use tcms::modulo::explore::{best_period_assignment, sweep_uniform_periods};
 use tcms::modulo::{ModuloScheduler, ScheduleReport, SharingSpec};
 
 static THREADS: Mutex<()> = Mutex::new(());
@@ -137,20 +136,26 @@ fn run_naive_any(sys: &System) -> Option<(Vec<Option<u32>>, u64)> {
     Some((out.schedule.starts().to_vec(), out.iterations))
 }
 
+/// The exhaustive S2 enumeration schedules its candidates in parallel
+/// and folds them in enumeration order: the winning spec and its area
+/// must not depend on the thread count.
 #[test]
 fn explore_winners_are_bit_identical_across_thread_counts() {
     let _guard = threads_lock();
     let fds = tcms::fds::FdsConfig::default();
+    // The first 64 assignments in enumeration order: enough for several
+    // parallel chunks and for area ties, without scheduling every one.
+    const LIMIT: Option<usize> = Some(64);
     for (seed, sys) in test_systems() {
         let base = SharingSpec::all_global(&sys, 2);
         if base.global_types(&sys).is_empty() {
             continue; // no shareable type: nothing to explore
         }
         threads::set(1);
-        let reference = pruned_best_period_assignment(&sys, &base, &fds).unwrap();
+        let reference = best_period_assignment(&sys, &base, &fds, LIMIT).unwrap();
         for n in THREAD_COUNTS {
             threads::set(n);
-            let run = pruned_best_period_assignment(&sys, &base, &fds).unwrap();
+            let run = best_period_assignment(&sys, &base, &fds, LIMIT).unwrap();
             match (&reference, &run) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
@@ -171,24 +176,32 @@ fn explore_winners_are_bit_identical_across_thread_counts() {
     threads::set(0);
 }
 
+/// The uniform-period sweep returns one point per feasible period, in
+/// input order, whatever the thread count.
 #[test]
-fn auto_assign_is_bit_identical_across_thread_counts() {
+fn uniform_period_sweeps_are_bit_identical_across_thread_counts() {
     let _guard = threads_lock();
     let fds = tcms::fds::FdsConfig::default();
+    let points = |sys: &System| {
+        sweep_uniform_periods(sys, [1, 2, 3, 4, 6], &fds)
+            .unwrap()
+            .into_iter()
+            .map(|p| (p.period, p.report.total_area(), p.iterations))
+            .collect::<Vec<_>>()
+    };
     for (seed, sys) in test_systems().into_iter().take(3) {
         threads::set(1);
-        let reference = auto_assign(&sys, 2, &fds).unwrap();
+        let reference = points(&sys);
+        assert!(
+            !reference.is_empty(),
+            "seed {seed}: period 1 always passes the eq.-3 filter"
+        );
         for n in THREAD_COUNTS {
             threads::set(n);
-            let run = auto_assign(&sys, 2, &fds).unwrap();
             assert_eq!(
-                reference.0, run.0,
-                "seed {seed}, threads {n}: auto-assigned spec must be identical"
-            );
-            assert_eq!(
-                reference.1.total_area(),
-                run.1.total_area(),
-                "seed {seed}, threads {n}: auto-assign area must be identical"
+                reference,
+                points(&sys),
+                "seed {seed}, threads {n}: sweep points must be identical"
             );
         }
     }
